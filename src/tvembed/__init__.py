@@ -26,8 +26,8 @@ from tvembed.solver import (
     init_embeddings,
     objective,
     residual_gradient,
-    ridge_update_block,
     train,
+    update_factor,
 )
 from tvembed.baselines import (
     OrthogonalMap,

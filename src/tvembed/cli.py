@@ -21,6 +21,7 @@ import numpy as np
 
 from tvembed import baselines, evaluation
 from tvembed.corpus import (
+    CorpusFormatError,
     EmptyVocabularyError,
     atomic_write_bytes,
     build_vocabulary,
@@ -70,7 +71,6 @@ class RunConfig:
     smoothing: float = 50.0
     coupling: float = 50.0
     epochs: int = 5
-    block_rows: int = 1024
     init_scale: float = 1.0
     seed: int = 0
     method: str = "dw2v"
@@ -84,7 +84,6 @@ class RunConfig:
             smoothing=self.smoothing,
             coupling=self.coupling,
             epochs=self.epochs,
-            block_rows=self.block_rows,
             seed=derive_seed(self.seed, component),
             init_scale=self.init_scale,
         )
@@ -235,17 +234,11 @@ def cmd_train(args):
     if method == "dw2v":
         from tvembed.solver import objective as _objective
 
-        V = len(vocab)
         T = len(labels)
 
         def sink(event):
-            # Log the objective once per epoch, after the last block.
-            last = (
-                event.t == T - 1
-                and event.factor == "W"
-                and event.rows[1] == V
-            )
-            if last:
+            # Log the objective once per epoch, after the last update.
+            if event.t == T - 1 and event.factor == "W":
                 print(
                     f"epoch {event.epoch + 1}: objective "
                     f"{_objective(event.state, Y):.6e}"
@@ -298,10 +291,12 @@ def cmd_query(args):
         return EXIT_LOOKUP
     w = vocab.index[args.word]
     by_label = {lab: m for lab, m in zip(labels, mats)}
-    if args.label not in by_label:
-        print(f"unknown slice label {args.label}", file=sys.stderr)
-        return EXIT_LOOKUP
-    targets = labels if args.all_years else [args.target_label or args.label]
+    target = args.label if args.target_label is None else args.target_label
+    for label in (args.label, target):
+        if label not in by_label:
+            print(f"unknown slice label {label}", file=sys.stderr)
+            return EXIT_LOOKUP
+    targets = labels if args.all_years else [target]
     for target in targets:
         exclude = (
             {w} if (target == args.label and not args.keep_self) else set()
@@ -538,10 +533,7 @@ def main(argv=None):
     except EmptyEvaluation as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY_EVAL
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except EmptyVocabularyError as e:
+    except (FileNotFoundError, CorpusFormatError, EmptyVocabularyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

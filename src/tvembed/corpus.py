@@ -20,6 +20,10 @@ class EmptyVocabularyError(ValueError):
     """No word survived the minimum-count filter."""
 
 
+class CorpusFormatError(ValueError):
+    """The corpus on disk does not follow either supported layout."""
+
+
 def tokenize(text, stopwords=frozenset()):
     """Split raw text into lowercase tokens.
 
@@ -306,20 +310,32 @@ def load_corpus(path, stopwords=frozenset()):
     per_label = {}
     if path.is_file():
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                per_label.setdefault(int(rec["label"]), []).append(
-                    tokenize(rec["text"], stopwords)
-                )
+                try:
+                    rec = json.loads(line)
+                    label, text = int(rec["label"]), rec["text"]
+                    if not isinstance(text, str):
+                        raise TypeError("text is not a string")
+                except (ValueError, KeyError, TypeError):
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: expected a JSON object with an "
+                        'integer "label" and a string "text"'
+                    ) from None
+                per_label.setdefault(label, []).append(tokenize(text, stopwords))
     else:
         subdirs = [p for p in path.iterdir() if p.is_dir()]
         if not subdirs:
             raise FileNotFoundError(f"no slice directories under {path}")
         for sub in subdirs:
-            label = int(sub.name)
+            try:
+                label = int(sub.name)
+            except ValueError:
+                raise CorpusFormatError(
+                    f"{sub}: slice directory name is not an integer label"
+                ) from None
             docs = per_label.setdefault(label, [])
             for f in sorted(sub.iterdir()):
                 if f.is_file():

@@ -122,13 +122,3 @@ def read_ppmi(path):
     vals = np.frombuffer(raw, dtype="<f8", count=nnz, offset=off)
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
     return PpmiMatrix(values=mat, slice_label=int(label))
-
-
-def write_ppmi_text(matrix, path):
-    """Debug export: one 'row col value' line per stored entry."""
-    coo = matrix.values.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.17g}\n" for i in order
-    ]
-    atomic_write_bytes(path, "".join(lines).encode("utf-8"))

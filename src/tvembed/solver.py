@@ -7,21 +7,21 @@ The trained model minimizes, over factor sequences U(1..T) and W(1..T),
   + ridge/2    (sum_t ||U(t)||_F^2 + sum_t ||W(t)||_F^2)
   + smoothing/2 sum_{t>=2} (||U(t-1) - U(t)||_F^2 + ||W(t-1) - W(t)||_F^2)
 
-Each factor at each slice is updated in closed form row-block-wise: the
-rows of U(t) solve the d x d ridge system  rows @ A = B  with
+Each factor at each slice is updated in closed form as a whole: U(t)
+solves the ridge system  U(t) @ A = B,  whose d x d matrix A is shared by
+all V rows, with
 
     A = W(t)^T W(t) + (coupling + ridge + c_t * smoothing) I
-    B = Y(t)[rows] @ W(t) + coupling * W(t)[rows]
-        + smoothing * (U(t-1)[rows] + U(t+1)[rows])
+    B = Y(t) @ W(t) + coupling * W(t) + smoothing * (U(t-1) + U(t+1))
 
 where c_t counts the temporal neighbors of slice t (2 interior, 1 at the
 ends, 0 when T = 1) and the neighbor terms are dropped at the boundaries.
 The W update is symmetric (Y is symmetric).
 """
 
-import json
 import struct
-from dataclasses import dataclass, asdict
+import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +47,12 @@ class SolverConfig:
     smoothing: float = 50.0
     coupling: float = 50.0
     epochs: int = 5
-    block_rows: int = 1024
     seed: int = 0
     init_scale: float = 1.0
 
     def __post_init__(self):
-        if self.dim < 1 or self.epochs < 1 or self.block_rows < 1:
-            raise ValueError("dim, epochs and block_rows must be >= 1")
+        if self.dim < 1 or self.epochs < 1:
+            raise ValueError("dim and epochs must be >= 1")
         for name in ("ridge", "smoothing", "coupling"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
@@ -86,14 +85,13 @@ class EmbeddingSequence:
 
 @dataclass
 class ProgressEvent:
-    """Emitted after every row-block update during training."""
+    """Emitted after every factor update, once per (epoch, t, factor)."""
 
     epoch: int
     t: int
     factor: str  # "U" or "W"
-    rows: tuple  # (start, stop)
-    normal_residual: float  # ||rows @ A - B||_F / ||B||_F (0 if B == 0)
-    state: "EmbeddingSequence" = None  # live view, already includes this block
+    normal_residual: float  # ||new @ A - B||_F / ||B||_F (0 if B == 0)
+    state: "EmbeddingSequence" = None  # live view, already includes this update
 
 
 def init_embeddings(V, T, config):
@@ -158,131 +156,96 @@ def _neighbor_weight(t, T):
     return (1 if t > 0 else 0) + (1 if t < T - 1 else 0)
 
 
-def _form_system(rows, factor, t, state, Y, config):
-    """Build (A, B) of the row-block ridge system for the given factor."""
-    start, stop = rows
-    cfg = config
-    T = state.num_slices
-    same = state.U if factor == "U" else state.W
-    opp = state.W if factor == "U" else state.U
-    F = opp[t]
-    shrink = cfg.coupling + cfg.ridge + _neighbor_weight(t, T) * cfg.smoothing
-    A = F.T @ F + shrink * np.eye(cfg.dim)
-    Yt = Y.matrices[t].values
-    B = Yt[start:stop] @ F + cfg.coupling * F[start:stop]
-    if t > 0:
-        B = B + cfg.smoothing * same[t - 1][start:stop]
-    if t < T - 1:
-        B = B + cfg.smoothing * same[t + 1][start:stop]
-    return A, np.asarray(B)
+def update_factor(factor, t, state, Y, config):
+    """Exactly minimize the objective over the whole factor U(t) or W(t).
 
-
-def _solve_rows(A, B):
-    try:
-        cho = scipy.linalg.cho_factor(A, lower=True)
-        return scipy.linalg.cho_solve(cho, B.T).T
-    except scipy.linalg.LinAlgError:
-        # A singular only when ridge = coupling = smoothing = 0; fall back
-        # to the least-norm solution.
-        import warnings
-
-        warnings.warn("singular ridge system; using least-norm solution")
-        return scipy.linalg.lstsq(A, B.T)[0].T
-
-
-def ridge_update_block(rows, factor, t, state, Y, config):
-    """Exactly minimize the objective over one row block of U(t) or W(t).
-
-    Returns the updated rows without mutating state. `rows` is a
-    (start, stop) pair, `factor` is "U" or "W".
+    Forms the ridge system  new @ A = B  of the module docstring for all V
+    rows, factors the shared d x d matrix A once (Cholesky) and solves for
+    every row in one call. Returns (new, A, B) without mutating state.
+    `factor` is "U" or "W". Raises FloatingPointError if A, B or new is
+    not finite.
     """
     if factor not in ("U", "W"):
         raise ValueError("factor must be 'U' or 'W'")
-    A, B = _form_system(rows, factor, t, state, Y, config)
-    return _solve_rows(A, B)
+    T = state.num_slices
+    same = state.U if factor == "U" else state.W
+    F = (state.W if factor == "U" else state.U)[t]
+    shrink = (
+        config.coupling + config.ridge + _neighbor_weight(t, T) * config.smoothing
+    )
+    A = F.T @ F + shrink * np.eye(config.dim)
+    if not np.all(np.isfinite(A)):
+        raise FloatingPointError(
+            f"non-finite ridge system for {factor}({t}); "
+            "input data or factors contain NaN/inf"
+        )
+    B = np.asarray(Y.matrices[t].values @ F)
+    B += config.coupling * F
+    if t > 0:
+        B += config.smoothing * same[t - 1]
+    if t < T - 1:
+        B += config.smoothing * same[t + 1]
+    if not np.all(np.isfinite(B)):
+        raise FloatingPointError(f"non-finite right-hand side for {factor}({t})")
+    try:
+        cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        new = scipy.linalg.cho_solve(cho, B.T, check_finite=False).T
+    except scipy.linalg.LinAlgError:
+        # A is singular only when ridge = coupling = smoothing = 0; fall
+        # back to the least-norm solution.
+        warnings.warn("singular ridge system; using least-norm solution")
+        new = scipy.linalg.lstsq(A, B.T, check_finite=False)[0].T
+    if not np.all(np.isfinite(new)):
+        raise FloatingPointError(f"non-finite values in {factor}({t})")
+    return new, A, B
+
+
+def normal_residual(new, A, B):
+    """Relative residual ||new @ A - B||_F / ||B||_F (0 if B == 0).
+
+    Costs about as much as the solve itself, so `train` computes it only
+    for a progress sink.
+    """
+    bnorm = np.linalg.norm(B)
+    if bnorm == 0:
+        return 0.0
+    R = new @ A
+    R -= B
+    return float(np.linalg.norm(R) / bnorm)
 
 
 def train(Y, config, progress_sink=None):
     """Run block coordinate descent over the whole sequence.
 
     Sweeps slices in ascending order for the configured number of epochs,
-    updating all row blocks of U(t) then of W(t). Each block update is the
-    exact minimizer over its rows, so the objective is non-increasing
-    after every block. Deterministic given the config.
+    replacing U(t) and then W(t) by `update_factor`. Each factor update is
+    the exact minimizer over that factor, so the objective is
+    non-increasing after every update. `progress_sink`, if given, is called
+    with one ProgressEvent per (epoch, t, factor). Deterministic given the
+    config.
     """
     if not Y.matrices:
         raise ValueError("empty PPMI sequence")
-    V = Y.vocab_size
     T = len(Y.matrices)
-    state = init_embeddings(V, T, config)
+    state = init_embeddings(Y.vocab_size, T, config)
     state.labels = list(Y.labels)
-    eye = np.eye(config.dim)
     for epoch in range(config.epochs):
         for t in range(T):
-            Yt = Y.matrices[t].values
-            shrink = (
-                config.coupling
-                + config.ridge
-                + _neighbor_weight(t, T) * config.smoothing
-            )
             for factor in ("U", "W"):
-                same = state.U if factor == "U" else state.W
-                opp = state.W if factor == "U" else state.U
-                F = opp[t]
-                # A is shared by every row block of this factor update.
-                A = F.T @ F + shrink * eye
-                if not np.all(np.isfinite(A)):
-                    raise FloatingPointError(
-                        f"non-finite ridge system for {factor}({t}) at epoch "
-                        f"{epoch}; input data or factors contain NaN/inf"
-                    )
                 try:
-                    cho = scipy.linalg.cho_factor(A, lower=True)
-                except scipy.linalg.LinAlgError:
-                    cho = None
-                new = np.empty_like(same[t])
-                for start in range(0, V, config.block_rows):
-                    stop = min(start + config.block_rows, V)
-                    B = Yt[start:stop] @ F + config.coupling * F[start:stop]
-                    if t > 0:
-                        B = B + config.smoothing * same[t - 1][start:stop]
-                    if t < T - 1:
-                        B = B + config.smoothing * same[t + 1][start:stop]
-                    B = np.asarray(B)
-                    if not np.all(np.isfinite(B)):
-                        raise FloatingPointError(
-                            f"non-finite right-hand side for {factor}({t}) "
-                            f"rows {start}:{stop} at epoch {epoch}"
+                    new, A, B = update_factor(factor, t, state, Y, config)
+                except FloatingPointError as e:
+                    raise FloatingPointError(f"epoch {epoch}: {e}") from None
+                (state.U if factor == "U" else state.W)[t] = new
+                if progress_sink is not None:
+                    progress_sink(
+                        ProgressEvent(
+                            epoch=epoch,
+                            t=t,
+                            factor=factor,
+                            normal_residual=normal_residual(new, A, B),
+                            state=state,
                         )
-                    if cho is not None:
-                        block = scipy.linalg.cho_solve(cho, B.T).T
-                    else:
-                        block = scipy.linalg.lstsq(A, B.T)[0].T
-                    new[start:stop] = block
-                    if progress_sink is not None:
-                        bnorm = np.linalg.norm(B)
-                        res = (
-                            np.linalg.norm(block @ A - B) / bnorm
-                            if bnorm > 0
-                            else 0.0
-                        )
-                        # Expose the partially updated factor so sinks can
-                        # evaluate the objective after this very block.
-                        same[t][start:stop] = block
-                        progress_sink(
-                            ProgressEvent(
-                                epoch=epoch,
-                                t=t,
-                                factor=factor,
-                                rows=(start, stop),
-                                normal_residual=res,
-                                state=state,
-                            )
-                        )
-                same[t][:] = new
-                if not np.all(np.isfinite(same[t])):
-                    raise FloatingPointError(
-                        f"non-finite values in {factor}({t}) at epoch {epoch}"
                     )
     return state
 
@@ -347,30 +310,3 @@ def write_embeddings_text(matrices, labels, words, path):
             coords = " ".join(f"{x:.9g}" for x in m[i])
             lines.append(f"{word} {label} {coords}\n")
     atomic_write_bytes(path, "".join(lines).encode("utf-8"))
-
-
-def save_checkpoint(seq, epoch, path):
-    """Serialize a full factor sequence plus epoch counter (npz)."""
-    arrays = {"labels": np.asarray(seq.labels, dtype=np.int64),
-              "epoch": np.asarray(epoch)}
-    for t in range(seq.num_slices):
-        arrays[f"U{t}"] = seq.U[t]
-        arrays[f"W{t}"] = seq.W[t]
-    arrays["config_json"] = np.frombuffer(
-        json.dumps(asdict(seq.config), sort_keys=True).encode(), dtype=np.uint8
-    )
-    np.savez(path, **arrays)
-
-
-def load_checkpoint(path):
-    data = np.load(path)
-    labels = data["labels"].tolist()
-    T = len(labels)
-    cfg = SolverConfig(**json.loads(bytes(data["config_json"]).decode()))
-    seq = EmbeddingSequence(
-        U=[data[f"U{t}"] for t in range(T)],
-        W=[data[f"W{t}"] for t in range(T)],
-        config=cfg,
-        labels=labels,
-    )
-    return seq, int(data["epoch"])

@@ -32,3 +32,19 @@ def dense_objective_oracle(seq, Y):
             total += 0.5 * cfg.smoothing * np.sum((seq.U[t - 1] - seq.U[t]) ** 2)
             total += 0.5 * cfg.smoothing * np.sum((seq.W[t - 1] - seq.W[t]) ** 2)
     return total
+
+
+def dense_ridge_system(factor, t, seq, Y, config):
+    """Brute-force dense (A, B) of the exact ridge update of U(t) or W(t):
+    the minimizer X of the objective over that factor solves X @ A = B."""
+    T = seq.num_slices
+    same = seq.U if factor == "U" else seq.W
+    F = (seq.W if factor == "U" else seq.U)[t]
+    neighbors = [s for s in (t - 1, t + 1) if 0 <= s < T]
+    A = F.T @ F + (
+        config.coupling + config.ridge + len(neighbors) * config.smoothing
+    ) * np.eye(F.shape[1])
+    B = Y.matrices[t].values.toarray() @ F + config.coupling * F
+    for s in neighbors:
+        B = B + config.smoothing * same[s]
+    return A, B

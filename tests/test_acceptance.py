@@ -67,7 +67,7 @@ def descent_run():
     V, T, d = 200, 5, 10
     Y = random_ppmi_sequence(V, T, density=0.05, seed=42)
     cfg = SolverConfig(dim=d, ridge=10.0, smoothing=50.0, coupling=50.0,
-                       epochs=5, block_rows=64, seed=42)
+                       epochs=5, seed=42)
     objs = []
     residuals = []
 

@@ -110,6 +110,32 @@ class TestBuild:
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
 
+    def test_non_integer_slice_directory(self, toy_corpus, tmp_path, capsys):
+        (toy_corpus / "misc").mkdir()
+        code = main(["build", "--corpus", str(toy_corpus),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {toy_corpus / 'misc'}")
+
+    @pytest.mark.parametrize("line", [
+        "{not json",
+        '{"text": "no label"}',
+        '{"label": "soon", "text": "label not an integer"}',
+        '["label", 1990]',
+        '{"label": 1991, "text": 5}',
+    ])
+    def test_malformed_jsonl_line(self, tmp_path, capsys, line):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"label": 1990, "text": "a b c"}\n' + line + "\n")
+        code = main(["build", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {corpus}:2:")
+
 
 class TestTrain:
     def test_dw2v_epoch_log_non_increasing(self, run_dir, capsys):
@@ -188,6 +214,30 @@ class TestQuery:
             if line.startswith("shifty@")
         ]
         assert len(rows) == 3
+
+    def test_target_label_zero_is_honoured(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        docs = ["cat dog bird cat", "dog bird fish dog", "fish cat bird"]
+        corpus.write_text("".join(
+            json.dumps({"label": label, "text": text}) + "\n"
+            for label in (0, 1) for text in docs
+        ))
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(corpus), "--out", str(out),
+                     "--window", "2"]) == 0
+        assert main(train_args(out, dim=2)) == 0
+        capsys.readouterr()
+        code = main(["query", "cat", "--out", str(out), "--label", "1",
+                     "--target-label", "0", "-k", "2"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("cat@1 -> 0: ")
+
+    def test_unknown_target_label(self, run_dir, capsys):
+        main(train_args(run_dir))
+        code = main(["query", "shifty", "--out", str(run_dir), "--label",
+                     "1990", "--target-label", "1991"])
+        assert code == 3
+        assert capsys.readouterr().err == "unknown slice label 1991\n"
 
     def test_oov_word_suggestions(self, run_dir, capsys):
         main(train_args(run_dir))

@@ -12,7 +12,6 @@ from tvembed.ppmi import (
     pmi_value,
     read_ppmi,
     write_ppmi,
-    write_ppmi_text,
 )
 
 
@@ -135,13 +134,3 @@ class TestPpmiIO:
         assert (tmp_path / "m.tvpm").read_bytes() == (
             tmp_path / "m2.tvpm"
         ).read_bytes()
-
-    def test_text_export(self, tmp_path):
-        vocab = Vocabulary(["a", "b"])
-        mat = build_ppmi(count_cooccurrences([["a", "b", "a", "b"]], vocab, 1))
-        p = tmp_path / "m.txt"
-        write_ppmi_text(mat, p)
-        lines = p.read_text().splitlines()
-        assert len(lines) == mat.values.nnz
-        row, col, val = lines[0].split()
-        assert float(val) == pytest.approx(math.log(3))

@@ -4,20 +4,23 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dense_objective_oracle, random_ppmi_sequence
+from conftest import (
+    dense_objective_oracle,
+    dense_ridge_system,
+    random_ppmi_sequence,
+)
 from tvembed.ppmi import PpmiMatrix, PpmiSequence
 from tvembed.solver import (
     EmbeddingSequence,
     SolverConfig,
     final_embedding,
     init_embeddings,
-    load_checkpoint,
+    normal_residual,
     objective,
     read_embeddings_binary,
     residual_gradient,
-    ridge_update_block,
-    save_checkpoint,
     train,
+    update_factor,
     write_embeddings_binary,
     write_embeddings_text,
 )
@@ -137,13 +140,16 @@ class TestResidualGradient:
 
 
 class TestRidgeUpdateBlock:
+    """update_factor: one exact BCD block update, i.e. a whole factor."""
+
     def test_zero_data_shrinks_to_zero(self):
         V, T, d = 6, 3, 2
         Y = zero_sequence(V, T)
         cfg = SolverConfig(dim=d, ridge=5.0, smoothing=0.0, coupling=0.0, seed=2)
         state = init_embeddings(V, T, cfg)
-        rows = ridge_update_block((0, V), "U", 1, state, Y, cfg)
-        assert np.max(np.abs(rows)) <= 1e-14
+        new, A, B = update_factor("U", 1, state, Y, cfg)
+        assert np.max(np.abs(new)) <= 1e-14
+        assert normal_residual(new, A, B) == 0.0
 
     def test_large_smoothing_averages_neighbors(self):
         V, T, d = 5, 3, 2
@@ -152,9 +158,9 @@ class TestRidgeUpdateBlock:
             dim=d, ridge=0.0, smoothing=1e12, coupling=0.0, seed=4, init_scale=1.0
         )
         state = init_embeddings(V, T, cfg)
-        rows = ridge_update_block((0, V), "U", 1, state, Y, cfg)
+        new, _, _ = update_factor("U", 1, state, Y, cfg)
         target = (state.U[0] + state.U[2]) / 2.0
-        assert np.max(np.abs(rows - target)) <= 1e-8
+        assert np.max(np.abs(new - target)) <= 1e-8
 
     @pytest.mark.parametrize("factor", ["U", "W"])
     @pytest.mark.parametrize("t", [0, 1, 2])
@@ -165,33 +171,63 @@ class TestRidgeUpdateBlock:
         state = init_embeddings(V, T, cfg)
         state.labels = list(Y.labels)
         before = objective(state, Y)
-        rows = ridge_update_block((0, V), factor, t, state, Y, cfg)
-        (state.U if factor == "U" else state.W)[t][:] = rows
+        new, _, _ = update_factor(factor, t, state, Y, cfg)
+        (state.U if factor == "U" else state.W)[t] = new
         after = objective(state, Y)
         assert after <= before * (1 + 1e-12)
 
     def test_normal_equation_residual(self):
-        from tvembed.solver import _form_system
-
         V, T, d = 8, 3, 3
         Y = random_ppmi_sequence(V, T, seed=6)
         cfg = SolverConfig(dim=d, ridge=1.0, smoothing=2.0, coupling=0.5, seed=6)
         state = init_embeddings(V, T, cfg)
         for t in range(T):
-            A, B = _form_system((0, V), "U", t, state, Y, cfg)
-            rows = ridge_update_block((0, V), "U", t, state, Y, cfg)
-            assert (
-                np.linalg.norm(rows @ A - B) / np.linalg.norm(B) <= 1e-10
-            )
+            for factor in ("U", "W"):
+                A, B = dense_ridge_system(factor, t, state, Y, cfg)
+                new, _, _ = update_factor(factor, t, state, Y, cfg)
+                want = np.linalg.norm(new @ A - B) / np.linalg.norm(B)
+                assert want <= 1e-10
+                assert normal_residual(new, A, B) == pytest.approx(want)
 
-    def test_partial_block_matches_full(self):
-        V, T, d = 7, 2, 2
-        Y = random_ppmi_sequence(V, T, seed=8)
-        cfg = SolverConfig(dim=d, ridge=1.0, smoothing=1.0, coupling=1.0, seed=8)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_solve(self, seed):
+        V, T, d = 9, 4, 3
+        Y = random_ppmi_sequence(V, T, seed=seed)
+        cfg = SolverConfig(dim=d, ridge=0.5, smoothing=1.5, coupling=2.0,
+                           seed=seed)
         state = init_embeddings(V, T, cfg)
-        full = ridge_update_block((0, V), "W", 1, state, Y, cfg)
-        part = ridge_update_block((2, 5), "W", 1, state, Y, cfg)
-        assert np.allclose(full[2:5], part, atol=1e-13)
+        for t in range(T):
+            for factor in ("U", "W"):
+                A, B = dense_ridge_system(factor, t, state, Y, cfg)
+                new, got_A, got_B = update_factor(factor, t, state, Y, cfg)
+                assert np.allclose(got_A, A, rtol=1e-12, atol=0)
+                assert np.allclose(got_B, B, rtol=1e-12, atol=1e-14)
+                want = np.linalg.solve(A, B.T).T
+                assert np.allclose(new, want, rtol=1e-10, atol=1e-12)
+
+    def test_does_not_mutate_state(self):
+        Y = random_ppmi_sequence(6, 2, seed=7)
+        cfg = SolverConfig(dim=2, seed=7)
+        state = init_embeddings(6, 2, cfg)
+        before = [m.copy() for m in state.U + state.W]
+        update_factor("W", 0, state, Y, cfg)
+        for a, b in zip(before, state.U + state.W):
+            assert np.array_equal(a, b)
+
+    def test_singular_system_uses_least_norm(self):
+        Y = zero_sequence(4, 1)
+        cfg = SolverConfig(dim=2, ridge=0.0, smoothing=0.0, coupling=0.0,
+                           init_scale=0.0)
+        state = init_embeddings(4, 1, cfg)
+        with pytest.warns(UserWarning, match="singular"):
+            new, _, _ = update_factor("U", 0, state, Y, cfg)
+        assert np.array_equal(new, np.zeros((4, 2)))
+
+    def test_unknown_factor(self):
+        Y = zero_sequence(3, 1)
+        cfg = SolverConfig(dim=2)
+        with pytest.raises(ValueError):
+            update_factor("V", 0, init_embeddings(3, 1, cfg), Y, cfg)
 
 
 class TestTrain:
@@ -199,8 +235,7 @@ class TestTrain:
         V, T, d = 20, 4, 3
         Y = random_ppmi_sequence(V, T, density=0.4, seed=9)
         cfg = SolverConfig(
-            dim=d, ridge=1.0, smoothing=3.0, coupling=2.0, epochs=3,
-            block_rows=7, seed=9,
+            dim=d, ridge=1.0, smoothing=3.0, coupling=2.0, epochs=3, seed=9,
         )
         residuals = []
         objs = [objective(init_embeddings_with_labels(V, T, cfg, Y), Y)]
@@ -215,6 +250,20 @@ class TestTrain:
             assert after <= before * (1 + 1e-8)
         assert objs[-1] == pytest.approx(objective(seq, Y), rel=1e-12)
         assert objs[-1] < objs[0]
+
+    def test_one_event_per_factor_update(self):
+        T = 3
+        Y = random_ppmi_sequence(10, T, seed=16)
+        cfg = SolverConfig(dim=2, epochs=2, seed=16)
+        events = []
+        train(Y, cfg, progress_sink=events.append)
+        assert len(events) == cfg.epochs * T * 2
+        assert [(e.epoch, e.t, e.factor) for e in events] == [
+            (epoch, t, factor)
+            for epoch in range(cfg.epochs)
+            for t in range(T)
+            for factor in ("U", "W")
+        ]
 
     def test_t1_smoothing_is_inert(self):
         V, d = 10, 3
@@ -317,16 +366,3 @@ class TestEmbeddingIO:
         assert lines[0] == "2 1 2"
         assert lines[1].startswith("cat 2000 1 2")
         assert "0.123456789" in lines[2]
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        Y = random_ppmi_sequence(5, 2, seed=15)
-        cfg = SolverConfig(dim=2, epochs=1, seed=15)
-        seq = train(Y, cfg)
-        p = tmp_path / "ckpt.npz"
-        save_checkpoint(seq, epoch=3, path=p)
-        back, epoch = load_checkpoint(p)
-        assert epoch == 3
-        assert back.config == cfg
-        assert back.labels == seq.labels
-        for a, b in zip(seq.U + seq.W, back.U + back.W):
-            assert np.array_equal(a, b)
