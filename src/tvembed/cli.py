@@ -341,7 +341,7 @@ def _tw2v_alignment_ranks(testset, mats, labels, k=30):
     """Alignment ranks with the query vector mapped by a local linear
     transform into the target slice before ranking."""
     by_label = {lab: m for lab, m in zip(labels, mats)}
-    ranks = []
+    queries = []
     for query_word, qlab, tlab, answer_word in testset.records:
         src, tgt = by_label[qlab], by_label[tlab]
         if np.linalg.norm(src[query_word]) == 0:
@@ -350,17 +350,8 @@ def _tw2v_alignment_ranks(testset, mats, labels, k=30):
             q = baselines.local_linear_map(query_word, src, tgt, k=k)
         except ValueError:
             continue
-        exclude = {query_word} if qlab == tlab else set()
-        top = evaluation.nearest_neighbors(
-            q, tgt, evaluation.TOP_RANK_CUTOFF, exclude=exclude
-        )
-        rank = None
-        for pos, (w, _) in enumerate(top, start=1):
-            if w == answer_word:
-                rank = pos
-                break
-        ranks.append(rank)
-    return ranks
+        queries.append((q, tgt, answer_word, query_word if qlab == tlab else None))
+    return evaluation._rank_answers(queries)
 
 
 class EmptyEvaluation(Exception):

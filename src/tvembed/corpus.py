@@ -1,5 +1,6 @@
 """Corpus ingestion: tokenization, vocabulary, per-slice co-occurrence counts."""
 
+import itertools
 import json
 import os
 import re
@@ -137,35 +138,43 @@ def count_cooccurrences(docs, vocab, window):
     the matrix symmetric by construction. Windows never cross document
     boundaries. Out-of-vocabulary tokens still occupy positions but
     contribute no counts. total_tokens counts in-vocabulary tokens only.
+
+    The slice is counted in array passes: its documents are laid end to end
+    as one id array with `window` gap positions (id -1, like an
+    out-of-vocabulary token) after each document, so no window reaches from
+    one document into the next. For each offset 1..window the pairs of
+    in-vocabulary ids are packed into keys a*V + b and b*V + a, and one
+    `np.unique` over all keys gives the counts already in CSR order. The
+    keys are the transient peak: 2 * window * N int64 values for a slice
+    of N positions.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     V = len(vocab)
-    unigram = np.zeros(V, dtype=np.int64)
-    rows, cols = [], []
-    for doc in docs:
-        ids = np.fromiter(
-            (vocab.index.get(t, -1) for t in doc), dtype=np.int64, count=len(doc)
-        )
-        valid = ids >= 0
-        if valid.any():
-            np.add.at(unigram, ids[valid], 1)
-        for off in range(1, min(window, len(ids) - 1) + 1):
-            a, b = ids[:-off], ids[off:]
-            keep = (a >= 0) & (b >= 0)
-            if keep.any():
-                rows.append(a[keep])
-                cols.append(b[keep])
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        data = np.ones(2 * len(r), dtype=np.int64)
-        cooc = sp.coo_matrix(
-            (data, (np.concatenate([r, c]), np.concatenate([c, r]))), shape=(V, V)
-        ).tocsr()
-    else:
-        cooc = sp.csr_matrix((V, V), dtype=np.int64)
-    cooc.sum_duplicates()
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
+    tokens = list(itertools.chain.from_iterable(docs))
+    positions = np.arange(len(tokens)) + window * np.repeat(
+        np.arange(len(docs)), lengths
+    )
+    ids = np.full(len(tokens) + window * len(docs), -1, dtype=np.int64)
+    ids[positions] = np.fromiter(
+        map(vocab.index.get, tokens, itertools.repeat(-1)),
+        dtype=np.int64,
+        count=len(tokens),
+    )
+    unigram = np.bincount(ids[ids >= 0], minlength=V).astype(np.int64)
+    keys = []
+    for off in range(1, window + 1):
+        a, b = ids[:-off], ids[off:]
+        keep = (a >= 0) & (b >= 0)
+        a, b = a[keep], b[keep]
+        keys += [a * V + b, b * V + a]
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    indptr = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // V, minlength=V), out=indptr[1:])
+    cooc = sp.csr_matrix(
+        (counts.astype(np.int64), keys % V, indptr), shape=(V, V)
+    )
     return SliceStats(
         cooc=cooc,
         unigram=unigram,
@@ -309,8 +318,16 @@ def load_corpus(path, stopwords=frozenset()):
         raise FileNotFoundError(f"corpus path does not exist: {path}")
     per_label = {}
     if path.is_file():
-        with open(path, encoding="utf-8") as fh:
+        # Undecodable bytes become lone surrogates, so the line that holds
+        # them can be named.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, 1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: not valid UTF-8"
+                    ) from None
                 line = line.strip()
                 if not line:
                     continue
@@ -339,7 +356,11 @@ def load_corpus(path, stopwords=frozenset()):
             docs = per_label.setdefault(label, [])
             for f in sorted(sub.iterdir()):
                 if f.is_file():
-                    docs.append(tokenize(f.read_text(encoding="utf-8"), stopwords))
+                    try:
+                        text = f.read_text(encoding="utf-8")
+                    except UnicodeDecodeError:
+                        raise CorpusFormatError(f"{f}: not valid UTF-8") from None
+                    docs.append(tokenize(text, stopwords))
     labels = sorted(per_label)
     return TimeSlicedCorpus(
         slices=[per_label[lab] for lab in labels], slice_labels=labels

@@ -168,7 +168,10 @@ def f_beta(labels, clusters, beta=5.0):
 
     Over all unordered item pairs: TP = same cluster and same label,
     FP = same cluster, different label, FN = different cluster, same
-    label. beta defaults to 5 (recall-weighted).
+    label. beta defaults to 5 (recall-weighted). The pair counts come from
+    the contingency table in exact integers: TP = sum C(n_ij, 2) over
+    (label, cluster) cells, FP = sum C(a_j, 2) over cluster sizes - TP,
+    FN = sum C(b_i, 2) over label sizes - TP.
     """
     labels = list(labels)
     assign = clusters.assignment
@@ -177,17 +180,14 @@ def f_beta(labels, clusters, beta=5.0):
         raise ValueError("labels and clustering have different lengths")
     if n < 2:
         raise ValueError("need at least 2 items")
-    tp = fp = fn = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            same_c = assign[i] == assign[j]
-            same_l = labels[i] == labels[j]
-            if same_c and same_l:
-                tp += 1
-            elif same_c:
-                fp += 1
-            elif same_l:
-                fn += 1
+
+    def pairs(counter):
+        return sum(c * (c - 1) // 2 for c in counter.values())
+
+    assign = assign.tolist()
+    tp = pairs(Counter(zip(labels, assign)))
+    fp = pairs(Counter(assign)) - tp
+    fn = pairs(Counter(labels)) - tp
     if tp + fp == 0 or tp + fn == 0:
         warnings.warn("undefined precision or recall; returning 0")
         return 0.0
@@ -199,20 +199,73 @@ def f_beta(labels, clusters, beta=5.0):
     return float((b2 + 1) * P * R / (b2 * P + R))
 
 
+def _rank_answers(queries, K_max=TOP_RANK_CUTOFF):
+    """Rank of each answer word among the rows of its target slice.
+
+    `queries` holds (query_vector, target_matrix, answer_word, excluded)
+    tuples, where `excluded` is a word index left out of the ranking, or
+    None. Row norms and nonzero rows are computed once per target matrix
+    object. The candidates are the target slice's nonzero rows other than
+    `excluded`, scored by cosine with the query exactly as
+    `nearest_neighbors` scores them. The answer's rank is 1 + the number
+    of candidates with a higher similarity + the number with an equal
+    similarity and a lower word index, which is its position in
+    `nearest_neighbors`' order. The rank is None when the answer is
+    excluded, is a zero row, or ranks beyond K_max.
+    """
+    prepared = {}
+    ranks = []
+    for q, target, answer, excluded in queries:
+        if K_max < 1:
+            raise ValueError("K must be >= 1")
+        qn = np.linalg.norm(q)
+        if qn == 0:
+            raise ValueError("query vector is zero")
+        if id(target) not in prepared:
+            norms = np.linalg.norm(target, axis=1)
+            idx = np.flatnonzero(norms > 0)
+            position = np.full(len(target), -1, dtype=np.int64)
+            position[idx] = np.arange(len(idx))
+            prepared[id(target)] = (target[idx], norms[idx], idx, position)
+        rows, row_norms, idx, position = prepared[id(target)]
+        at = position[answer]
+        if at < 0 or answer == excluded:
+            ranks.append(None)
+            continue
+        if excluded is not None and position[excluded] >= 0:
+            # nearest_neighbors multiplies without the excluded row; a
+            # product over the same rows keeps every similarity bit-identical.
+            drop = position[excluded]
+            rows = np.delete(rows, drop, axis=0)
+            row_norms = np.delete(row_norms, drop)
+            idx = np.delete(idx, drop)
+            at -= at > drop
+        sims = (rows @ q) / (row_norms * qn)
+        s = sims[at]
+        rank = 1 + np.count_nonzero(sims > s) + np.count_nonzero(
+            (sims == s) & (idx < answer)
+        )
+        ranks.append(int(rank) if rank <= K_max else None)
+    return ranks
+
+
 def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
     """Rank each record's answer word in the target slice by cosine.
 
     For every (query_word, query_label, target_label, answer_word) record
-    the query word's vector at its slice is compared against all words of
-    the target slice. The query word itself is excluded only when querying
-    its own slice (otherwise same-slice queries are degenerate). Ranks
-    beyond K_max are recorded as None ("not found"). Records with a zero
-    query vector are skipped with a warning.
+    the query word's vector at its slice is compared against all nonzero
+    words of the target slice. The query word itself is excluded only when
+    querying its own slice (otherwise same-slice queries are degenerate).
+    The answer's rank is 1 + the number of candidates more similar to the
+    query + the number equally similar with a lower word index, i.e. its
+    position in `nearest_neighbors`' order. A rank beyond K_max, an
+    excluded answer and a zero answer vector are recorded as None ("not
+    found"). Records with a zero query vector are skipped with a warning.
 
     Returns (ranks, skipped_count).
     """
     by_label = {lab: m for lab, m in zip(labels, matrices)}
-    ranks = []
+    queries = []
     skipped = 0
     for query_word, query_label, target_label, answer_word in testset.records:
         src = by_label[query_label]
@@ -221,14 +274,9 @@ def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
         if np.linalg.norm(q) == 0:
             skipped += 1
             continue
-        exclude = {query_word} if query_label == target_label else set()
-        top = nearest_neighbors(q, tgt, K_max, exclude=exclude)
-        rank = None
-        for pos, (w, _) in enumerate(top, start=1):
-            if w == answer_word:
-                rank = pos
-                break
-        ranks.append(rank)
+        excluded = query_word if query_label == target_label else None
+        queries.append((q, tgt, answer_word, excluded))
+    ranks = _rank_answers(queries, K_max)
     if skipped:
         warnings.warn(f"skipped {skipped} records with zero query vectors")
     return ranks, skipped

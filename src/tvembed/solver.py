@@ -304,9 +304,9 @@ def read_embeddings_binary(path):
 
 def write_embeddings_text(matrices, labels, words, path):
     V, d = matrices[0].shape
+    row_format = " ".join(["%.9g"] * d)
     lines = [f"{V} {len(matrices)} {d}\n"]
     for m, label in zip(matrices, labels):
         for i, word in enumerate(words):
-            coords = " ".join(f"{x:.9g}" for x in m[i])
-            lines.append(f"{word} {label} {coords}\n")
+            lines.append(f"{word} {label} {row_format % tuple(m[i].tolist())}\n")
     atomic_write_bytes(path, "".join(lines).encode("utf-8"))

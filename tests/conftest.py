@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import scipy.sparse as sp
 
+from tvembed.corpus import SliceStats
+from tvembed.evaluation import TOP_RANK_CUTOFF, nearest_neighbors
 from tvembed.ppmi import PpmiMatrix, PpmiSequence
 
 
@@ -48,3 +52,69 @@ def dense_ridge_system(factor, t, seq, Y, config):
     for s in neighbors:
         B = B + config.smoothing * same[s]
     return A, B
+
+
+def loop_count_cooccurrences(docs, vocab, window):
+    """Per-document loop oracle for `corpus.count_cooccurrences` (the
+    library's original implementation, kept unchanged as the reference)."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    V = len(vocab)
+    unigram = np.zeros(V, dtype=np.int64)
+    rows, cols = [], []
+    for doc in docs:
+        ids = np.fromiter(
+            (vocab.index.get(t, -1) for t in doc), dtype=np.int64, count=len(doc)
+        )
+        valid = ids >= 0
+        if valid.any():
+            np.add.at(unigram, ids[valid], 1)
+        for off in range(1, min(window, len(ids) - 1) + 1):
+            a, b = ids[:-off], ids[off:]
+            keep = (a >= 0) & (b >= 0)
+            if keep.any():
+                rows.append(a[keep])
+                cols.append(b[keep])
+    if rows:
+        r = np.concatenate(rows)
+        c = np.concatenate(cols)
+        data = np.ones(2 * len(r), dtype=np.int64)
+        cooc = sp.coo_matrix(
+            (data, (np.concatenate([r, c]), np.concatenate([c, r]))), shape=(V, V)
+        ).tocsr()
+    else:
+        cooc = sp.csr_matrix((V, V), dtype=np.int64)
+    cooc.sum_duplicates()
+    return SliceStats(
+        cooc=cooc,
+        unigram=unigram,
+        total_tokens=int(unigram.sum()),
+        window=window,
+    )
+
+
+def loop_run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
+    """Per-record `nearest_neighbors` loop oracle for
+    `evaluation.run_alignment_test` (the library's original implementation,
+    kept unchanged as the reference)."""
+    by_label = {lab: m for lab, m in zip(labels, matrices)}
+    ranks = []
+    skipped = 0
+    for query_word, query_label, target_label, answer_word in testset.records:
+        src = by_label[query_label]
+        tgt = by_label[target_label]
+        q = src[query_word]
+        if np.linalg.norm(q) == 0:
+            skipped += 1
+            continue
+        exclude = {query_word} if query_label == target_label else set()
+        top = nearest_neighbors(q, tgt, K_max, exclude=exclude)
+        rank = None
+        for pos, (w, _) in enumerate(top, start=1):
+            if w == answer_word:
+                rank = pos
+                break
+        ranks.append(rank)
+    if skipped:
+        warnings.warn(f"skipped {skipped} records with zero query vectors")
+    return ranks, skipped

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from tvembed.cli import derive_seed, main, parse_config_file
 from tvembed.solver import read_embeddings_binary
+from tvembed.synthetic import planted_shift_corpus
 
 
 @pytest.fixture
@@ -135,6 +137,67 @@ class TestBuild:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {corpus}:2:")
+
+
+    # SHA-256 of the integer and text artifacts of one fixed build, recorded
+    # with the per-document counting loop. These files hold no floats, so the
+    # digests do not depend on the CPU or the BLAS library.
+    GOLDEN_DIGESTS = {
+        "vocab.txt":
+            "edadf460dce929f1815abe2b3c485255a5cb874cb319dd0ea1915eb5e84508e1",
+        "labels.json":
+            "02b6deebe10f247a39a1f40c6e045af149df9c96491adce129613e8b30480780",
+        "stats_0.tvco":
+            "a7d4b9fc66d46402ae1c1035ad57a40cf42b71fadef832f1b4cab4d66005d808",
+        "stats_1.tvco":
+            "2898d5f200806781893f48bed15e288b2a8324e7afe3421a104528f70290a0ae",
+        "stats_2.tvco":
+            "1630b889ef7dfa99ff26feaa416d71fcb2238c39078c836c5b4d4b1b613748a1",
+        "stats_3.tvco":
+            "441acaf9f6c13fa3cbc593e6c773b207c80726ae2a8e6473f29cfb62fa8cf0ad",
+    }
+
+    def test_golden_digests(self, tmp_path):
+        corpus = planted_shift_corpus(n_slices=4, community_size=30,
+                                      docs_per_slice=60, doc_len=12, halo=3,
+                                      seed=7)
+        lines = []
+        for label, docs in zip(corpus.slice_labels, corpus.slices):
+            # A hapax below --min-count (out-of-vocabulary positions) and an
+            # empty document ride along in every slice.
+            extra = [docs[0][:5] + [f"hapax{label}"] + docs[1][:5], []]
+            for doc in docs + extra:
+                lines.append(json.dumps({"label": label, "text": " ".join(doc)}))
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(path), "--out", str(out),
+                     "--window", "3", "--min-count", "2"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.GOLDEN_DIGESTS}
+        assert digests == self.GOLDEN_DIGESTS
+
+    def test_non_utf8_slice_file(self, toy_corpus, tmp_path, capsys):
+        bad = toy_corpus / "1995" / "latin1.txt"
+        bad.write_bytes("caf\u00e9 au lait".encode("latin-1"))
+        code = main(["build", "--corpus", str(toy_corpus),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: not valid UTF-8"]
+
+    def test_non_utf8_jsonl_line(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(
+            b'{"label": 1990, "text": "a b c"}\n'
+            b'{"label": 1990, "text": "d e f"}\n'
+            b'{"label": 1991, "text": "caf\xe9"}\n'
+        )
+        code = main(["build", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {corpus}:3: not valid UTF-8"]
 
 
 class TestTrain:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import loop_count_cooccurrences
 from tvembed.corpus import (
     EmptyVocabularyError,
     SliceStats,
@@ -178,6 +181,34 @@ class TestCountCooccurrences:
         ]
         stats = count_cooccurrences(docs, vocab, 3)
         assert (stats.cooc != stats.cooc.T).nnz == 0
+
+
+    @given(
+        words=st.lists(st.sampled_from("abcdef"), unique=True, max_size=6),
+        docs=st.lists(
+            st.lists(st.sampled_from(list("abcdefxy")), max_size=14), max_size=8
+        ),
+        window=st.integers(min_value=1, max_value=6),
+    )
+    @example(words=["a", "b"], docs=[], window=3)  # empty slice
+    @example(words=["a", "b"], docs=[[], ["a", "b"], []], window=2)  # empty docs
+    @example(words=["a", "b"], docs=[["a", "b"], ["b"]], window=6)  # short docs
+    @example(words=["a", "b"], docs=[["x", "y", "x"], ["a"]], window=1)  # all OOV
+    @example(words=[], docs=[["a", "b"]], window=2)  # empty vocabulary
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, words, docs, window):
+        vocab = Vocabulary(words)
+        got = count_cooccurrences(docs, vocab, window)
+        want = loop_count_cooccurrences(docs, vocab, window)
+        assert got.cooc.shape == want.cooc.shape
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got.cooc, name), getattr(want.cooc, name)
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
+        assert got.unigram.dtype == want.unigram.dtype
+        assert np.array_equal(got.unigram, want.unigram)
+        assert got.total_tokens == want.total_tokens
+        assert got.window == want.window
 
 
 class TestSubsampleCounts:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import loop_run_alignment_test
 from tvembed.evaluation import (
     AlignmentTestset,
     Clustering,
@@ -227,6 +229,35 @@ class TestFBeta:
             f_beta_oracle(labels, assign, 5.0), abs=1e-12
         )
 
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("ABCD"), st.integers(0, 3)),
+            min_size=2,
+            max_size=40,
+        ),
+        st.sampled_from([0.5, 1.0, 5.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pair_oracle_exactly(self, items, beta):
+        labels = [lab for lab, _ in items]
+        assign = [clu for _, clu in items]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = f_beta(labels, clustering_of(assign), beta=beta)
+        assert got == f_beta_oracle(labels, assign, beta)
+        # It warns exactly when no pair shares a cluster or none a label.
+        pairs = list(combinations(items, 2))
+        same_c = any(a[1] == b[1] for a, b in pairs)
+        same_l = any(a[0] == b[0] for a, b in pairs)
+        assert bool(caught) == (not same_c or not same_l)
+
+    def test_fewer_than_two_items_rejected(self):
+        for n in (0, 1):
+            clusters = Clustering(assignment=np.zeros(n, dtype=np.int64),
+                                  num_clusters=1)
+            with pytest.raises(ValueError, match="at least 2"):
+                f_beta(["A"] * n, clusters)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         labels = ["A", "B", "A", "C", "B", "C"]
@@ -276,6 +307,38 @@ class TestRankMetrics:
         assert mrr(ranks) <= mp_at_k(ranks, 10)
 
 
+@st.composite
+def alignment_cases(draw):
+    """Slices with exact ties (duplicated and integer-valued rows), zero
+    rows, and records that query their own slice, answer with the query
+    word, or rank beyond K_max."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 60))
+    T = draw(st.integers(1, 3))
+    integer_valued = draw(st.booleans())
+    mats = []
+    for _ in range(T):
+        if integer_valued:
+            m = rng.integers(-2, 3, size=(V, d)).astype(np.float64)
+        else:
+            m = rng.standard_normal((V, d))
+        dup = rng.integers(V, size=draw(st.integers(0, V)))
+        m[rng.permutation(V)[: len(dup)]] = m[dup]
+        m[rng.integers(V, size=draw(st.integers(0, 3)))] = 0.0
+        mats.append(m)
+    labels = sorted(rng.choice(3000, size=T, replace=False).tolist())
+    words = st.integers(0, V - 1)
+    records = draw(st.lists(
+        st.tuples(words, st.sampled_from(labels), st.sampled_from(labels),
+                  words),
+        max_size=30,
+    ))
+    records += [(w, lab, lab, w) for w, lab, _, _ in records[:3]]
+    K_max = draw(st.integers(1, V + 2))
+    return AlignmentTestset(records=records), mats, labels, K_max
+
+
 class TestRunAlignmentTest:
     def embeddings(self):
         rng = np.random.default_rng(8)
@@ -313,6 +376,17 @@ class TestRunAlignmentTest:
         ts = AlignmentTestset(records=[(0, 0, 1, 0)])
         ranks, _ = run_alignment_test(ts, mats, [0, 1])
         assert ranks == [None]
+
+
+    @given(alignment_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, case):
+        ts, mats, labels, K_max = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = run_alignment_test(ts, mats, labels, K_max=K_max)
+            want = loop_run_alignment_test(ts, mats, labels, K_max=K_max)
+        assert got == want
 
 
 class TestNormSeries:

@@ -366,3 +366,24 @@ class TestEmbeddingIO:
         assert lines[0] == "2 1 2"
         assert lines[1].startswith("cat 2000 1 2")
         assert "0.123456789" in lines[2]
+
+    def test_text_bytes_match_per_element_format(self, tmp_path):
+        rng = np.random.default_rng(15)
+        special = [0.0, -0.0, 1e-300, -1e-300, 1e300, 5e-324, 1.0 / 3.0,
+                   -2.0 / 3.0, 0.123456789123, -987654321.5, 1e16, 1e-5,
+                   1.7976931348623157e308]
+        bits = rng.integers(0, 2**63, size=400, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([special, rng.standard_normal(300),
+                                 bits[np.isfinite(bits)]])
+        d = 7
+        values = np.resize(values, (2, len(values) // d + 1, d))
+        mats = [values[0], values[1]]
+        words = [f"w{i}" for i in range(values.shape[1])]
+        p = tmp_path / "e.txt"
+        write_embeddings_text(mats, [1990, 1991], words, p)
+        lines = [f"{values.shape[1]} 2 {d}\n"]
+        for m, label in zip(mats, [1990, 1991]):
+            for i, word in enumerate(words):
+                coords = " ".join(f"{x:.9g}" for x in m[i])
+                lines.append(f"{word} {label} {coords}\n")
+        assert p.read_bytes() == "".join(lines).encode("utf-8")
