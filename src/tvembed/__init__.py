@@ -7,6 +7,7 @@ orthogonal Procrustes chaining, local linear maps) and evaluation
 metrics (NMI, pairwise F-beta, MRR, MP@K).
 """
 
+from tvembed.artifact import ArtifactError
 from tvembed.corpus import (
     SliceStats,
     TimeSlicedCorpus,

@@ -5,8 +5,9 @@ Runs are reproducible from a single config file (key = value lines);
 command-line flags override file values. A master seed fans out to the
 stochastic components through name-hashed subseeds.
 
-Exit codes: 0 success, 2 usage/config error, 3 lookup failure, 4 empty
-evaluation, 1 internal error.
+Exit codes: 0 success, 2 usage/config error or a damaged or stale artifact
+(one line "error: <path>: <reason>"), 3 lookup failure (unknown word or slice
+label), 4 empty evaluation, 1 internal error.
 """
 
 import argparse
@@ -20,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from tvembed import baselines, evaluation
+from tvembed.artifact import ArtifactError, atomic_write_bytes
 from tvembed.corpus import (
     CorpusFormatError,
     EmptyVocabularyError,
-    atomic_write_bytes,
     build_vocabulary,
     count_cooccurrences,
     load_corpus,
@@ -50,6 +51,10 @@ METHODS = ("dw2v", "sw2v", "tw2v", "aw2v")
 
 
 class UsageError(Exception):
+    pass
+
+
+class LookupFailure(Exception):
     pass
 
 
@@ -174,7 +179,41 @@ def read_vocab(path):
 
 
 def read_labels(out):
-    return json.loads(_labels_file(out).read_text())
+    path = _labels_file(out)
+    try:
+        labels = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        labels = None
+    if not (isinstance(labels, list) and labels
+            and all(type(lab) is int for lab in labels)
+            and all(a < b for a, b in zip(labels, labels[1:]))):
+        raise ArtifactError(
+            path, "expected a JSON list of strictly increasing integer labels"
+        )
+    return labels
+
+
+def _check_fresh(path, V, vocab, rerun, labels=None, run_labels=None):
+    """Raise ArtifactError when an artifact read from `path` does not match
+    the run's labels.json (its slice labels) or vocab.txt (its V)."""
+    if labels != run_labels:
+        raise ArtifactError(
+            path, f"slice labels {labels} but labels.json expects "
+            f"{run_labels}; rerun {rerun}"
+        )
+    if V != len(vocab):
+        raise ArtifactError(
+            path, f"V={V} but vocab.txt has {len(vocab)} words; rerun {rerun}"
+        )
+
+
+def _load_stats(cfg, vocab, labels):
+    stats = []
+    for lab in labels:
+        path = _stats_path(cfg.out, lab)
+        stats.append(read_stats(path))
+        _check_fresh(path, stats[-1].cooc.shape[0], vocab, "build")
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +251,15 @@ def cmd_build(args):
     return 0
 
 
-def _load_ppmi_sequence(cfg):
+def _load_ppmi_sequence(cfg, vocab):
     labels = read_labels(cfg.out)
-    mats = [read_ppmi(_ppmi_path(cfg.out, lab)) for lab in labels]
-    return PpmiSequence(matrices=mats, vocab_size=mats[0].shape[0])
+    mats = []
+    for lab in labels:
+        path = _ppmi_path(cfg.out, lab)
+        mats.append(read_ppmi(path))
+        _check_fresh(path, mats[-1].shape[0], vocab, "build",
+                     [mats[-1].slice_label], [lab])
+    return PpmiSequence(matrices=mats, vocab_size=len(vocab))
 
 
 def _write_embeddings(cfg, method, matrices, labels, words, tag=""):
@@ -228,7 +272,7 @@ def _write_embeddings(cfg, method, matrices, labels, words, tag=""):
 def cmd_train(args):
     cfg = build_run_config(args)
     vocab = read_vocab(_vocab_path(cfg.out))
-    Y = _load_ppmi_sequence(cfg)
+    Y = _load_ppmi_sequence(cfg, vocab)
     labels = Y.labels
     method = cfg.method
     if method == "dw2v":
@@ -248,7 +292,7 @@ def cmd_train(args):
         mats = final_embedding(seq, cfg.combine)
         _write_embeddings(cfg, method, mats, labels, vocab.words)
     elif method == "sw2v":
-        stats = [read_stats(_stats_path(cfg.out, lab)) for lab in labels]
+        stats = _load_stats(cfg, vocab, labels)
         static = baselines.train_static(
             stats, cfg.solver_config("sw2v"), mode=cfg.combine
         )
@@ -269,19 +313,21 @@ def cmd_train(args):
     return 0
 
 
-def _embeddings_for(cfg, method=None):
-    method = method or cfg.method
-    tag = "perslice" if method == "tw2v" else ""
-    path = _emb_path(cfg.out, method, "bin", tag)
+def _embeddings_for(cfg, vocab):
+    tag = "perslice" if cfg.method == "tw2v" else ""
+    path = _emb_path(cfg.out, cfg.method, "bin", tag)
     if not path.exists():
         raise UsageError(f"no embeddings found at {path}; run train first")
-    return read_embeddings_binary(path)
+    mats, labels = read_embeddings_binary(path)
+    _check_fresh(path, mats[0].shape[0] if mats else 0, vocab, "train",
+                 labels, read_labels(cfg.out))
+    return mats, labels
 
 
 def cmd_query(args):
     cfg = build_run_config(args)
     vocab = read_vocab(_vocab_path(cfg.out))
-    mats, labels = _embeddings_for(cfg)
+    mats, labels = _embeddings_for(cfg, vocab)
     if args.word not in vocab:
         close = difflib.get_close_matches(args.word, vocab.words, n=5)
         print(
@@ -321,9 +367,7 @@ def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path,
         )
         report.update(clus)
     if testset_path:
-        ts, _ = evaluation.load_testset(testset_path, vocab)
-        if not ts.records:
-            raise EmptyEvaluation("testset is empty after vocabulary filtering")
+        ts = _load_testset(testset_path, vocab, labels)
         if tw2v:
             mapped = _tw2v_alignment_ranks(ts, mats, labels)
             report["mrr"] = evaluation.mrr(mapped)
@@ -335,6 +379,20 @@ def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path,
             report["mrr"] = align["mrr"]
             report["mp"] = align["mp"]
     return report
+
+
+def _load_testset(path, vocab, labels):
+    """The alignment testset at `path`; every record's query and target
+    label must be a slice of the run."""
+    ts, _ = evaluation.load_testset(path, vocab)
+    if not ts.records:
+        raise EmptyEvaluation("testset is empty after vocabulary filtering")
+    known = set(labels)
+    for _, query_label, target_label, _ in ts.records:
+        for label in (query_label, target_label):
+            if label not in known:
+                raise LookupFailure(f"{path}: unknown slice label {label}")
+    return ts
 
 
 def _tw2v_alignment_ranks(testset, mats, labels, k=30):
@@ -361,7 +419,7 @@ class EmptyEvaluation(Exception):
 def cmd_evaluate(args):
     cfg = build_run_config(args)
     vocab = read_vocab(_vocab_path(cfg.out))
-    mats, labels = _embeddings_for(cfg)
+    mats, labels = _embeddings_for(cfg, vocab)
     report = _evaluate_report(
         cfg, mats, labels, vocab, args.testset, args.triplets,
         tw2v=(cfg.method == "tw2v"),
@@ -384,7 +442,7 @@ def cmd_robustness(args):
     cfg = build_run_config(args)
     vocab = read_vocab(_vocab_path(cfg.out))
     labels = read_labels(cfg.out)
-    stats = [read_stats(_stats_path(cfg.out, lab)) for lab in labels]
+    stats = _load_stats(cfg, vocab, labels)
     rates = [float(r) for r in args.rates.split(",")]
     if args.slices == "alternate":
         selected = set(labels[::2])
@@ -392,9 +450,7 @@ def cmd_robustness(args):
         selected = set(labels)
     else:
         selected = {int(s) for s in args.slices.split(",")}
-    ts, _ = evaluation.load_testset(args.testset, vocab)
-    if not ts.records:
-        raise EmptyEvaluation("testset is empty after vocabulary filtering")
+    ts = _load_testset(args.testset, vocab, labels)
     rows = []
     for rate in rates:
         sub = []
@@ -435,7 +491,7 @@ def cmd_robustness(args):
 def cmd_export_norms(args):
     cfg = build_run_config(args)
     vocab = read_vocab(_vocab_path(cfg.out))
-    mats, labels = _embeddings_for(cfg)
+    mats, labels = _embeddings_for(cfg, vocab)
     words = args.words.split(",")
     missing = [w for w in words if w not in vocab]
     if missing:
@@ -521,10 +577,14 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except LookupFailure as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_LOOKUP
     except EmptyEvaluation as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY_EVAL
-    except (FileNotFoundError, CorpusFormatError, EmptyVocabularyError) as e:
+    except (FileNotFoundError, CorpusFormatError, EmptyVocabularyError,
+            ArtifactError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

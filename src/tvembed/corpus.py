@@ -2,14 +2,14 @@
 
 import itertools
 import json
-import os
 import re
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from tvembed.artifact import ArtifactReader, triplet_parts, write_artifact
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -249,59 +249,25 @@ def pool_stats(stats_list):
 
 
 # ---------------------------------------------------------------------------
-# Persistence: binary sparse-triplet format, bit-exact round trip.
-# Layout: magic "TVCO", version u32, V u64, window u32, total_tokens u64,
-# unigram V*u64, nnz u64, then nnz triplets (row u32, col u32, count u64),
-# all little-endian, triplets sorted by (row, col).
-
-
-def atomic_write_bytes(path, data):
-    """Write a file atomically (temp file + rename)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+# Persistence in the artifact container: magic "TVCO", version 1, then V u64,
+# window u32, total_tokens u64, unigram V*u64 and a triplet block with u64
+# counts.
 
 
 def write_stats(stats, path):
-    coo = stats.cooc.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    parts = [
-        STATS_MAGIC,
-        struct.pack(
-            "<IQIQ",
-            STATS_VERSION,
-            stats.cooc.shape[0],
-            stats.window,
-            stats.total_tokens,
-        ),
-        stats.unigram.astype("<u8").tobytes(),
-        struct.pack("<Q", coo.nnz),
-        coo.row[order].astype("<u4").tobytes(),
-        coo.col[order].astype("<u4").tobytes(),
-        coo.data[order].astype("<u8").tobytes(),
-    ]
-    atomic_write_bytes(path, b"".join(parts))
+    write_artifact(path, STATS_MAGIC, STATS_VERSION, [
+        ("<QIQ", stats.cooc.shape[0], stats.window, stats.total_tokens),
+        stats.unigram.astype("<u8"),
+        *triplet_parts(stats.cooc, "<u8"),
+    ])
 
 
 def read_stats(path):
-    raw = Path(path).read_bytes()
-    if raw[:4] != STATS_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a stats file")
-    version, V, window, total = struct.unpack_from("<IQIQ", raw, 4)
-    if version != STATS_VERSION:
-        raise ValueError(f"{path}: unsupported stats version {version}")
-    off = 4 + struct.calcsize("<IQIQ")
-    unigram = np.frombuffer(raw, dtype="<u8", count=V, offset=off).astype(np.int64)
-    off += 8 * V
-    (nnz,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    rows = np.frombuffer(raw, dtype="<u4", count=nnz, offset=off).astype(np.int64)
-    off += 4 * nnz
-    cols = np.frombuffer(raw, dtype="<u4", count=nnz, offset=off).astype(np.int64)
-    off += 4 * nnz
-    data = np.frombuffer(raw, dtype="<u8", count=nnz, offset=off).astype(np.int64)
-    cooc = sp.coo_matrix((data, (rows, cols)), shape=(V, V)).tocsr()
+    r = ArtifactReader(path, STATS_MAGIC, STATS_VERSION)
+    V, window, total = r.fields("<QIQ")
+    unigram = r.array("<u8", V).astype(np.int64)
+    cooc = r.triplets(V, "<u8", np.int64)
+    r.end()
     return SliceStats(cooc=cooc, unigram=unigram, total_tokens=int(total),
                       window=int(window))
 

@@ -1,14 +1,12 @@
 """Positive PMI matrices built from per-slice co-occurrence statistics."""
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from tvembed.corpus import atomic_write_bytes
+from tvembed.artifact import ArtifactReader, triplet_parts, write_artifact
 
 PPMI_MAGIC = b"TVPM"
 PPMI_VERSION = 1
@@ -88,37 +86,20 @@ def build_ppmi(stats, slice_label=0, shift=0.0):
 
 
 # ---------------------------------------------------------------------------
-# Persistence: same triplet layout as the stats format, with f64 values.
-# Layout: magic "TVPM", version u32, V u64, slice_label i64, nnz u64, then
-# row u32 array, col u32 array, value f64 array, little-endian, sorted by
-# (row, col).
+# Persistence in the artifact container: magic "TVPM", version 1, then V u64,
+# slice_label i64 and a triplet block with f64 values.
 
 
 def write_ppmi(matrix, path):
-    coo = matrix.values.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    parts = [
-        PPMI_MAGIC,
-        struct.pack("<IQqQ", PPMI_VERSION, coo.shape[0], matrix.slice_label, coo.nnz),
-        coo.row[order].astype("<u4").tobytes(),
-        coo.col[order].astype("<u4").tobytes(),
-        coo.data[order].astype("<f8").tobytes(),
-    ]
-    atomic_write_bytes(path, b"".join(parts))
+    write_artifact(path, PPMI_MAGIC, PPMI_VERSION, [
+        ("<Qq", matrix.values.shape[0], matrix.slice_label),
+        *triplet_parts(matrix.values, "<f8"),
+    ])
 
 
 def read_ppmi(path):
-    raw = Path(path).read_bytes()
-    if raw[:4] != PPMI_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a PPMI file")
-    version, V, label, nnz = struct.unpack_from("<IQqQ", raw, 4)
-    if version != PPMI_VERSION:
-        raise ValueError(f"{path}: unsupported PPMI version {version}")
-    off = 4 + struct.calcsize("<IQqQ")
-    rows = np.frombuffer(raw, dtype="<u4", count=nnz, offset=off).astype(np.int64)
-    off += 4 * nnz
-    cols = np.frombuffer(raw, dtype="<u4", count=nnz, offset=off).astype(np.int64)
-    off += 4 * nnz
-    vals = np.frombuffer(raw, dtype="<f8", count=nnz, offset=off)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
+    r = ArtifactReader(path, PPMI_MAGIC, PPMI_VERSION)
+    V, label = r.fields("<Qq")
+    mat = r.triplets(V, "<f8", np.float64)
+    r.end()
     return PpmiMatrix(values=mat, slice_label=int(label))

@@ -19,15 +19,13 @@ ends, 0 when T = 1) and the neighbor terms are dropped at the boundaries.
 The W update is symmetric (Y is symmetric).
 """
 
-import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
-from tvembed.corpus import atomic_write_bytes
+from tvembed.artifact import ArtifactReader, atomic_write_bytes, write_artifact
 
 EMB_MAGIC = b"TVEM"
 EMB_VERSION = 1
@@ -263,42 +261,29 @@ def final_embedding(seq, mode="average"):
 
 # ---------------------------------------------------------------------------
 # Persistence.
-# Binary: magic "TVEM", version u32, V u64, T u64, d u64, T labels i64,
-# then T row-major f64 V x d matrices, little-endian.
+# Binary, in the artifact container: magic "TVEM", version 1, then V u64,
+# T u64, d u64, T labels i64 and T row-major f64 V x d matrices.
 # Text: header "V T d", then one "word label v1 ... vd" line per (word,
 # slice) with 9 significant digits.
 
 
 def write_embeddings_binary(matrices, labels, path):
     V, d = matrices[0].shape
-    T = len(matrices)
-    parts = [
-        EMB_MAGIC,
-        struct.pack("<IQQQ", EMB_VERSION, V, T, d),
-        np.asarray(labels, dtype="<i8").tobytes(),
-    ]
-    for m in matrices:
-        if m.shape != (V, d):
-            raise ValueError("inconsistent matrix shapes")
-        parts.append(np.ascontiguousarray(m, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    if any(m.shape != (V, d) for m in matrices):
+        raise ValueError("inconsistent matrix shapes")
+    write_artifact(path, EMB_MAGIC, EMB_VERSION, [
+        ("<QQQ", V, len(matrices), d),
+        np.asarray(labels, dtype="<i8"),
+        *(np.asarray(m, dtype="<f8") for m in matrices),
+    ])
 
 
 def read_embeddings_binary(path):
-    raw = Path(path).read_bytes()
-    if raw[:4] != EMB_MAGIC:
-        raise ValueError(f"{path}: bad magic, not an embedding file")
-    version, V, T, d = struct.unpack_from("<IQQQ", raw, 4)
-    if version != EMB_VERSION:
-        raise ValueError(f"{path}: unsupported embedding version {version}")
-    off = 4 + struct.calcsize("<IQQQ")
-    labels = np.frombuffer(raw, dtype="<i8", count=T, offset=off).tolist()
-    off += 8 * T
-    matrices = []
-    for _ in range(T):
-        m = np.frombuffer(raw, dtype="<f8", count=V * d, offset=off)
-        matrices.append(m.reshape(V, d).copy())
-        off += 8 * V * d
+    r = ArtifactReader(path, EMB_MAGIC, EMB_VERSION)
+    V, T, d = r.fields("<QQQ")
+    labels = r.array("<i8", T).tolist()
+    matrices = [r.array("<f8", V * d).reshape(V, d).copy() for _ in range(T)]
+    r.end()
     return matrices, labels
 
 

@@ -236,6 +236,45 @@ class TestTrain:
         main(train_args(run_dir))
         assert (run_dir / "embeddings_dw2v.tvem").read_bytes() == first
 
+    def test_vocab_one_word_short(self, run_dir, capsys):
+        vocab = run_dir / "vocab.txt"
+        words = vocab.read_text().splitlines()
+        vocab.write_text("\n".join(words[:-1]) + "\n")
+        assert main(train_args(run_dir)) == 2
+        ppmi = run_dir / "ppmi_1990.tvpm"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ppmi}: V={len(words)} but vocab.txt has "
+            f"{len(words) - 1} words; rerun build"
+        ]
+        assert not (run_dir / "embeddings_dw2v.txt").exists()
+
+    def test_truncated_ppmi(self, run_dir, capsys):
+        ppmi = run_dir / "ppmi_1995.tvpm"
+        ppmi.write_bytes(ppmi.read_bytes()[:-5])
+        assert main(train_args(run_dir)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {ppmi}: truncated")
+
+    def test_ppmi_of_another_slice(self, run_dir, capsys):
+        ppmi = run_dir / "ppmi_1995.tvpm"
+        ppmi.write_bytes((run_dir / "ppmi_2000.tvpm").read_bytes())
+        assert main(train_args(run_dir)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ppmi}: slice labels [2000] but labels.json expects "
+            "[1995]; rerun build"
+        ]
+
+    @pytest.mark.parametrize("text", ["[1995, 1990, 2000]", "[1990, 1995.5]",
+                                      "[]", '{"labels": [1990]}', "[1990,"])
+    def test_malformed_labels_json(self, run_dir, capsys, text):
+        (run_dir / "labels.json").write_text(text)
+        assert main(train_args(run_dir)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {run_dir / 'labels.json'}: expected a JSON list of "
+            "strictly increasing integer labels"
+        ]
+
 
 class TestQuery:
     def test_self_query_with_keep_self(self, run_dir, capsys):
@@ -301,6 +340,27 @@ class TestQuery:
                      "1990", "--target-label", "1991"])
         assert code == 3
         assert capsys.readouterr().err == "unknown slice label 1991\n"
+
+    def test_embeddings_of_a_run_with_other_labels(self, run_dir, toy_corpus,
+                                                   tmp_path, capsys):
+        main(train_args(run_dir))
+        for f in (toy_corpus / "2000").iterdir():
+            f.unlink()
+        (toy_corpus / "2000").rmdir()
+        other = tmp_path / "other"
+        assert main(["build", "--corpus", str(toy_corpus), "--out",
+                     str(other), "--window", "3", "--min-count", "2"]) == 0
+        assert main(train_args(other)) == 0
+        emb = run_dir / "embeddings_dw2v.tvem"
+        emb.write_bytes((other / "embeddings_dw2v.tvem").read_bytes())
+        capsys.readouterr()
+        code = main(["query", "shifty", "--out", str(run_dir), "--label",
+                     "1990"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {emb}: slice labels [1990, 1995] but labels.json "
+            "expects [1990, 1995, 2000]; rerun train"
+        ]
 
     def test_oov_word_suggestions(self, run_dir, capsys):
         main(train_args(run_dir))
@@ -395,7 +455,33 @@ class TestEvaluate:
         assert code == 4
 
 
+    @pytest.mark.parametrize("method", ["dw2v", "tw2v"])
+    def test_unknown_slice_label_exit_3(self, run_dir, capsys, method):
+        main(train_args(run_dir, method=method))
+        ts = self.make_testset(run_dir)
+        with ts.open("a") as fh:
+            fh.write("pet0,1990,2050,pet0\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--out", str(run_dir), "--method", method,
+                     "--testset", str(ts)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ts}: unknown slice label 2050"
+        ]
+
+
 class TestRobustness:
+    def test_unknown_slice_label_exit_3(self, run_dir, capsys):
+        ts = TestEvaluate().make_testset(run_dir)
+        with ts.open("a") as fh:
+            fh.write("tech1,2050,1990,tech1\n")
+        code = main(["robustness", "--out", str(run_dir), "--testset",
+                     str(ts), "--rates", "0.5", "--dim", "3", "--epochs", "1"])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ts}: unknown slice label 2050"
+        ]
+
     def test_table_shape_and_r1_matches_clean(self, run_dir, capsys):
         main(train_args(run_dir))
         capsys.readouterr()
