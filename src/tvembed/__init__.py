@@ -36,6 +36,7 @@ from tvembed.baselines import (
     align_sequence,
     factorize_single,
     local_linear_map,
+    local_linear_maps,
     procrustes_align,
     train_per_slice,
     train_static,

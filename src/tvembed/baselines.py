@@ -96,37 +96,107 @@ def align_sequence(per_slice):
     return PerSliceEmbeddings(U=aligned, labels=list(per_slice.labels))
 
 
+def local_linear_maps(records, k=30):
+    """Map query vectors between slices via their local linear transforms.
+
+    `records` holds (query_word, source_t, target_t) tuples. For each, the k
+    nearest neighbors of the query word in the source slice by cosine (query
+    excluded, ties broken by ascending word index) are taken among the words
+    nonzero in both slices; the least-squares d x d map from their source rows
+    to their target rows (ridge 1e-8 when those rows have rank below d) is
+    applied to the query vector. Returns the mapped vectors in record order,
+    with None where the query's source vector is zero or fewer than k other
+    words are nonzero in both slices.
+
+    Records are grouped by (source, target) pair. Each pair's row norms,
+    candidate words and candidate rows are prepared once, and only one pair's
+    are held at a time. Per record, one product of the candidate rows (the
+    query's own left out) with the query scores every candidate, a partition
+    finds the k-th largest similarity, and only the candidates at or above it
+    are sorted. When k < d the k neighbor rows cannot have rank d, so the rank
+    test is skipped and the ridge form is used.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    pairs = {}
+    for i, (_, source_t, target_t) in enumerate(records):
+        pairs.setdefault((id(source_t), id(target_t)), []).append(i)
+    mapped = [None] * len(records)
+    for members in pairs.values():
+        _, source_t, target_t = records[members[0]]
+        words = [records[i][0] for i in members]
+        for i, m in zip(members, _pair_maps(source_t, target_t, words, k)):
+            mapped[i] = m
+    return mapped
+
+
+def _pair_maps(source_t, target_t, query_words, k):
+    """`local_linear_maps` for the queries of one slice pair, in order."""
+    src_norms = np.linalg.norm(source_t, axis=1)
+    tgt_norms = np.linalg.norm(target_t, axis=1)
+    candidates = np.flatnonzero((src_norms > 0) & (tgt_norms > 0))
+    position = np.full(len(source_t), -1, dtype=np.int64)
+    position[candidates] = np.arange(len(candidates))
+    full = (source_t[candidates], src_norms[candidates], candidates)
+    d = source_t.shape[1]
+    ridge = 1e-8 * np.eye(d)
+    # `rest` holds the candidate rows, norms and words without the one at
+    # position `dropped`. The query's row is left out of the product itself,
+    # not of its result, because BLAS may round a row's dot product
+    # differently at another position in the matrix. Queries are visited by
+    # ascending position, so moving to the next one copies only the rows in
+    # between.
+    rest, dropped = None, 0
+    mapped = [None] * len(query_words)
+    for i in sorted(range(len(query_words)),
+                    key=lambda j: position[query_words[j]]):
+        w = query_words[i]
+        q = source_t[w]
+        qn = np.linalg.norm(q)
+        at = position[w]
+        if qn == 0 or len(candidates) - (at >= 0) < k:
+            continue
+        if at < 0:
+            rows, row_norms, idx = full
+        else:
+            if rest is None:
+                rest = [np.delete(a, at, axis=0) for a in full]
+            else:
+                for part, whole in zip(rest, full):
+                    part[dropped:at] = whole[dropped:at]
+            dropped = at
+            rows, row_norms, idx = rest
+        sims = (rows @ q) / (row_norms * qn)
+        neg = -sims
+        kth = np.partition(neg, k - 1)[k - 1]
+        # At least k entries lie at or below kth, so the first k of the full
+        # (-sim, word) order are among them; a NaN kth keeps every entry.
+        near = np.flatnonzero(~(neg > kth))
+        nbrs = idx[near[np.lexsort((idx[near], neg[near]))[:k]]]
+        S = source_t[nbrs]
+        Tm = target_t[nbrs]
+        if k < d or np.linalg.matrix_rank(S) < d:
+            # Ridge fallback keeps the system well-posed on degenerate
+            # neighborhoods.
+            M = scipy.linalg.solve(S.T @ S + ridge, S.T @ Tm)
+        else:
+            M = scipy.linalg.lstsq(S, Tm)[0]
+        mapped[i] = q @ M
+    return mapped
+
+
 def local_linear_map(query_word, source_t, target_t, k=30):
     """Map one query vector between slices via its local linear transform.
 
-    Finds the k nearest neighbors of the query word in the source slice by
-    cosine (query excluded), fits the least-squares d x d map from their
-    source rows to their target rows, and applies it to the query vector.
-    Neighbors must be nonzero in both slices.
+    A one-record wrapper over `local_linear_maps`; raises ValueError where
+    that returns None.
     """
-    q = source_t[query_word]
-    qn = np.linalg.norm(q)
-    if qn == 0:
-        raise ValueError("query word has a zero vector in the source slice")
-    src_norms = np.linalg.norm(source_t, axis=1)
-    tgt_norms = np.linalg.norm(target_t, axis=1)
-    valid = (src_norms > 0) & (tgt_norms > 0)
-    valid[query_word] = False
-    candidates = np.flatnonzero(valid)
-    if len(candidates) < k:
+    (mapped,) = local_linear_maps([(query_word, source_t, target_t)], k=k)
+    if mapped is None:
+        if np.linalg.norm(source_t[query_word]) == 0:
+            raise ValueError("query word has a zero vector in the source slice")
         raise ValueError(
-            f"only {len(candidates)} words are nonzero in both slices, need {k}"
+            f"fewer than {k} words other than the query are nonzero in both "
+            "slices"
         )
-    sims = (source_t[candidates] @ q) / (src_norms[candidates] * qn)
-    order = np.lexsort((candidates, -sims))
-    nbrs = candidates[order[:k]]
-    S = source_t[nbrs]
-    Tm = target_t[nbrs]
-    d = source_t.shape[1]
-    if np.linalg.matrix_rank(S) < d:
-        # Ridge fallback keeps the system well-posed on degenerate
-        # neighborhoods.
-        M = scipy.linalg.solve(S.T @ S + 1e-8 * np.eye(d), S.T @ Tm)
-    else:
-        M = scipy.linalg.lstsq(S, Tm)[0]
-    return q @ M
+    return mapped

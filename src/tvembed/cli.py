@@ -5,9 +5,10 @@ Runs are reproducible from a single config file (key = value lines);
 command-line flags override file values. A master seed fans out to the
 stochastic components through name-hashed subseeds.
 
-Exit codes: 0 success, 2 usage/config error or a damaged or stale artifact
-(one line "error: <path>: <reason>"), 3 lookup failure (unknown word or slice
-label), 4 empty evaluation, 1 internal error.
+Exit codes: 0 success, 2 usage/config error, a malformed input file or a
+damaged or stale artifact (one line "error: <path>[:<line>]: <reason>"), 3
+lookup failure (unknown word or slice label), 4 empty evaluation, 1 internal
+error.
 """
 
 import argparse
@@ -17,8 +18,6 @@ import json
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from tvembed import baselines, evaluation
 from tvembed.artifact import ArtifactError, atomic_write_bytes
@@ -362,6 +361,8 @@ def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path,
         items = evaluation.load_labeled_triplets(triplet_path, vocab)
         if not items:
             raise EmptyEvaluation("no labeled triplets survive filtering")
+        _check_slice_labels(triplet_path,
+                            [it.slice_label for it in items], labels)
         clus = evaluation.clustering_report(
             items, mats, labels, seed=derive_seed(cfg.seed, "clustering")
         )
@@ -387,28 +388,33 @@ def _load_testset(path, vocab, labels):
     ts, _ = evaluation.load_testset(path, vocab)
     if not ts.records:
         raise EmptyEvaluation("testset is empty after vocabulary filtering")
-    known = set(labels)
-    for _, query_label, target_label, _ in ts.records:
-        for label in (query_label, target_label):
-            if label not in known:
-                raise LookupFailure(f"{path}: unknown slice label {label}")
+    _check_slice_labels(
+        path, [lab for _, a, b, _ in ts.records for lab in (a, b)], labels
+    )
     return ts
+
+
+def _check_slice_labels(source, used, labels):
+    """Raise LookupFailure naming the first label in `used` (read from
+    `source`) that is not a slice of the run."""
+    known = set(labels)
+    for label in used:
+        if label not in known:
+            raise LookupFailure(f"{source}: unknown slice label {label}")
 
 
 def _tw2v_alignment_ranks(testset, mats, labels, k=30):
     """Alignment ranks with the query vector mapped by a local linear
-    transform into the target slice before ranking."""
+    transform into the target slice before ranking. Records whose query has
+    no local map (zero vector, too few neighbors) are left out."""
     by_label = {lab: m for lab, m in zip(labels, mats)}
-    queries = []
-    for query_word, qlab, tlab, answer_word in testset.records:
-        src, tgt = by_label[qlab], by_label[tlab]
-        if np.linalg.norm(src[query_word]) == 0:
-            continue
-        try:
-            q = baselines.local_linear_map(query_word, src, tgt, k=k)
-        except ValueError:
-            continue
-        queries.append((q, tgt, answer_word, query_word if qlab == tlab else None))
+    records = testset.records
+    mapped = baselines.local_linear_maps(
+        [(w, by_label[a], by_label[b]) for w, a, b, _ in records], k=k
+    )
+    queries = [(q, by_label[b], answer, w if a == b else None)
+               for q, (w, a, b, answer) in zip(mapped, records)
+               if q is not None]
     return evaluation._rank_answers(queries)
 
 
@@ -438,18 +444,40 @@ def cmd_evaluate(args):
     return 0
 
 
+def _parse_rates(text):
+    """The comma-separated subsampling rates of --rates, each in (0, 1]."""
+    rates = []
+    for part in text.split(","):
+        try:
+            rate = float(part)
+        except ValueError:
+            raise UsageError(f"--rates: {part!r} is not a number") from None
+        if not 0 < rate <= 1:
+            raise UsageError(f"--rates: rate {part} is not in (0, 1]")
+        rates.append(rate)
+    return rates
+
+
 def cmd_robustness(args):
     cfg = build_run_config(args)
+    rates = _parse_rates(args.rates)
     vocab = read_vocab(_vocab_path(cfg.out))
     labels = read_labels(cfg.out)
-    stats = _load_stats(cfg, vocab, labels)
-    rates = [float(r) for r in args.rates.split(",")]
     if args.slices == "alternate":
         selected = set(labels[::2])
     elif args.slices == "all":
         selected = set(labels)
     else:
-        selected = {int(s) for s in args.slices.split(",")}
+        try:
+            chosen = [int(s) for s in args.slices.split(",")]
+        except ValueError:
+            raise UsageError(
+                f"--slices: expected 'alternate', 'all' or comma-separated "
+                f"integer labels, got {args.slices!r}"
+            ) from None
+        _check_slice_labels("--slices", chosen, labels)
+        selected = set(chosen)
+    stats = _load_stats(cfg, vocab, labels)
     ts = _load_testset(args.testset, vocab, labels)
     rows = []
     for rate in rates:
@@ -584,7 +612,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY_EVAL
     except (FileNotFoundError, CorpusFormatError, EmptyVocabularyError,
-            ArtifactError) as e:
+            ArtifactError, evaluation.CsvFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -312,29 +312,64 @@ def norm_series(word, matrices, labels):
 # File loaders.
 
 
+class CsvFormatError(ValueError):
+    """A testset or triplet CSV that cannot be parsed; the message is
+    "<path>[:<line>]: <reason>"."""
+
+
+def _csv_rows(path, columns):
+    """(line number, row dict) for each data row of a UTF-8 CSV file with a
+    header; every name in `columns` must be in the header and in the row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            header = reader.fieldnames or columns
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise CsvFormatError(
+                    f"{path}:1: no {missing[0]!r} column in the header"
+                )
+            for row in reader:
+                for column in columns:
+                    if row[column] is None:
+                        raise CsvFormatError(f"{path}:{reader.line_num}: "
+                                             f"missing column {column!r}")
+                yield reader.line_num, row
+        except UnicodeDecodeError:
+            raise CsvFormatError(f"{path}: not valid UTF-8") from None
+
+
+def _csv_value(path, line, row, column, parse, kind):
+    try:
+        return parse(row[column])
+    except ValueError:
+        raise CsvFormatError(
+            f"{path}:{line}: {column} {row[column]!r} is not {kind}"
+        ) from None
+
+
 def load_testset(path, vocab, name=""):
     """Load an alignment testset CSV: query_word,query_label,target_label,answer_word.
 
     Records whose query or answer word is out of vocabulary are dropped;
-    the drop count is returned alongside the testset.
+    the drop count is returned alongside the testset. A file that is not
+    UTF-8, a missing column or a non-integer label raises CsvFormatError.
     """
     records = []
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            qw, aw = row["query_word"], row["answer_word"]
-            if qw not in vocab or aw not in vocab:
-                dropped += 1
-                continue
-            records.append(
-                (
-                    vocab.index[qw],
-                    int(row["query_label"]),
-                    int(row["target_label"]),
-                    vocab.index[aw],
-                )
-            )
+    columns = ("query_word", "query_label", "target_label", "answer_word")
+    for line, row in _csv_rows(path, columns):
+        query_label, target_label = [
+            _csv_value(path, line, row, column, int, "an integer")
+            for column in ("query_label", "target_label")
+        ]
+        qw, aw = row["query_word"], row["answer_word"]
+        if qw not in vocab or aw not in vocab:
+            dropped += 1
+            continue
+        records.append(
+            (vocab.index[qw], query_label, target_label, vocab.index[aw])
+        )
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} out-of-vocabulary records")
     return AlignmentTestset(records=records, name=name or str(path)), dropped
@@ -345,24 +380,19 @@ def load_labeled_triplets(path, vocab, min_strength=0.35, top_per_section=200):
 
     Applies the ground-truth filters: for each (word, section) only the
     year of largest strength is kept, rows below the strength threshold
-    are dropped, and each section keeps its top rows by strength.
+    are dropped, and each section keeps its top rows by strength. A file
+    that is not UTF-8, a missing column, a non-integer label or a non-float
+    strength raises CsvFormatError.
     """
     rows = []
     dropped = 0
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            if row["word"] not in vocab:
-                dropped += 1
-                continue
-            rows.append(
-                (
-                    vocab.index[row["word"]],
-                    int(row["label"]),
-                    row["section"],
-                    float(row["strength"]),
-                )
-            )
+    for line, row in _csv_rows(path, ("word", "label", "section", "strength")):
+        label = _csv_value(path, line, row, "label", int, "an integer")
+        strength = _csv_value(path, line, row, "strength", float, "a number")
+        if row["word"] not in vocab:
+            dropped += 1
+            continue
+        rows.append((vocab.index[row["word"]], label, row["section"], strength))
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} out-of-vocabulary rows")
     best = {}

@@ -1,6 +1,7 @@
 import warnings
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from tvembed.corpus import SliceStats
@@ -118,3 +119,40 @@ def loop_run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
     if skipped:
         warnings.warn(f"skipped {skipped} records with zero query vectors")
     return ranks, skipped
+
+
+def loop_local_linear_map(query_word, source_t, target_t, k=30):
+    """Per-call oracle for `baselines.local_linear_maps` (the library's
+    original `local_linear_map`, kept unchanged as the reference).
+
+    Finds the k nearest neighbors of the query word in the source slice by
+    cosine (query excluded), fits the least-squares d x d map from their
+    source rows to their target rows, and applies it to the query vector.
+    Neighbors must be nonzero in both slices.
+    """
+    q = source_t[query_word]
+    qn = np.linalg.norm(q)
+    if qn == 0:
+        raise ValueError("query word has a zero vector in the source slice")
+    src_norms = np.linalg.norm(source_t, axis=1)
+    tgt_norms = np.linalg.norm(target_t, axis=1)
+    valid = (src_norms > 0) & (tgt_norms > 0)
+    valid[query_word] = False
+    candidates = np.flatnonzero(valid)
+    if len(candidates) < k:
+        raise ValueError(
+            f"only {len(candidates)} words are nonzero in both slices, need {k}"
+        )
+    sims = (source_t[candidates] @ q) / (src_norms[candidates] * qn)
+    order = np.lexsort((candidates, -sims))
+    nbrs = candidates[order[:k]]
+    S = source_t[nbrs]
+    Tm = target_t[nbrs]
+    d = source_t.shape[1]
+    if np.linalg.matrix_rank(S) < d:
+        # Ridge fallback keeps the system well-posed on degenerate
+        # neighborhoods.
+        M = scipy.linalg.solve(S.T @ S + 1e-8 * np.eye(d), S.T @ Tm)
+    else:
+        M = scipy.linalg.lstsq(S, Tm)[0]
+    return q @ M

@@ -1,15 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_ppmi_sequence
+from conftest import loop_local_linear_map, random_ppmi_sequence
 from tvembed.baselines import (
     OrthogonalMap,
     PerSliceEmbeddings,
     align_sequence,
     factorize_single,
     local_linear_map,
+    local_linear_maps,
     procrustes_align,
     train_per_slice,
     train_static,
@@ -165,6 +170,106 @@ class TestAlignSequence:
         out = align_sequence(PerSliceEmbeddings(U=mats, labels=[0, 1, 2]))
         for raw, aligned in zip(mats, out.U):
             assert np.allclose(raw @ raw.T, aligned @ aligned.T, atol=1e-10)
+
+
+@st.composite
+def local_map_cases(draw):
+    """Slice pairs with exact ties (duplicated and integer-valued rows) and
+    zero rows in the source and the target, records whose source is their
+    target, and k from 1 to past the candidate count, below and above d."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 12))
+    integer_valued = draw(st.booleans())
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        if integer_valued:
+            m = rng.integers(-2, 3, size=(V, d)).astype(np.float64)
+        else:
+            m = rng.standard_normal((V, d))
+        dup = rng.integers(V, size=draw(st.integers(0, V)))
+        m[rng.permutation(V)[: len(dup)]] = m[dup]
+        m[rng.integers(V, size=draw(st.integers(0, 3)))] = 0.0
+        mats.append(m)
+    slices = st.integers(0, len(mats) - 1)
+    records = draw(st.lists(
+        st.tuples(st.integers(0, V - 1), slices, slices), max_size=20,
+    ))
+    k = draw(st.integers(1, V + 1))
+    return [(w, mats[a], mats[b]) for w, a, b in records], k
+
+
+def _tied_pair():
+    """Source rows in three exact-tie groups; rows 2 and 9 are zero in the
+    target (row 2 is also a query) and row 5 is zero in the source."""
+    base = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    source = base[np.arange(12) % 3] * np.arange(1, 13)[:, None]
+    source[5] = 0.0
+    target = source @ np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                [0.0, 0.0, 2.0]]) + 0.5
+    target[[2, 9]] = 0.0
+    return source, target
+
+
+_SOURCE, _TARGET = _tied_pair()
+
+
+class TestLocalLinearMaps:
+    @given(local_map_cases())
+    @example(([(w, _SOURCE, _TARGET) for w in (0, 2, 5, 7)], 2))
+    @example(([(w, _SOURCE, _TARGET) for w in (0, 2, 5, 7)], 3))
+    @example(([(w, _SOURCE, _SOURCE) for w in (0, 2, 5, 7)], 9))
+    @example(([(w, _SOURCE, _TARGET) for w in (1, 2)], 9))
+    @example(([(w, _SOURCE, _TARGET) for w in (1, 2)], 10))
+    @example(([(4, _SOURCE, _TARGET), (4, _TARGET, _SOURCE),
+               (4, _SOURCE, _TARGET)], 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, case):
+        records, k = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = local_linear_maps(records, k=k)
+            assert len(got) == len(records)
+            for (w, source, target), mapped in zip(records, got):
+                try:
+                    want = loop_local_linear_map(w, source, target, k=k)
+                except ValueError:
+                    assert mapped is None
+                else:
+                    assert mapped is not None
+                    assert np.array_equal(mapped, want)
+
+    def test_matches_loop_oracle_large_slices(self):
+        # Paper-sized rows (d=50, k=30 < d) over thousands of words, where
+        # the matrix-vector product runs the BLAS library's blocked and
+        # threaded paths; queries repeat and revisit earlier positions.
+        rng = np.random.default_rng(20)
+        mats = [rng.standard_normal((3000, 50)) for _ in range(2)]
+        mats[0][rng.integers(3000, size=40)] = 0.0
+        mats[1][rng.integers(3000, size=40)] = 0.0
+        mats[1][100:110] = mats[1][200:210]
+        words = rng.integers(3000, size=40).tolist() + [2999, 0, 2999, 0]
+        records = [(w, mats[t % 2], mats[(t // 2) % 2])
+                   for t, w in enumerate(words)]
+        got = local_linear_maps(records)
+        for (w, source, target), mapped in zip(records, got):
+            try:
+                want = loop_local_linear_map(w, source, target)
+            except ValueError:
+                assert mapped is None
+            else:
+                assert np.array_equal(mapped, want)
+
+    def test_wrapper_raises_where_batch_gives_none(self):
+        assert local_linear_maps([(5, _SOURCE, _TARGET)]) == [None]
+        with pytest.raises(ValueError, match="zero vector"):
+            local_linear_map(5, _SOURCE, _TARGET, k=2)
+        with pytest.raises(ValueError, match="fewer than 10"):
+            local_linear_map(0, _SOURCE, _TARGET, k=10)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            local_linear_maps([(0, _SOURCE, _TARGET)], k=0)
 
 
 class TestLocalLinearMap:

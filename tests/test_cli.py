@@ -177,6 +177,41 @@ class TestBuild:
                    for name in self.GOLDEN_DIGESTS}
         assert digests == self.GOLDEN_DIGESTS
 
+    def test_stopwords_dropped_from_vocab_and_counts(self, toy_corpus,
+                                                     tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("pet0\n\ntech1\n")
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(toy_corpus), "--out", str(out),
+                     "--window", "3", "--stopwords", str(stop)]) == 0
+        words = (out / "vocab.txt").read_text().split()
+        assert "pet0" not in words and "tech1" not in words
+        assert "pet1" in words and "tech0" in words
+        # The counts equal those of the corpus with the stopwords cut out of
+        # its text, so windows close over the removed tokens.
+        stripped = tmp_path / "stripped"
+        for doc in toy_corpus.glob("*/*.txt"):
+            dest = stripped / doc.parent.name / doc.name
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            kept = [w for w in doc.read_text().split()
+                    if w not in ("pet0", "tech1")]
+            dest.write_text(" ".join(kept))
+        ref = tmp_path / "ref"
+        assert main(["build", "--corpus", str(stripped), "--out", str(ref),
+                     "--window", "3"]) == 0
+        for name in ("vocab.txt", "stats_1990.tvco", "stats_1995.tvco",
+                     "stats_2000.tvco"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+    def test_missing_stopword_file(self, toy_corpus, tmp_path, capsys):
+        stop = tmp_path / "nope.txt"
+        code = main(["build", "--corpus", str(toy_corpus),
+                     "--out", str(tmp_path / "run"), "--stopwords", str(stop)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and str(stop) in err[0]
+
     def test_non_utf8_slice_file(self, toy_corpus, tmp_path, capsys):
         bad = toy_corpus / "1995" / "latin1.txt"
         bad.write_bytes("caf\u00e9 au lait".encode("latin-1"))
@@ -469,8 +504,115 @@ class TestEvaluate:
             f"error: {ts}: unknown slice label 2050"
         ]
 
+    def test_unknown_triplet_label_exit_3(self, run_dir, capsys):
+        main(train_args(run_dir))
+        tp = self.make_triplets(run_dir)
+        with tp.open("a") as fh:
+            fh.write("shifty,2050,Pets,0.9\n")
+        capsys.readouterr()
+        code = main(["evaluate", "--out", str(run_dir), "--triplets",
+                     str(tp)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tp}: unknown slice label 2050"
+        ]
+
+    @pytest.mark.parametrize("kind,text,reason", [
+        ("triplets", "word,label,section,strength\npet0,1990,Pets,0.9\n"
+         "pet1,abc,Pets,0.9\n", "3: label 'abc' is not an integer"),
+        ("triplets", "word,label,section,strength\npet0,1990,Pets,high\n",
+         "2: strength 'high' is not a number"),
+        ("triplets", "word,label,section,strength\npet0,1990,Pets\n",
+         "2: missing column 'strength'"),
+        ("triplets", "word,label,strength\npet0,1990,0.9\n",
+         "1: no 'section' column in the header"),
+        # Rows of out-of-vocabulary words are checked too.
+        ("testset", "query_word,query_label,target_label,answer_word\n"
+         "unicorn,1990,2000.5,pet0\n", "2: target_label '2000.5' is not an "
+         "integer"),
+        ("testset", "query_word,query_label,target_label,answer_word\n"
+         "pet0,1990,2000,pet0\npet1,1990\n",
+         "3: missing column 'target_label'"),
+        ("testset", "query_word,query_label,target_label,answer_word\n"
+         "caf\xe9,1990,2000,pet0\n", " not valid UTF-8"),
+    ], ids=["triplet-label", "triplet-strength", "triplet-short-row",
+            "triplet-header", "testset-label", "testset-short-row",
+            "testset-latin-1"])
+    def test_malformed_csv_exit_2(self, run_dir, capsys, kind, text, reason):
+        main(train_args(run_dir))
+        path = run_dir / f"{kind}.csv"
+        path.write_bytes(text.encode("latin-1"))
+        capsys.readouterr()
+        code = main(["evaluate", "--out", str(run_dir), f"--{kind}",
+                     str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:{reason}"
+        ]
+
+    # SHA-256 of the --json-out report of `evaluate --method tw2v` on one
+    # fixed planted-shift run, recorded with the per-call local map (the
+    # loop kept as `conftest.loop_local_linear_map`). d=8 fits each map by
+    # least squares (k=30 >= d), d=40 by the ridge form (k < d). The report
+    # holds MRR and MP@K, fractions of integer rank counts, but the ranks
+    # come from trained floats, so another BLAS library may change them.
+    TW2V_GOLDEN = {
+        8: "66003f522481a19dee52c3fd6231c0102f47f8cbe8fc51730ce9be359637e678",
+        40: "3e7f91f8c198aaafbf540cddc69c6c4c09c55fddcb7945350648397e246d449a",
+    }
+
+    def test_tw2v_golden_digests(self, tmp_path, capsys):
+        corpus = planted_shift_corpus(n_slices=4, community_size=40,
+                                      docs_per_slice=150, doc_len=12, halo=3,
+                                      seed=29)
+        lines = [json.dumps({"label": label, "text": " ".join(doc)})
+                 for label, docs in zip(corpus.slice_labels, corpus.slices)
+                 for doc in docs]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(path), "--out", str(out),
+                     "--window", "3"]) == 0
+        # Identity, shifted-answer, same-slice and probe-word records.
+        rows = ["query_word,query_label,target_label,answer_word"]
+        for i in range(0, 40, 3):
+            for a, b in ((0, 3), (3, 0), (1, 1), (0, 2), (2, 1)):
+                rows.append(f"alpha{i:03d},{a},{b},alpha{i:03d}")
+                rows.append(f"beta{i:03d},{a},{b},beta{(i + 1) % 40:03d}")
+            rows.append(f"probeword,0,3,alpha{i:03d}")
+        testset = tmp_path / "t.csv"
+        testset.write_text("\n".join(rows) + "\n")
+        digests = {}
+        for dim in self.TW2V_GOLDEN:
+            assert main(["train", "--out", str(out), "--method", "tw2v",
+                         "--dim", str(dim), "--epochs", "2", "--seed", "5"]) == 0
+            report = tmp_path / f"report{dim}.json"
+            assert main(["evaluate", "--out", str(out), "--method", "tw2v",
+                         "--testset", str(testset), "--json-out",
+                         str(report)]) == 0
+            digests[dim] = hashlib.sha256(report.read_bytes()).hexdigest()
+        assert digests == self.TW2V_GOLDEN
+
 
 class TestRobustness:
+    @pytest.mark.parametrize("flag,value,code,message", [
+        ("--rates", "x", 2, "--rates: 'x' is not a number"),
+        ("--rates", "0.5,", 2, "--rates: '' is not a number"),
+        ("--rates", "0", 2, "--rates: rate 0 is not in (0, 1]"),
+        ("--rates", "5", 2, "--rates: rate 5 is not in (0, 1]"),
+        ("--slices", "a,b", 2, "--slices: expected 'alternate', 'all' or "
+         "comma-separated integer labels, got 'a,b'"),
+        ("--slices", "99", 3, "--slices: unknown slice label 99"),
+    ], ids=["rates-not-a-number", "rates-empty", "rates-zero",
+            "rates-above-one", "slices-not-integers", "slices-unknown"])
+    def test_bad_argument(self, run_dir, capsys, flag, value, code, message):
+        ts = TestEvaluate().make_testset(run_dir)
+        argv = ["robustness", "--out", str(run_dir), "--testset", str(ts),
+                "--rates", "0.5", "--dim", "3", "--epochs", "1"]
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == code
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_unknown_slice_label_exit_3(self, run_dir, capsys):
         ts = TestEvaluate().make_testset(run_dir)
         with ts.open("a") as fh:
