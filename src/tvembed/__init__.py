@@ -35,7 +35,6 @@ from tvembed.baselines import (
     PerSliceEmbeddings,
     align_sequence,
     factorize_single,
-    local_linear_map,
     local_linear_maps,
     procrustes_align,
     train_per_slice,

@@ -7,6 +7,7 @@ import numpy as np
 import scipy.linalg
 
 from tvembed.corpus import pool_stats
+from tvembed.evaluation import CosineRows
 from tvembed.ppmi import PpmiSequence, build_ppmi
 from tvembed.solver import final_embedding, train
 
@@ -108,13 +109,10 @@ def local_linear_maps(records, k=30):
     with None where the query's source vector is zero or fewer than k other
     words are nonzero in both slices.
 
-    Records are grouped by (source, target) pair. Each pair's row norms,
-    candidate words and candidate rows are prepared once, and only one pair's
-    are held at a time. Per record, one product of the candidate rows (the
-    query's own left out) with the query scores every candidate, a partition
-    finds the k-th largest similarity, and only the candidates at or above it
-    are sorted. When k < d the k neighbor rows cannot have rank d, so the rank
-    test is skipped and the ridge form is used.
+    Records are grouped by (source, target) pair, and each pair's candidate
+    rows are prepared once as one `evaluation.CosineRows` of the source slice;
+    only one pair's are held at a time. When k < d the k neighbor rows cannot
+    have rank d, so the rank test is skipped and the ridge form is used.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -132,47 +130,19 @@ def local_linear_maps(records, k=30):
 
 def _pair_maps(source_t, target_t, query_words, k):
     """`local_linear_maps` for the queries of one slice pair, in order."""
-    src_norms = np.linalg.norm(source_t, axis=1)
-    tgt_norms = np.linalg.norm(target_t, axis=1)
-    candidates = np.flatnonzero((src_norms > 0) & (tgt_norms > 0))
-    position = np.full(len(source_t), -1, dtype=np.int64)
-    position[candidates] = np.arange(len(candidates))
-    full = (source_t[candidates], src_norms[candidates], candidates)
+    rows = CosineRows(source_t, keep=np.linalg.norm(target_t, axis=1) > 0)
     d = source_t.shape[1]
     ridge = 1e-8 * np.eye(d)
-    # `rest` holds the candidate rows, norms and words without the one at
-    # position `dropped`. The query's row is left out of the product itself,
-    # not of its result, because BLAS may round a row's dot product
-    # differently at another position in the matrix. Queries are visited by
-    # ascending position, so moving to the next one copies only the rows in
-    # between.
-    rest, dropped = None, 0
     mapped = [None] * len(query_words)
     for i in sorted(range(len(query_words)),
-                    key=lambda j: position[query_words[j]]):
+                    key=lambda j: rows.position[query_words[j]]):
         w = query_words[i]
         q = source_t[w]
-        qn = np.linalg.norm(q)
-        at = position[w]
-        if qn == 0 or len(candidates) - (at >= 0) < k:
+        if np.linalg.norm(q) == 0:
             continue
-        if at < 0:
-            rows, row_norms, idx = full
-        else:
-            if rest is None:
-                rest = [np.delete(a, at, axis=0) for a in full]
-            else:
-                for part, whole in zip(rest, full):
-                    part[dropped:at] = whole[dropped:at]
-            dropped = at
-            rows, row_norms, idx = rest
-        sims = (rows @ q) / (row_norms * qn)
-        neg = -sims
-        kth = np.partition(neg, k - 1)[k - 1]
-        # At least k entries lie at or below kth, so the first k of the full
-        # (-sim, word) order are among them; a NaN kth keeps every entry.
-        near = np.flatnonzero(~(neg > kth))
-        nbrs = idx[near[np.lexsort((idx[near], neg[near]))[:k]]]
+        nbrs, _ = rows.top(q, k, drop=w)
+        if len(nbrs) < k:
+            continue
         S = source_t[nbrs]
         Tm = target_t[nbrs]
         if k < d or np.linalg.matrix_rank(S) < d:
@@ -182,21 +152,4 @@ def _pair_maps(source_t, target_t, query_words, k):
         else:
             M = scipy.linalg.lstsq(S, Tm)[0]
         mapped[i] = q @ M
-    return mapped
-
-
-def local_linear_map(query_word, source_t, target_t, k=30):
-    """Map one query vector between slices via its local linear transform.
-
-    A one-record wrapper over `local_linear_maps`; raises ValueError where
-    that returns None.
-    """
-    (mapped,) = local_linear_maps([(query_word, source_t, target_t)], k=k)
-    if mapped is None:
-        if np.linalg.norm(source_t[query_word]) == 0:
-            raise ValueError("query word has a zero vector in the source slice")
-        raise ValueError(
-            f"fewer than {k} words other than the query are nonzero in both "
-            "slices"
-        )
     return mapped

@@ -255,9 +255,8 @@ def _load_ppmi_sequence(cfg, vocab):
     mats = []
     for lab in labels:
         path = _ppmi_path(cfg.out, lab)
-        mats.append(read_ppmi(path))
-        _check_fresh(path, mats[-1].shape[0], vocab, "build",
-                     [mats[-1].slice_label], [lab])
+        mats.append(read_ppmi(path, check=lambda V, label: _check_fresh(
+            path, V, vocab, "build", [label], [lab])))
     return PpmiSequence(matrices=mats, vocab_size=len(vocab))
 
 
@@ -354,8 +353,7 @@ def cmd_query(args):
     return 0
 
 
-def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path,
-                     tw2v=False):
+def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path):
     report = {}
     if triplet_path:
         items = evaluation.load_labeled_triplets(triplet_path, vocab)
@@ -369,16 +367,17 @@ def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path,
         report.update(clus)
     if testset_path:
         ts = _load_testset(testset_path, vocab, labels)
-        if tw2v:
-            mapped = _tw2v_alignment_ranks(ts, mats, labels)
-            report["mrr"] = evaluation.mrr(mapped)
-            report["mp"] = {
-                str(K): evaluation.mp_at_k(mapped, K) for K in (1, 3, 5, 10)
-            }
-        else:
-            align = evaluation.alignment_report(ts, mats, labels)
-            report["mrr"] = align["mrr"]
-            report["mp"] = align["mp"]
+        queries = None
+        if cfg.method == "tw2v":
+            # Map each query into its target slice by its local linear
+            # transform; records without a map are skipped.
+            by_label = {lab: m for lab, m in zip(labels, mats)}
+            queries = baselines.local_linear_maps(
+                [(w, by_label[a], by_label[b]) for w, a, b, _ in ts.records]
+            )
+        align = evaluation.alignment_report(ts, mats, labels, queries=queries)
+        report["mrr"] = align["mrr"]
+        report["mp"] = align["mp"]
     return report
 
 
@@ -403,21 +402,6 @@ def _check_slice_labels(source, used, labels):
             raise LookupFailure(f"{source}: unknown slice label {label}")
 
 
-def _tw2v_alignment_ranks(testset, mats, labels, k=30):
-    """Alignment ranks with the query vector mapped by a local linear
-    transform into the target slice before ranking. Records whose query has
-    no local map (zero vector, too few neighbors) are left out."""
-    by_label = {lab: m for lab, m in zip(labels, mats)}
-    records = testset.records
-    mapped = baselines.local_linear_maps(
-        [(w, by_label[a], by_label[b]) for w, a, b, _ in records], k=k
-    )
-    queries = [(q, by_label[b], answer, w if a == b else None)
-               for q, (w, a, b, answer) in zip(mapped, records)
-               if q is not None]
-    return evaluation._rank_answers(queries)
-
-
 class EmptyEvaluation(Exception):
     pass
 
@@ -426,10 +410,8 @@ def cmd_evaluate(args):
     cfg = build_run_config(args)
     vocab = read_vocab(_vocab_path(cfg.out))
     mats, labels = _embeddings_for(cfg, vocab)
-    report = _evaluate_report(
-        cfg, mats, labels, vocab, args.testset, args.triplets,
-        tw2v=(cfg.method == "tw2v"),
-    )
+    report = _evaluate_report(cfg, mats, labels, vocab, args.testset,
+                              args.triplets)
     payload = json.dumps(report, sort_keys=True, indent=2)
     if args.json_out:
         atomic_write_bytes(args.json_out, payload.encode())

@@ -45,27 +45,95 @@ def cosine(a, b):
     return float(np.dot(a, b) / (na * nb))
 
 
+class CosineRows:
+    """The candidate rows of one matrix for cosine ranking, prepared once.
+
+    The candidates are the nonzero rows of `matrix` (only those marked in the
+    boolean mask `keep`, if given), with their norms computed over the full
+    matrix and their word indices. Each query is scored against all of them
+    but one optional `drop` word, and candidates are ordered by (-similarity,
+    word index).
+
+    The dropped word's row is left out of the product itself, not of its
+    result, because BLAS may round a row's dot product differently at another
+    position in the matrix. The rows without it live in one buffer, and
+    moving to another dropped word copies only the rows in between; callers
+    visit queries by ascending `position` of their dropped word, so all
+    moves together copy each row at most once.
+    """
+
+    def __init__(self, matrix, keep=None):
+        norms = np.linalg.norm(matrix, axis=1)
+        valid = norms > 0 if keep is None else (norms > 0) & keep
+        words = np.flatnonzero(valid)
+        self.position = np.full(len(matrix), -1, dtype=np.int64)
+        self.position[words] = np.arange(len(words))
+        self._full = (matrix[words], norms[words], words)
+        self._rest, self._dropped = None, -1
+
+    def _gap(self, drop):
+        return -1 if drop is None else self.position[drop]
+
+    def scores(self, q, drop=None):
+        """(similarities, word indices) of every candidate but `drop`; the
+        arrays are valid until the next call."""
+        qn = np.linalg.norm(q)
+        if qn == 0:
+            raise ValueError("query vector is zero")
+        at = self._gap(drop)
+        if at < 0:
+            rows, norms, words = self._full
+        else:
+            if self._rest is None:
+                self._rest = [np.delete(a, at, axis=0) for a in self._full]
+                self._dropped = at
+            # Rows between the old and the new gap shift by one place.
+            lo, hi = sorted((self._dropped, at))
+            up = int(at < self._dropped)
+            for part, whole in zip(self._rest, self._full):
+                part[lo:hi] = whole[lo + up:hi + up]
+            self._dropped = at
+            rows, norms, words = self._rest
+        return (rows @ q) / (norms * qn), words
+
+    def top(self, q, k, drop=None):
+        """The first k candidates but `drop` in (-similarity, word index)
+        order, as (word indices, similarities); fewer if fewer remain."""
+        if k < 1:
+            raise ValueError("K must be >= 1")
+        sims, words = self.scores(q, drop)
+        neg = -sims
+        near = np.arange(len(neg))
+        if k < len(neg):
+            # At least k entries lie at or below the k-th smallest, so the
+            # first k of the full order are among them; a NaN keeps them all.
+            near = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
+        best = near[np.lexsort((words[near], neg[near]))[:k]]
+        return words[best], sims[best]
+
+    def rank(self, q, answer, drop=None):
+        """1-based position of `answer` in `top`'s order, or None when it is
+        not a candidate or is `drop`."""
+        at = self.position[answer]
+        if at < 0 or answer == drop:
+            return None
+        sims, words = self.scores(q, drop)
+        at -= 0 <= self._gap(drop) < at
+        s = sims[at]
+        return int(1 + np.count_nonzero(sims > s)
+                   + np.count_nonzero((sims == s) & (words < answer)))
+
+
 def nearest_neighbors(query, matrix, K, exclude=frozenset()):
     """Top-K rows of `matrix` by cosine similarity with `query`.
 
     Zero rows and excluded word indices are skipped; ties break by
     ascending word index. Returns a list of (word_index, similarity).
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    qn = np.linalg.norm(query)
-    if qn == 0:
-        raise ValueError("query vector is zero")
-    norms = np.linalg.norm(matrix, axis=1)
-    valid = norms > 0
-    for w in exclude:
-        valid[w] = False
-    idx = np.flatnonzero(valid)
-    if len(idx) == 0:
-        return []
-    sims = (matrix[idx] @ query) / (norms[idx] * qn)
-    order = np.lexsort((idx, -sims))[:K]
-    return [(int(idx[i]), float(sims[i])) for i in order]
+    keep = np.ones(len(matrix), dtype=bool)
+    keep[list(exclude)] = False
+    words, sims = CosineRows(matrix, keep).top(query, K)
+    return list(zip(words.tolist(), sims.tolist()))
 
 
 def _kmeans_once(X, K, rng, max_iters):
@@ -199,87 +267,45 @@ def f_beta(labels, clusters, beta=5.0):
     return float((b2 + 1) * P * R / (b2 * P + R))
 
 
-def _rank_answers(queries, K_max=TOP_RANK_CUTOFF):
-    """Rank of each answer word among the rows of its target slice.
-
-    `queries` holds (query_vector, target_matrix, answer_word, excluded)
-    tuples, where `excluded` is a word index left out of the ranking, or
-    None. Row norms and nonzero rows are computed once per target matrix
-    object. The candidates are the target slice's nonzero rows other than
-    `excluded`, scored by cosine with the query exactly as
-    `nearest_neighbors` scores them. The answer's rank is 1 + the number
-    of candidates with a higher similarity + the number with an equal
-    similarity and a lower word index, which is its position in
-    `nearest_neighbors`' order. The rank is None when the answer is
-    excluded, is a zero row, or ranks beyond K_max.
-    """
-    prepared = {}
-    ranks = []
-    for q, target, answer, excluded in queries:
-        if K_max < 1:
-            raise ValueError("K must be >= 1")
-        qn = np.linalg.norm(q)
-        if qn == 0:
-            raise ValueError("query vector is zero")
-        if id(target) not in prepared:
-            norms = np.linalg.norm(target, axis=1)
-            idx = np.flatnonzero(norms > 0)
-            position = np.full(len(target), -1, dtype=np.int64)
-            position[idx] = np.arange(len(idx))
-            prepared[id(target)] = (target[idx], norms[idx], idx, position)
-        rows, row_norms, idx, position = prepared[id(target)]
-        at = position[answer]
-        if at < 0 or answer == excluded:
-            ranks.append(None)
-            continue
-        if excluded is not None and position[excluded] >= 0:
-            # nearest_neighbors multiplies without the excluded row; a
-            # product over the same rows keeps every similarity bit-identical.
-            drop = position[excluded]
-            rows = np.delete(rows, drop, axis=0)
-            row_norms = np.delete(row_norms, drop)
-            idx = np.delete(idx, drop)
-            at -= at > drop
-        sims = (rows @ q) / (row_norms * qn)
-        s = sims[at]
-        rank = 1 + np.count_nonzero(sims > s) + np.count_nonzero(
-            (sims == s) & (idx < answer)
-        )
-        ranks.append(int(rank) if rank <= K_max else None)
-    return ranks
-
-
-def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
+def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
+                       queries=None):
     """Rank each record's answer word in the target slice by cosine.
 
     For every (query_word, query_label, target_label, answer_word) record
     the query word's vector at its slice is compared against all nonzero
-    words of the target slice. The query word itself is excluded only when
-    querying its own slice (otherwise same-slice queries are degenerate).
-    The answer's rank is 1 + the number of candidates more similar to the
-    query + the number equally similar with a lower word index, i.e. its
-    position in `nearest_neighbors`' order. A rank beyond K_max, an
-    excluded answer and a zero answer vector are recorded as None ("not
-    found"). Records with a zero query vector are skipped with a warning.
+    words of the target slice. `queries`, if given, holds one vector per
+    record that replaces the query word's own (tw2v's mapped queries). The
+    query word itself is excluded only when querying its own slice
+    (otherwise same-slice queries are degenerate). The answer's rank is its
+    position in `nearest_neighbors`' order. A rank beyond K_max, an excluded
+    answer and a zero answer vector are recorded as None ("not found").
+    Records whose query vector is None or zero are skipped with a warning.
 
+    Records are ranked one target slice at a time against its CosineRows.
     Returns (ranks, skipped_count).
     """
+    if K_max < 1:
+        raise ValueError("K must be >= 1")
     by_label = {lab: m for lab, m in zip(labels, matrices)}
-    queries = []
+    by_target = {}
     skipped = 0
-    for query_word, query_label, target_label, answer_word in testset.records:
-        src = by_label[query_label]
-        tgt = by_label[target_label]
-        q = src[query_word]
-        if np.linalg.norm(q) == 0:
+    for i, (word, query_label, target_label, _) in enumerate(testset.records):
+        q = by_label[query_label][word] if queries is None else queries[i]
+        if q is None or np.linalg.norm(q) == 0:
             skipped += 1
             continue
-        excluded = query_word if query_label == target_label else None
-        queries.append((q, tgt, answer_word, excluded))
-    ranks = _rank_answers(queries, K_max)
+        drop = word if query_label == target_label else None
+        by_target.setdefault(target_label, []).append((i, q, drop))
+    ranks = {}
+    for target_label, group in by_target.items():
+        rows = CosineRows(by_label[target_label])
+        group.sort(key=lambda m: -1 if m[2] is None else rows.position[m[2]])
+        for i, q, drop in group:
+            rank = rows.rank(q, testset.records[i][3], drop)
+            ranks[i] = rank if rank is not None and rank <= K_max else None
     if skipped:
         warnings.warn(f"skipped {skipped} records with zero query vectors")
-    return ranks, skipped
+    return [ranks[i] for i in sorted(ranks)], skipped
 
 
 def mrr(ranks):
@@ -432,9 +458,12 @@ def clustering_report(items, matrices, labels, cluster_sizes=(10, 15, 20),
     return report
 
 
-def alignment_report(testset, matrices, labels, precisions=(1, 3, 5, 10)):
-    """MRR and MP@K table for one testset against one embedding sequence."""
-    ranks, skipped = run_alignment_test(testset, matrices, labels)
+def alignment_report(testset, matrices, labels, precisions=(1, 3, 5, 10),
+                     queries=None):
+    """MRR and MP@K table for one testset against one embedding sequence;
+    `queries` is passed to `run_alignment_test`."""
+    ranks, skipped = run_alignment_test(testset, matrices, labels,
+                                        queries=queries)
     if not ranks:
         raise ValueError("testset is empty after filtering")
     return {

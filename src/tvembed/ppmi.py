@@ -97,9 +97,14 @@ def write_ppmi(matrix, path):
     ])
 
 
-def read_ppmi(path):
+def read_ppmi(path, check=None):
+    """Read a .tvpm file. `check(V, slice_label)`, if given, sees the header
+    before the triplet block becomes a V x V matrix and may raise, so a
+    damaged V is caught before it sizes an allocation."""
     r = ArtifactReader(path, PPMI_MAGIC, PPMI_VERSION)
     V, label = r.fields("<Qq")
+    if check is not None:
+        check(V, int(label))
     mat = r.triplets(V, "<f8", np.float64)
     r.end()
     return PpmiMatrix(values=mat, slice_label=int(label))

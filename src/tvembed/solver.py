@@ -88,8 +88,15 @@ class ProgressEvent:
     epoch: int
     t: int
     factor: str  # "U" or "W"
-    normal_residual: float  # ||new @ A - B||_F / ||B||_F (0 if B == 0)
+    new: np.ndarray  # the updated factor, solving new @ A = B
+    A: np.ndarray
+    B: np.ndarray
     state: "EmbeddingSequence" = None  # live view, already includes this update
+
+    @property
+    def normal_residual(self):
+        """||new @ A - B||_F / ||B||_F (0 if B == 0), computed when read."""
+        return normal_residual(self.new, self.A, self.B)
 
 
 def init_embeddings(V, T, config):
@@ -199,11 +206,7 @@ def update_factor(factor, t, state, Y, config):
 
 
 def normal_residual(new, A, B):
-    """Relative residual ||new @ A - B||_F / ||B||_F (0 if B == 0).
-
-    Costs about as much as the solve itself, so `train` computes it only
-    for a progress sink.
-    """
+    """Relative residual ||new @ A - B||_F / ||B||_F (0 if B == 0)."""
     bnorm = np.linalg.norm(B)
     if bnorm == 0:
         return 0.0
@@ -236,15 +239,8 @@ def train(Y, config, progress_sink=None):
                     raise FloatingPointError(f"epoch {epoch}: {e}") from None
                 (state.U if factor == "U" else state.W)[t] = new
                 if progress_sink is not None:
-                    progress_sink(
-                        ProgressEvent(
-                            epoch=epoch,
-                            t=t,
-                            factor=factor,
-                            normal_residual=normal_residual(new, A, B),
-                            state=state,
-                        )
-                    )
+                    progress_sink(ProgressEvent(epoch, t, factor, new, A, B,
+                                                state))
     return state
 
 

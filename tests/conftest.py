@@ -5,7 +5,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from tvembed.corpus import SliceStats
-from tvembed.evaluation import TOP_RANK_CUTOFF, nearest_neighbors
+from tvembed.evaluation import TOP_RANK_CUTOFF
 from tvembed.ppmi import PpmiMatrix, PpmiSequence
 
 
@@ -94,8 +94,32 @@ def loop_count_cooccurrences(docs, vocab, window):
     )
 
 
+def loop_nearest_neighbors(query, matrix, K, exclude=frozenset()):
+    """Full-sort oracle for `evaluation.nearest_neighbors` (the library's
+    original implementation, kept unchanged as the reference).
+
+    Zero rows and excluded word indices are skipped; ties break by
+    ascending word index. Returns a list of (word_index, similarity).
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    qn = np.linalg.norm(query)
+    if qn == 0:
+        raise ValueError("query vector is zero")
+    norms = np.linalg.norm(matrix, axis=1)
+    valid = norms > 0
+    for w in exclude:
+        valid[w] = False
+    idx = np.flatnonzero(valid)
+    if len(idx) == 0:
+        return []
+    sims = (matrix[idx] @ query) / (norms[idx] * qn)
+    order = np.lexsort((idx, -sims))[:K]
+    return [(int(idx[i]), float(sims[i])) for i in order]
+
+
 def loop_run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
-    """Per-record `nearest_neighbors` loop oracle for
+    """Per-record `loop_nearest_neighbors` loop oracle for
     `evaluation.run_alignment_test` (the library's original implementation,
     kept unchanged as the reference)."""
     by_label = {lab: m for lab, m in zip(labels, matrices)}
@@ -109,7 +133,7 @@ def loop_run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
             skipped += 1
             continue
         exclude = {query_word} if query_label == target_label else set()
-        top = nearest_neighbors(q, tgt, K_max, exclude=exclude)
+        top = loop_nearest_neighbors(q, tgt, K_max, exclude=exclude)
         rank = None
         for pos, (w, _) in enumerate(top, start=1):
             if w == answer_word:

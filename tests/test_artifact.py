@@ -4,6 +4,7 @@ raises ArtifactError naming its path, and writes are atomic."""
 import os
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,22 @@ FORMATS = {
     "tvpm": (_write_tvpm, read_ppmi, b"TVPM", lambda V: 32),
     "tvem": (_write_tvem, read_embeddings_binary, b"TVEM", None),
 }
+
+# name -> (offset, struct format) of each header field after the version
+HEADERS = {
+    "tvco": [(8, "<Q"), (16, "<I"), (20, "<Q")],  # V, window, total_tokens
+    "tvpm": [(8, "<Q"), (16, "<q")],  # V, slice_label
+    "tvem": [(8, "<Q"), (16, "<Q"), (24, "<Q")],  # V, T, d
+}
+
+
+def _flip(blob, offset, fmt, bit):
+    """`blob` with one bit of the header field at `offset` flipped."""
+    blob = bytearray(blob)
+    (value,) = struct.unpack_from(fmt, blob, offset)
+    struct.pack_into(fmt, blob, offset, value ^ (1 << bit))
+    return bytes(blob)
+
 
 # (V, seed) of a valid file
 cases = st.tuples(st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -121,6 +138,48 @@ class TestDamagedArtifacts:
             struct.pack_into("<I", blob, rows_at + 4 * i,
                              data.draw(st.integers(V, 2**32 - 1)))
             _raises_naming(name, bytes(blob), d)
+
+    @each_format
+    @given(cases, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_header_bit_flip_raises_or_reads(self, name, case, data):
+        # A flipped header bit either makes the file unreadable with an
+        # ArtifactError or yields another well-formed file (a new label, a
+        # larger V with the same triplets), never another exception. Bits
+        # stay low so a larger V allocates little.
+        V, seed = case
+        offset, fmt = data.draw(st.sampled_from(HEADERS[name]))
+        bit = data.draw(st.integers(0, 16))
+        with tempfile.TemporaryDirectory() as d:
+            blob = _flip(_valid(name, V, seed, d), offset, fmt, bit)
+            path = Path(d) / f"flipped.{name}"
+            path.write_bytes(blob)
+            try:
+                FORMATS[name][1](path)
+            except ArtifactError as e:
+                assert str(path) in str(e)
+
+    @given(cases, st.integers(0, 26))
+    @settings(max_examples=30, deadline=None)
+    def test_ppmi_v_flip_caught_before_the_matrix_is_built(self, case, bit):
+        V, seed = case
+        with tempfile.TemporaryDirectory() as d:
+            blob = _flip(_valid("tvpm", V, seed, d), 8, "<Q", bit)
+            path = Path(d) / "flipped.tvpm"
+            path.write_bytes(blob)
+
+            def check(found, label):
+                if found != V:
+                    raise ArtifactError(path, f"V={found}, expected {V}")
+
+            tracemalloc.start()
+            try:
+                with pytest.raises(ArtifactError, match=f"V={V ^ 1 << bit},"):
+                    read_ppmi(path, check=check)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
 
 class TestAtomicWrite:

@@ -13,7 +13,6 @@ from tvembed.baselines import (
     PerSliceEmbeddings,
     align_sequence,
     factorize_single,
-    local_linear_map,
     local_linear_maps,
     procrustes_align,
     train_per_slice,
@@ -260,12 +259,12 @@ class TestLocalLinearMaps:
             else:
                 assert np.array_equal(mapped, want)
 
-    def test_wrapper_raises_where_batch_gives_none(self):
-        assert local_linear_maps([(5, _SOURCE, _TARGET)]) == [None]
-        with pytest.raises(ValueError, match="zero vector"):
-            local_linear_map(5, _SOURCE, _TARGET, k=2)
-        with pytest.raises(ValueError, match="fewer than 10"):
-            local_linear_map(0, _SOURCE, _TARGET, k=10)
+    def test_none_for_zero_query_or_too_few_neighbors(self):
+        # Row 5 is zero in the source; 8 rows other than row 0 are nonzero
+        # in both slices.
+        assert local_linear_maps([(5, _SOURCE, _TARGET)], k=2) == [None]
+        assert local_linear_maps([(0, _SOURCE, _TARGET)], k=9) == [None]
+        assert local_linear_maps([(0, _SOURCE, _TARGET)], k=8)[0] is not None
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be"):
@@ -276,7 +275,7 @@ class TestLocalLinearMap:
     def test_identity_map(self):
         rng = np.random.default_rng(17)
         source = rng.standard_normal((40, 4))
-        mapped = local_linear_map(0, source, source, k=10)
+        (mapped,) = local_linear_maps([(0, source, source)], k=10)
         assert np.linalg.norm(mapped - source[0]) <= 1e-8
 
     def test_planted_linear_map(self):
@@ -284,21 +283,19 @@ class TestLocalLinearMap:
         source = rng.standard_normal((40, 4))
         M0 = rng.standard_normal((4, 4)) + 2 * np.eye(4)
         target = source @ M0
-        mapped = local_linear_map(3, source, target, k=10)
+        (mapped,) = local_linear_maps([(3, source, target)], k=10)
         assert np.linalg.norm(mapped - source[3] @ M0) <= 1e-6
 
     def test_too_few_valid_neighbors(self):
         source = np.zeros((5, 3))
         source[0] = [1.0, 0.0, 0.0]
         source[1] = [0.0, 1.0, 0.0]
-        with pytest.raises(ValueError):
-            local_linear_map(0, source, source, k=4)
+        assert local_linear_maps([(0, source, source)], k=4) == [None]
 
     def test_zero_query_vector(self):
         source = np.ones((5, 3))
         source[2] = 0.0
-        with pytest.raises(ValueError):
-            local_linear_map(2, source, source, k=2)
+        assert local_linear_maps([(2, source, source)], k=2) == [None]
 
 
 class TestTrainPerSlice:

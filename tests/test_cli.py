@@ -1,5 +1,7 @@
 import hashlib
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -299,6 +301,27 @@ class TestTrain:
             f"error: {ppmi}: slice labels [2000] but labels.json expects "
             "[1995]; rerun build"
         ]
+
+    def test_flipped_ppmi_v_fails_before_allocating(self, run_dir, capsys):
+        # Bit 24 of V asks for a 16.8M-row matrix; the header is compared
+        # with vocab.txt before the triplet block becomes one.
+        ppmi = run_dir / "ppmi_1995.tvpm"
+        blob = bytearray(ppmi.read_bytes())
+        (V,) = struct.unpack_from("<Q", blob, 8)
+        struct.pack_into("<Q", blob, 8, V ^ 1 << 24)
+        ppmi.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            code = main(train_args(run_dir))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ppmi}: V={V ^ 1 << 24} but vocab.txt has {V} words; "
+            "rerun build"
+        ]
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("text", ["[1995, 1990, 2000]", "[1990, 1995.5]",
                                       "[]", '{"labels": [1990]}', "[1990,"])

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_run_alignment_test
+from conftest import (
+    loop_local_linear_map,
+    loop_nearest_neighbors,
+    loop_run_alignment_test,
+)
+from tvembed.baselines import local_linear_maps
 from tvembed.evaluation import (
     AlignmentTestset,
     Clustering,
+    CosineRows,
     cosine,
     f_beta,
     load_labeled_triplets,
@@ -91,6 +97,33 @@ class TestCosine:
             cosine(np.zeros(2), np.ones(2))
 
 
+def _tied_matrix(draw, rng, V, d):
+    """A V x d matrix with exact ties (duplicated rows, or small integer
+    entries) and zero rows."""
+    if draw(st.booleans()):
+        m = rng.integers(-2, 3, size=(V, d)).astype(np.float64)
+    else:
+        m = rng.standard_normal((V, d))
+    dup = rng.integers(V, size=draw(st.integers(0, V)))
+    m[rng.permutation(V)[: len(dup)]] = m[dup]
+    m[rng.integers(V, size=draw(st.integers(0, 3)))] = 0.0
+    return m
+
+
+@st.composite
+def neighbor_cases(draw):
+    """A query (a row of the matrix or a fresh vector), exclude sets of 0-3
+    words and K from 1 to past the candidate count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    V = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 60))
+    m = _tied_matrix(draw, rng, V, d)
+    q = m[draw(st.integers(0, V - 1))] if draw(st.booleans()) else (
+        rng.integers(-2, 3, size=d).astype(np.float64))
+    exclude = draw(st.sets(st.integers(0, V - 1), max_size=3))
+    return q, m, draw(st.integers(1, V + 2)), exclude
+
+
 class TestNearestNeighbors:
     def toy(self):
         return np.array([[1.0, 0.0], [0.0, 1.0], [1 / 2**0.5, 1 / 2**0.5]])
@@ -123,6 +156,40 @@ class TestNearestNeighbors:
         assert [w for w, _ in a] == [w for w, _ in b]
         for (_, sa), (_, sb) in zip(a, b):
             assert sa == pytest.approx(sb, abs=1e-12)
+
+    @given(neighbor_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, case):
+        q, m, K, exclude = case
+        try:
+            want = loop_nearest_neighbors(q, m, K, exclude=exclude)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                nearest_neighbors(q, m, K, exclude=exclude)
+        else:
+            assert nearest_neighbors(q, m, K, exclude=exclude) == want
+
+
+class TestCosineRows:
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 24),
+                                                 max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_any_drop_order_matches_a_fresh_product(self, seed, drops):
+        # The left-out row's buffer moves both ways: every score equals the
+        # product over the candidate rows with that row deleted.
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((25, 7))
+        m[rng.integers(25, size=3)] = 0.0
+        rows = CosineRows(m)
+        idx = np.flatnonzero(np.linalg.norm(m, axis=1) > 0)
+        norms = np.linalg.norm(m, axis=1)[idx]
+        q = rng.standard_normal(7)
+        for w in drops:
+            sims, words = rows.scores(q, drop=w)
+            keep = idx != w
+            want = (m[idx[keep]] @ q) / (norms[keep] * np.linalg.norm(q))
+            assert np.array_equal(words, idx[keep])
+            assert np.array_equal(sims, want)
 
 
 class TestSphericalKMeans:
@@ -387,6 +454,38 @@ class TestRunAlignmentTest:
             got = run_alignment_test(ts, mats, labels, K_max=K_max)
             want = loop_run_alignment_test(ts, mats, labels, K_max=K_max)
         assert got == want
+
+
+    @given(alignment_cases(), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_mapped_queries_match_loop_oracle(self, case, k):
+        # tw2v: each query is first mapped by its local linear transform;
+        # a record without a map is skipped.
+        ts, mats, labels, K_max = case
+        by_label = dict(zip(labels, mats))
+        want, skipped = [], 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for w, a, b, answer in ts.records:
+                try:
+                    q = loop_local_linear_map(w, by_label[a], by_label[b], k)
+                except ValueError:
+                    skipped += 1
+                    continue
+                if np.linalg.norm(q) == 0:
+                    skipped += 1
+                    continue
+                top = loop_nearest_neighbors(q, by_label[b], K_max,
+                                             exclude={w} if a == b else set())
+                want.append(next((pos for pos, (word, _) in
+                                  enumerate(top, start=1) if word == answer),
+                                 None))
+            queries = local_linear_maps(
+                [(w, by_label[a], by_label[b]) for w, a, b, _ in ts.records],
+                k=k)
+            got = run_alignment_test(ts, mats, labels, K_max=K_max,
+                                     queries=queries)
+        assert got == (want, skipped)
 
 
 class TestNormSeries:

@@ -265,6 +265,29 @@ class TestTrain:
             for factor in ("U", "W")
         ]
 
+    def test_residual_computed_only_when_read(self, monkeypatch):
+        import tvembed.solver as solver
+
+        calls = []
+
+        def counted(new, A, B):
+            calls.append(1)
+            return normal_residual(new, A, B)
+
+        monkeypatch.setattr(solver, "normal_residual", counted)
+        Y = random_ppmi_sequence(10, 3, seed=17)
+        cfg = SolverConfig(dim=2, epochs=2, seed=17)
+        events = []
+        train(Y, cfg, progress_sink=events.append)
+        assert calls == []
+        # The event holds its own update's arrays, so a late read gives the
+        # value an immediate one would have given.
+        read_at_once = []
+        train(Y, cfg, progress_sink=lambda e: read_at_once.append(
+            e.normal_residual))
+        assert [e.normal_residual for e in events] == read_at_once
+        assert len(calls) == 2 * len(events)
+
     def test_t1_smoothing_is_inert(self):
         V, d = 10, 3
         Y = random_ppmi_sequence(V, 1, seed=10)
