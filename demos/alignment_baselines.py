@@ -35,7 +35,7 @@ config = SolverConfig(dim=20, ridge=1.0, smoothing=50.0, coupling=50.0,
                       epochs=20, seed=1)
 
 # Joint model: smoothing keeps all slices in one latent space.
-joint = final_embedding(train(Y, config), mode="average")
+joint = final_embedding(train(Y, config))
 
 # Baselines: train each slice independently, then align (or don't).
 per_slice = train_per_slice(Y, config)
@@ -47,8 +47,8 @@ testset = identity_testset(vocab, labels, seed=1)
 print(f"{'variant':10s} {'MP@1':>6s} {'MP@5':>6s} {'MRR':>6s}")
 for name, mats in [
     ("joint", [joint[t] for t in range(len(labels))]),
-    ("aligned", list(aligned.U)),
-    ("unaligned", list(per_slice.U)),
+    ("aligned", aligned),
+    ("unaligned", per_slice),
 ]:
     ranks, _ = run_alignment_test(testset, mats, labels)
     print(f"{name:10s} {mp_at_k(ranks, 1):6.3f} "

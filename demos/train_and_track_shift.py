@@ -35,7 +35,7 @@ Y = PpmiSequence(
 config = SolverConfig(dim=20, ridge=1.0, smoothing=50.0, coupling=50.0,
                       epochs=20, seed=0)
 seq = train(Y, config)
-emb = final_embedding(seq, mode="average")
+emb = final_embedding(seq)
 
 probe = vocab.index["probeword"]
 print("nearest neighbors of the probe word per slice:")

@@ -32,7 +32,6 @@ from tvembed.solver import (
 )
 from tvembed.baselines import (
     OrthogonalMap,
-    PerSliceEmbeddings,
     align_sequence,
     factorize_single,
     local_linear_maps,
@@ -43,7 +42,6 @@ from tvembed.baselines import (
 from tvembed.evaluation import (
     AlignmentTestset,
     Clustering,
-    cosine,
     f_beta,
     mp_at_k,
     mrr,

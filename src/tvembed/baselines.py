@@ -13,14 +13,6 @@ from tvembed.solver import final_embedding, train
 
 
 @dataclass
-class PerSliceEmbeddings:
-    """Independently trained (hence unaligned) per-slice embedding matrices."""
-
-    U: list
-    labels: list
-
-
-@dataclass
 class OrthogonalMap:
     """Orthogonal d x d matrix mapping one embedding space onto another."""
 
@@ -32,7 +24,7 @@ class OrthogonalMap:
             raise ValueError("map is not orthogonal")
 
 
-def factorize_single(Y, config, mode="average"):
+def factorize_single(Y, config):
     """Factorize one PPMI matrix with the solver restricted to T=1.
 
     The smoothing weight is irrelevant for a single slice; it is zeroed so
@@ -40,21 +32,22 @@ def factorize_single(Y, config, mode="average"):
     """
     cfg = replace(config, smoothing=0.0)
     seq = train(PpmiSequence(matrices=[Y], vocab_size=Y.shape[0]), cfg)
-    return final_embedding(seq, mode=mode)[0]
+    return final_embedding(seq)[0]
 
 
-def train_static(stats_list, config, mode="average"):
+def train_static(stats_list, config):
     """Static baseline: pool counts over all slices, then factorize once.
 
     Pooling happens at the count level; the PPMI of pooled counts is not
     the sum of per-slice PPMIs.
     """
     pooled = pool_stats(stats_list)
-    return factorize_single(build_ppmi(pooled), config, mode=mode)
+    return factorize_single(build_ppmi(pooled), config)
 
 
-def train_per_slice(Y, config, mode="average"):
-    """Train every slice independently (the unaligned two-step front end).
+def train_per_slice(Y, config):
+    """Train every slice independently (the unaligned two-step front end);
+    returns one embedding matrix per slice.
 
     Each slice gets a distinct seed so the runs are genuinely independent;
     sharing a seed would leave near-identical initializations that fake
@@ -63,8 +56,8 @@ def train_per_slice(Y, config, mode="average"):
     mats = []
     for t, m in enumerate(Y.matrices):
         cfg = replace(config, smoothing=0.0, seed=config.seed + 1000003 * (t + 1))
-        mats.append(factorize_single(m, cfg, mode=mode))
-    return PerSliceEmbeddings(U=mats, labels=list(Y.labels))
+        mats.append(factorize_single(m, cfg))
+    return mats
 
 
 def procrustes_align(source, target):
@@ -85,16 +78,17 @@ def procrustes_align(source, target):
 
 
 def align_sequence(per_slice):
-    """Chain Procrustes maps so every slice lives in the first slice's frame.
+    """Chain Procrustes maps so every slice's matrix lives in the first
+    slice's frame.
 
     Slice 1 is the anchor; slice t is mapped onto the already-aligned
     slice t-1.
     """
-    aligned = [per_slice.U[0].copy()]
-    for t in range(1, len(per_slice.U)):
-        R = procrustes_align(per_slice.U[t], aligned[t - 1]).R
-        aligned.append(per_slice.U[t] @ R)
-    return PerSliceEmbeddings(U=aligned, labels=list(per_slice.labels))
+    aligned = [per_slice[0].copy()]
+    for t in range(1, len(per_slice)):
+        R = procrustes_align(per_slice[t], aligned[t - 1]).R
+        aligned.append(per_slice[t] @ R)
+    return aligned
 
 
 def local_linear_maps(records, k=30):

@@ -75,10 +75,8 @@ class RunConfig:
     smoothing: float = 50.0
     coupling: float = 50.0
     epochs: int = 5
-    init_scale: float = 1.0
     seed: int = 0
     method: str = "dw2v"
-    combine: str = "average"
     out: str = "run"
 
     def solver_config(self, component="train"):
@@ -89,7 +87,6 @@ class RunConfig:
             coupling=self.coupling,
             epochs=self.epochs,
             seed=derive_seed(self.seed, component),
-            init_scale=self.init_scale,
         )
 
 
@@ -123,11 +120,8 @@ def build_run_config(args):
             values[f.name] = flag
     cfg = RunConfig()
     for key, val in values.items():
-        typ = _FIELD_TYPES[key]
-        if isinstance(typ, str):
-            typ = {"int": int, "float": float, "str": str}[typ]
         try:
-            val = typ(val)
+            val = _FIELD_TYPES[key](val)
         except ValueError as e:
             raise UsageError(f"config key {key!r}: {e}") from None
         cfg = replace(cfg, **{key: val})
@@ -135,8 +129,6 @@ def build_run_config(args):
         raise UsageError(
             f"unknown method {cfg.method!r}, expected one of {'/'.join(METHODS)}"
         )
-    if cfg.combine not in ("average", "U", "W"):
-        raise UsageError("combine must be average, U or W")
     return cfg
 
 
@@ -156,10 +148,11 @@ def _ppmi_path(out, label):
     return Path(out) / f"ppmi_{label}.tvpm"
 
 
-def _emb_path(out, method, kind="bin", tag=""):
-    suffix = {"bin": "tvem", "text": "txt"}[kind]
-    name = f"embeddings_{method}{('_' + tag) if tag else ''}.{suffix}"
-    return Path(out) / name
+def _emb_path(out, method, suffix):
+    """The embeddings file of `method` with extension `suffix`; tw2v's are
+    its unaligned per-slice matrices, tagged so."""
+    tag = "_perslice" if method == "tw2v" else ""
+    return Path(out) / f"embeddings_{method}{tag}.{suffix}"
 
 
 def _labels_file(out):
@@ -260,11 +253,10 @@ def _load_ppmi_sequence(cfg, vocab):
     return PpmiSequence(matrices=mats, vocab_size=len(vocab))
 
 
-def _write_embeddings(cfg, method, matrices, labels, words, tag=""):
-    write_embeddings_binary(matrices, labels, _emb_path(cfg.out, method, "bin", tag))
-    write_embeddings_text(
-        matrices, labels, words, _emb_path(cfg.out, method, "text", tag)
-    )
+def _write_embeddings(out, method, matrices, labels, words):
+    write_embeddings_binary(matrices, labels, _emb_path(out, method, "tvem"))
+    write_embeddings_text(matrices, labels, words,
+                          _emb_path(out, method, "txt"))
 
 
 def cmd_train(args):
@@ -286,34 +278,25 @@ def cmd_train(args):
                     f"{_objective(event.state, Y):.6e}"
                 )
 
-        seq = train(Y, cfg.solver_config("dw2v"), progress_sink=sink)
-        mats = final_embedding(seq, cfg.combine)
-        _write_embeddings(cfg, method, mats, labels, vocab.words)
+        mats = final_embedding(
+            train(Y, cfg.solver_config("dw2v"), progress_sink=sink))
     elif method == "sw2v":
         stats = _load_stats(cfg, vocab, labels)
-        static = baselines.train_static(
-            stats, cfg.solver_config("sw2v"), mode=cfg.combine
-        )
         # One static matrix reused for every slice keeps the downstream
         # query/evaluate interface uniform.
-        _write_embeddings(cfg, method, [static] * len(labels), labels, vocab.words)
-    elif method in ("tw2v", "aw2v"):
-        per_slice = baselines.train_per_slice(
-            Y, cfg.solver_config(method), mode=cfg.combine
-        )
-        _write_embeddings(
-            cfg, method, per_slice.U, labels, vocab.words, tag="perslice"
-        )
+        static = baselines.train_static(stats, cfg.solver_config("sw2v"))
+        mats = [static] * len(labels)
+    else:
+        mats = baselines.train_per_slice(Y, cfg.solver_config(method))
         if method == "aw2v":
-            aligned = baselines.align_sequence(per_slice)
-            _write_embeddings(cfg, method, aligned.U, labels, vocab.words)
+            mats = baselines.align_sequence(mats)
+    _write_embeddings(cfg.out, method, mats, labels, vocab.words)
     print(f"trained {method} on {len(labels)} slices, out={cfg.out}")
     return 0
 
 
 def _embeddings_for(cfg, vocab):
-    tag = "perslice" if cfg.method == "tw2v" else ""
-    path = _emb_path(cfg.out, cfg.method, "bin", tag)
+    path = _emb_path(cfg.out, cfg.method, "tvem")
     if not path.exists():
         raise UsageError(f"no embeddings found at {path}; run train first")
     mats, labels = read_embeddings_binary(path)
@@ -358,7 +341,8 @@ def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path):
     if triplet_path:
         items = evaluation.load_labeled_triplets(triplet_path, vocab)
         if not items:
-            raise EmptyEvaluation("no labeled triplets survive filtering")
+            raise evaluation.EmptyEvaluation(
+                "no labeled triplets survive filtering")
         _check_slice_labels(triplet_path,
                             [it.slice_label for it in items], labels)
         clus = evaluation.clustering_report(
@@ -386,7 +370,8 @@ def _load_testset(path, vocab, labels):
     label must be a slice of the run."""
     ts, _ = evaluation.load_testset(path, vocab)
     if not ts.records:
-        raise EmptyEvaluation("testset is empty after vocabulary filtering")
+        raise evaluation.EmptyEvaluation(
+            "testset is empty after vocabulary filtering")
     _check_slice_labels(
         path, [lab for _, a, b, _ in ts.records for lab in (a, b)], labels
     )
@@ -400,10 +385,6 @@ def _check_slice_labels(source, used, labels):
     for label in used:
         if label not in known:
             raise LookupFailure(f"{source}: unknown slice label {label}")
-
-
-class EmptyEvaluation(Exception):
-    pass
 
 
 def cmd_evaluate(args):
@@ -477,13 +458,10 @@ def cmd_robustness(args):
             ],
             vocab_size=len(vocab),
         )
-        seq = train(Y, cfg.solver_config("dw2v"))
-        dw2v_mats = final_embedding(seq, cfg.combine)
+        dw2v_mats = final_embedding(train(Y, cfg.solver_config("dw2v")))
         aligned = baselines.align_sequence(
-            baselines.train_per_slice(Y, cfg.solver_config("aw2v"),
-                                      mode=cfg.combine)
-        )
-        for method, mats in (("dw2v", dw2v_mats), ("aw2v", aligned.U)):
+            baselines.train_per_slice(Y, cfg.solver_config("aw2v")))
+        for method, mats in (("dw2v", dw2v_mats), ("aw2v", aligned)):
             rep = evaluation.alignment_report(ts, mats, labels)
             rows.append(
                 {"method": method, "rate": rate, "mrr": rep["mrr"],
@@ -491,9 +469,9 @@ def cmd_robustness(args):
             )
     print(json.dumps(rows, sort_keys=True, indent=2))
     print(f"{'method':6s} {'rate':>6s} {'MRR':>7s} "
-          + " ".join(f"MP@{k:<2d}" for k in (1, 3, 5, 10)))
+          + " ".join(f"MP@{k:<2d}" for k in evaluation.PRECISIONS))
     for r in rows:
-        mp = " ".join(f"{r['mp'][str(k)]:.3f}" for k in (1, 3, 5, 10))
+        mp = " ".join(f"{r['mp'][str(k)]:.3f}" for k in evaluation.PRECISIONS)
         print(f"{r['method']:6s} {r['rate']:6.3f} {r['mrr']:7.4f} {mp}")
     return 0
 
@@ -590,7 +568,7 @@ def main(argv=None):
     except LookupFailure as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_LOOKUP
-    except EmptyEvaluation as e:
+    except evaluation.EmptyEvaluation as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY_EVAL
     except (FileNotFoundError, CorpusFormatError, EmptyVocabularyError,

@@ -9,6 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 TOP_RANK_CUTOFF = 10  # reciprocal rank counts as 0 beyond this position
+PRECISIONS = (1, 3, 5, 10)  # the K of the MP@K columns
+CLUSTER_SIZES = (10, 15, 20)  # the K of the k-means NMI and F-beta columns
+KMEANS_MAX_ITERS = 100  # Lloyd iterations per restart, at most
+KMEANS_RESTARTS = 10
+
+
+class EmptyEvaluation(ValueError):
+    """An evaluation with no record or item left to score."""
 
 
 @dataclass
@@ -25,7 +33,6 @@ class AlignmentTestset:
     """Query/answer records for cross-time equivalence scoring."""
 
     records: list  # (query_word, query_label, target_label, answer_word)
-    name: str = ""
 
 
 @dataclass
@@ -34,15 +41,6 @@ class Clustering:
 
     assignment: np.ndarray
     num_clusters: int
-
-
-def cosine(a, b):
-    """Cosine similarity; raises on zero vectors (distinct from similarity 0)."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        raise ValueError("cosine of a zero vector is undefined")
-    return float(np.dot(a, b) / (na * nb))
 
 
 class CosineRows:
@@ -136,7 +134,7 @@ def nearest_neighbors(query, matrix, K, exclude=frozenset()):
     return list(zip(words.tolist(), sims.tolist()))
 
 
-def _kmeans_once(X, K, rng, max_iters):
+def _kmeans_once(X, K, rng):
     n = X.shape[0]
     # k-means++ style seeding with cosine distance 1 - cos.
     centroids = np.empty((K, X.shape[1]))
@@ -153,7 +151,7 @@ def _kmeans_once(X, K, rng, max_iters):
         centroids[k] = X[pick]
         dist = np.minimum(dist, 1.0 - X @ centroids[k])
     assign = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         sims = X @ centroids.T
         new_assign = np.argmax(sims, axis=1)
         for k in range(K):
@@ -175,12 +173,12 @@ def _kmeans_once(X, K, rng, max_iters):
     return assign, obj
 
 
-def spherical_kmeans(vectors, K, seed=0, max_iters=100, restarts=10):
+def spherical_kmeans(vectors, K, seed=0):
     """Cluster unit-normalized vectors by cosine similarity.
 
-    Runs `restarts` independent k-means++ seeded Lloyd iterations and keeps
-    the assignment with the best mean cosine to centroid. Deterministic
-    given the seed.
+    Runs KMEANS_RESTARTS independent k-means++ seeded Lloyd iterations and
+    keeps the assignment with the best mean cosine to centroid.
+    Deterministic given the seed.
     """
     X = np.asarray(vectors, dtype=np.float64)
     n = X.shape[0]
@@ -192,8 +190,8 @@ def spherical_kmeans(vectors, K, seed=0, max_iters=100, restarts=10):
     X = X / norms[:, None]
     rng = np.random.default_rng(seed)
     best_assign, best_obj = None, -np.inf
-    for _ in range(restarts):
-        assign, obj = _kmeans_once(X, K, rng, max_iters)
+    for _ in range(KMEANS_RESTARTS):
+        assign, obj = _kmeans_once(X, K, rng)
         if obj > best_obj:
             best_assign, best_obj = assign, obj
     return Clustering(assignment=best_assign, num_clusters=K)
@@ -374,7 +372,7 @@ def _csv_value(path, line, row, column, parse, kind):
         ) from None
 
 
-def load_testset(path, vocab, name=""):
+def load_testset(path, vocab):
     """Load an alignment testset CSV: query_word,query_label,target_label,answer_word.
 
     Records whose query or answer word is out of vocabulary are dropped;
@@ -398,7 +396,7 @@ def load_testset(path, vocab, name=""):
         )
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} out-of-vocabulary records")
-    return AlignmentTestset(records=records, name=name or str(path)), dropped
+    return AlignmentTestset(records=records), dropped
 
 
 def load_labeled_triplets(path, vocab, min_strength=0.35, top_per_section=200):
@@ -439,14 +437,14 @@ def load_labeled_triplets(path, vocab, min_strength=0.35, top_per_section=200):
     return items
 
 
-def clustering_report(items, matrices, labels, cluster_sizes=(10, 15, 20),
-                      beta=5.0, seed=0):
-    """NMI and F-beta of spherical k-means over the labeled (word, slice) vectors."""
+def clustering_report(items, matrices, labels, seed=0):
+    """NMI and F-beta of spherical k-means with each of CLUSTER_SIZES clusters
+    over the labeled (word, slice) vectors."""
     by_label = {lab: m for lab, m in zip(labels, matrices)}
     vectors = np.stack([by_label[it.slice_label][it.word] for it in items])
     sections = [it.section for it in items]
     report = {"nmi": {}, "f_beta": {}}
-    for K in cluster_sizes:
+    for K in CLUSTER_SIZES:
         if K > len(items):
             warnings.warn(
                 f"skipping K={K}: exceeds number of labeled items {len(items)}"
@@ -454,21 +452,24 @@ def clustering_report(items, matrices, labels, cluster_sizes=(10, 15, 20),
             continue
         clustering = spherical_kmeans(vectors, K, seed=seed)
         report["nmi"][str(K)] = nmi(sections, clustering)
-        report["f_beta"][str(K)] = f_beta(sections, clustering, beta=beta)
+        report["f_beta"][str(K)] = f_beta(sections, clustering)
     return report
 
 
-def alignment_report(testset, matrices, labels, precisions=(1, 3, 5, 10),
-                     queries=None):
-    """MRR and MP@K table for one testset against one embedding sequence;
-    `queries` is passed to `run_alignment_test`."""
+def alignment_report(testset, matrices, labels, queries=None):
+    """MRR and MP@K (K in PRECISIONS) for one testset against one embedding
+    sequence; `queries` is passed to `run_alignment_test`. Raises
+    EmptyEvaluation when no record can be ranked."""
     ranks, skipped = run_alignment_test(testset, matrices, labels,
                                         queries=queries)
     if not ranks:
-        raise ValueError("testset is empty after filtering")
+        raise EmptyEvaluation(
+            "no testset record could be ranked: every query vector is zero "
+            "or unmapped"
+        )
     return {
         "mrr": mrr(ranks),
-        "mp": {str(K): mp_at_k(ranks, K) for K in precisions},
+        "mp": {str(K): mp_at_k(ranks, K) for K in PRECISIONS},
         "n": len(ranks),
         "skipped": skipped,
     }

@@ -59,12 +59,11 @@ class PpmiSequence:
         return len(self.matrices)
 
 
-def build_ppmi(stats, slice_label=0, shift=0.0):
+def build_ppmi(stats, slice_label=0):
     """Clamp the PMI of every observed pair at zero and keep the positives.
 
-    shift is subtracted from each PMI before clamping (default 0). Words
-    with zero unigram count contribute no entries; the result is symmetric
-    because the input counts are.
+    Words with zero unigram count contribute no entries; the result is
+    symmetric because the input counts are.
     """
     coo = stats.cooc.tocoo()
     if coo.nnz == 0 or stats.total_tokens == 0:
@@ -74,9 +73,8 @@ def build_ppmi(stats, slice_label=0, shift=0.0):
         )
     uw = stats.unigram[coo.row].astype(np.float64)
     uc = stats.unigram[coo.col].astype(np.float64)
-    vals = (
-        np.log(coo.data.astype(np.float64) * float(stats.total_tokens) / (uw * uc))
-        - shift
+    vals = np.log(
+        coo.data.astype(np.float64) * float(stats.total_tokens) / (uw * uc)
     )
     keep = vals > 0
     mat = sp.coo_matrix(

@@ -244,15 +244,9 @@ def train(Y, config, progress_sink=None):
     return state
 
 
-def final_embedding(seq, mode="average"):
-    """Collapse the two factors into one embedding matrix per slice."""
-    if mode == "average":
-        return [(u + w) / 2.0 for u, w in zip(seq.U, seq.W)]
-    if mode == "U":
-        return [u.copy() for u in seq.U]
-    if mode == "W":
-        return [w.copy() for w in seq.W]
-    raise ValueError(f"unknown embedding mode {mode!r}")
+def final_embedding(seq):
+    """One embedding matrix per slice: the average of its two factors."""
+    return [(u + w) / 2.0 for u, w in zip(seq.U, seq.W)]
 
 
 # ---------------------------------------------------------------------------

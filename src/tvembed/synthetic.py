@@ -50,7 +50,7 @@ def planted_shift_corpus(
 
 
 def identity_testset(vocab, labels, words=None, min_gap=2, max_records=200,
-                     seed=0, name="planted-identity"):
+                     seed=0):
     """Cross-time self-equivalence records for words that never shift.
 
     Every record asks: given word w at slice t, find w among slice t',
@@ -71,4 +71,4 @@ def identity_testset(vocab, labels, words=None, min_gap=2, max_records=200,
         w = words[int(rng.integers(len(words)))]
         a, b = pairs[int(rng.integers(len(pairs)))]
         records.append((vocab.index[w], a, b, vocab.index[w]))
-    return AlignmentTestset(records=records, name=name)
+    return AlignmentTestset(records=records)

@@ -157,7 +157,7 @@ def test_05_huge_smoothing_approaches_static_embedding(capsys):
     cfg = SolverConfig(dim=50, ridge=10.0, smoothing=1e6, coupling=50.0,
                        epochs=20, seed=5)
     seq = train(Y, cfg)
-    emb = final_embedding(seq, "average")
+    emb = final_embedding(seq)
     mean = np.mean(emb, axis=0)
     dev = max(
         np.linalg.norm(emb[t] - mean) / np.linalg.norm(mean) for t in range(T)
@@ -276,12 +276,12 @@ def planted_results():
             cfg = SolverConfig(dim=20, ridge=1.0, smoothing=50.0,
                                coupling=50.0, epochs=20, seed=seed)
             joint = train(Y, cfg)
-            avg = final_embedding(joint, "average")
+            avg = final_embedding(joint)
             per = train_per_slice(Y, cfg)
             variants = {
                 "joint": [avg[t] for t in range(len(labels))],
-                "unaligned": list(per.U),
-                "aligned": list(align_sequence(per).U),
+                "unaligned": list(per),
+                "aligned": list(align_sequence(per)),
             }
             scores = {}
             for name, mats in variants.items():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import loop_local_linear_map, random_ppmi_sequence
 from tvembed.baselines import (
     OrthogonalMap,
-    PerSliceEmbeddings,
     align_sequence,
     factorize_single,
     local_linear_maps,
@@ -143,31 +142,31 @@ class TestAlignSequence:
     def test_single_slice_unchanged(self):
         rng = np.random.default_rng(13)
         U = rng.standard_normal((10, 3))
-        out = align_sequence(PerSliceEmbeddings(U=[U], labels=[0]))
-        assert np.array_equal(out.U[0], U)
+        out = align_sequence([U])
+        assert np.array_equal(out[0], U)
 
     def test_planted_rotation_chain(self):
         rng = np.random.default_rng(14)
         base = rng.standard_normal((25, 4))
         mats = [base] + [base @ random_orthogonal(4, rng) for _ in range(4)]
-        out = align_sequence(PerSliceEmbeddings(U=mats, labels=list(range(5))))
-        for m in out.U:
+        out = align_sequence(mats)
+        for m in out:
             assert np.linalg.norm(m - base) <= 1e-6
 
     def test_idempotent(self):
         rng = np.random.default_rng(15)
         base = rng.standard_normal((25, 4))
         mats = [base @ random_orthogonal(4, rng) for _ in range(4)]
-        once = align_sequence(PerSliceEmbeddings(U=mats, labels=list(range(4))))
+        once = align_sequence(mats)
         twice = align_sequence(once)
-        for a, b in zip(once.U, twice.U):
+        for a, b in zip(once, twice):
             assert np.linalg.norm(a - b) <= 1e-8
 
     def test_within_slice_cosines_preserved(self):
         rng = np.random.default_rng(16)
         mats = [rng.standard_normal((10, 3)) for _ in range(3)]
-        out = align_sequence(PerSliceEmbeddings(U=mats, labels=[0, 1, 2]))
-        for raw, aligned in zip(mats, out.U):
+        out = align_sequence(mats)
+        for raw, aligned in zip(mats, out):
             assert np.allclose(raw @ raw.T, aligned @ aligned.T, atol=1e-10)
 
 
@@ -303,7 +302,7 @@ class TestTrainPerSlice:
         Y = random_ppmi_sequence(10, 3, seed=19)
         cfg = SolverConfig(dim=3, epochs=2, seed=19)
         out = train_per_slice(Y, cfg)
-        assert len(out.U) == 3
+        assert len(out) == 3
         # Distinct per-slice seeds: identical data must still give
         # different factors.
         Y_same = random_ppmi_sequence(10, 1, seed=19)
@@ -319,4 +318,4 @@ class TestTrainPerSlice:
             vocab_size=10,
         )
         two = train_per_slice(dup, cfg)
-        assert not np.allclose(two.U[0], two.U[1])
+        assert not np.allclose(two[0], two[1])

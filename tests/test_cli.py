@@ -251,10 +251,11 @@ class TestTrain:
         assert (run_dir / "embeddings_dw2v.tvem").exists()
         assert (run_dir / "embeddings_dw2v.txt").exists()
 
-    def test_aw2v_writes_both(self, run_dir):
+    def test_aw2v_writes_aligned_only(self, run_dir):
         assert main(train_args(run_dir, method="aw2v")) == 0
-        assert (run_dir / "embeddings_aw2v_perslice.tvem").exists()
         assert (run_dir / "embeddings_aw2v.tvem").exists()
+        assert not (run_dir / "embeddings_aw2v_perslice.tvem").exists()
+        assert not (run_dir / "embeddings_aw2v_perslice.txt").exists()
 
     def test_sw2v_static_replicated(self, run_dir):
         assert main(train_args(run_dir, method="sw2v")) == 0
@@ -512,6 +513,30 @@ class TestEvaluate:
             )
         assert code == 4
 
+    def test_no_rankable_record_exit_4(self, tmp_path, capsys):
+        # With 8 words no query has tw2v's k=30 source neighbours, so no
+        # record gets a local map and none can be ranked.
+        words = [f"w{i}" for i in range(8)]
+        corpus = tmp_path / "corpus"
+        for year in (1990, 1991):
+            (corpus / str(year)).mkdir(parents=True)
+            for doc_id in range(4):
+                (corpus / str(year) / f"d{doc_id}.txt").write_text(
+                    " ".join(words[doc_id:] + words[:doc_id]))
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert main(["train", "--out", str(out), "--method", "tw2v",
+                     "--dim", "3"]) == 0
+        ts = tmp_path / "t.csv"
+        ts.write_text("query_word,query_label,target_label,answer_word\n"
+                      "w0,1990,1991,w0\n")
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="skipped 1 records"):
+            code = main(["evaluate", "--out", str(out), "--method", "tw2v",
+                         "--testset", str(ts)])
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize("method", ["dw2v", "tw2v"])
     def test_unknown_slice_label_exit_3(self, run_dir, capsys, method):
@@ -615,6 +640,66 @@ class TestEvaluate:
                          str(report)]) == 0
             digests[dim] = hashlib.sha256(report.read_bytes()).hexdigest()
         assert digests == self.TW2V_GOLDEN
+
+    # SHA-256 of the --json-out report of `evaluate --testset --triplets`
+    # for dw2v, sw2v and aw2v, and of the stdout of `robustness --rates
+    # 1,0.1`, on one fixed planted-shift run. The reports hold NMI, F-beta,
+    # MRR and MP@K computed from trained floats, so another BLAS library may
+    # change them.
+    METHOD_GOLDEN = {
+        "dw2v":
+            "03bae3f499ed3b20aa97782ebc31b9bab922ba9ed6eaa4e5353f11ed12b7fd89",
+        "sw2v":
+            "0f8407848e5b61417fafb93a92d3e33d1ab860587fc411042eeb42944f274622",
+        "aw2v":
+            "6fee8f7bb72a013b82402805e213977040516915aa33f011817b40338bccdb5c",
+        "robustness":
+            "2a1db98088ef88fc007e6738c8a3b59f03294d0aed8cc8d40218ae001967d965",
+    }
+
+    def test_method_golden_digests(self, tmp_path, capsys):
+        corpus = planted_shift_corpus(n_slices=4, community_size=40,
+                                      docs_per_slice=150, doc_len=12, halo=3,
+                                      seed=31)
+        lines = [json.dumps({"label": label, "text": " ".join(doc)})
+                 for label, docs in zip(corpus.slice_labels, corpus.slices)
+                 for doc in docs]
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(path), "--out", str(out),
+                     "--window", "3"]) == 0
+        rows = ["query_word,query_label,target_label,answer_word"]
+        for i in range(0, 40, 3):
+            for a, b in ((0, 3), (3, 0), (1, 1), (0, 2)):
+                rows.append(f"alpha{i:03d},{a},{b},alpha{i:03d}")
+                rows.append(f"beta{i:03d},{a},{b},beta{(i + 1) % 40:03d}")
+            rows.append(f"probeword,0,3,alpha{i:03d}")
+        testset = tmp_path / "t.csv"
+        testset.write_text("\n".join(rows) + "\n")
+        # Eight sections, one per ten-word arc of each ring.
+        rows = ["word,label,section,strength"]
+        for i in range(40):
+            for side in ("alpha", "beta"):
+                rows.append(f"{side}{i:03d},{i % 4},{side}{i // 10},0.9")
+        triplets = tmp_path / "triplets.csv"
+        triplets.write_text("\n".join(rows) + "\n")
+        common = ["--out", str(out), "--dim", "8", "--epochs", "2",
+                  "--seed", "5"]
+        digests = {}
+        for method in ("dw2v", "sw2v", "aw2v"):
+            assert main(["train", "--method", method] + common) == 0
+            report = tmp_path / f"report_{method}.json"
+            assert main(["evaluate", "--method", method, "--testset",
+                         str(testset), "--triplets", str(triplets),
+                         "--json-out", str(report)] + common) == 0
+            digests[method] = hashlib.sha256(report.read_bytes()).hexdigest()
+        capsys.readouterr()
+        assert main(["robustness", "--testset", str(testset), "--rates",
+                     "1,0.1"] + common) == 0
+        digests["robustness"] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+        assert digests == self.METHOD_GOLDEN
 
 
 class TestRobustness:
@@ -726,6 +811,17 @@ class TestExportNorms:
 
 
 class TestConfigPlumbing:
+    @pytest.mark.parametrize("key,value", [("combine", "U"),
+                                           ("init_scale", "0.5")])
+    def test_removed_keys_rejected(self, run_dir, capsys, key, value):
+        cfg = run_dir / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(run_dir)]) == 2
+        assert (f"unknown config key {key!r}"
+                in capsys.readouterr().err)
+
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("dim = 7\nseed = 3  # comment\n")

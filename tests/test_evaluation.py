@@ -17,7 +17,6 @@ from tvembed.evaluation import (
     AlignmentTestset,
     Clustering,
     CosineRows,
-    cosine,
     f_beta,
     load_labeled_triplets,
     load_testset,
@@ -78,23 +77,6 @@ def f_beta_oracle(labels, assign, beta):
 def clustering_of(assign):
     a = np.asarray(assign)
     return Clustering(assignment=a, num_clusters=int(a.max()) + 1)
-
-
-class TestCosine:
-    def test_identity(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert cosine(v, v) == pytest.approx(1.0)
-
-    def test_antipodal(self):
-        v = np.array([1.0, -2.0])
-        assert cosine(v, -v) == pytest.approx(-1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_zero_vector_error(self):
-        with pytest.raises(ValueError):
-            cosine(np.zeros(2), np.ones(2))
 
 
 def _tied_matrix(draw, rng, V, d):

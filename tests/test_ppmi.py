@@ -100,12 +100,6 @@ class TestBuildPpmi:
         assert (m1 != m2).nnz == 0
         assert np.array_equal(m1.data, m2.data)
 
-    def test_shift_knob(self):
-        vocab = Vocabulary(["a", "b"])
-        stats = count_cooccurrences([["a", "b", "a", "b"]], vocab, 1)
-        shifted = build_ppmi(stats, shift=math.log(3)).values
-        assert shifted.nnz == 0
-
 
 class TestPpmiSequence:
     def test_label_ordering_enforced(self):

@@ -347,23 +347,14 @@ class TestFinalEmbedding:
         return EmbeddingSequence(U=U, W=W, config=cfg, labels=[0])
 
     def test_average(self):
-        out = final_embedding(self.make_seq(), "average")
+        out = final_embedding(self.make_seq())
         assert np.array_equal(out[0], np.ones((3, 2)))
-
-    def test_u_only(self):
-        seq = self.make_seq()
-        out = final_embedding(seq, "U")
-        assert np.array_equal(out[0], seq.U[0])
 
     def test_equal_factors(self):
         seq = self.make_seq()
         seq.W = [seq.U[0].copy()]
-        out = final_embedding(seq, "average")
+        out = final_embedding(seq)
         assert np.array_equal(out[0], seq.U[0])
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            final_embedding(self.make_seq(), "median")
 
 
 class TestEmbeddingIO:
