@@ -34,7 +34,7 @@ corpus = planted_shift_corpus(n_slices=4, community_size=40,
 for label, docs in zip(corpus.slice_labels, corpus.slices):
     d = corpus_dir / str(label)
     d.mkdir(parents=True)
-    for i, doc in enumerate(docs):
+    for i, doc in enumerate(docs.documents()):
         (d / f"doc{i}.txt").write_text(" ".join(doc))
 
 run("build", "--corpus", str(corpus_dir), "--out", str(out),

@@ -3,6 +3,8 @@
 import itertools
 import json
 import re
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +27,25 @@ class CorpusFormatError(ValueError):
     """The corpus on disk does not follow either supported layout."""
 
 
+def _split(text):
+    """Lowercase `text` and cut it into runs of Unicode alphanumerics
+    (underscore excluded).
+
+    `str.isalnum` and the regex's `[^\\W_]` make the same per-character test
+    and no whitespace character passes it, so when every whitespace-separated
+    piece is alphanumeric those pieces are already the regex's tokens.
+    """
+    text = text.lower()
+    tokens = text.split()
+    if "".join(tokens).isalnum():
+        return tokens
+    return _TOKEN_RE.findall(text)
+
+
+def _kept(token, stopwords):
+    return token not in stopwords and not token.isdigit()
+
+
 def tokenize(text, stopwords=frozenset()):
     """Split raw text into lowercase tokens.
 
@@ -32,16 +53,98 @@ def tokenize(text, stopwords=frozenset()):
     Stopwords and purely numeric tokens are dropped. Empty text yields an
     empty list.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    return [t for t in tokens if t not in stopwords and not t.isdigit()]
+    return [t for t in _split(text) if _kept(t, stopwords)]
+
+
+@dataclass
+class TokenIds:
+    """The documents of one time slice as token ids.
+
+    ids holds the documents end to end as int32 indices into `types`, the
+    token table every slice of a corpus shares; lengths[d] is the number of
+    tokens of document d.
+    """
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    types: list
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def documents(self):
+        """The documents as lists of tokens."""
+        tokens = [self.types[i] for i in self.ids.tolist()]
+        ends = np.cumsum(self.lengths).tolist()
+        return [tokens[end - n:end]
+                for end, n in zip(ends, self.lengths.tolist())]
+
+
+class _Encoder:
+    """Maps tokens to ids of a type table that grows as tokens are seen, and
+    collects each slice's ids and document lengths. It is the one place
+    where tokens become ids."""
+
+    def __init__(self):
+        self._table = defaultdict(itertools.count().__next__)
+        self._slices = {}
+
+    def add(self, label, tokens):
+        """Append one document, given as a list of tokens, to slice `label`."""
+        try:
+            ids, lengths = self._slices[label]
+        except KeyError:
+            ids, lengths = self._slices[label] = (array("i"), array("q"))
+        ids.extend(map(self._table.__getitem__, tokens))
+        lengths.append(len(tokens))
+
+    def labels(self):
+        return sorted(self._slices)
+
+    def slices(self, labels, keep=None):
+        """TokenIds of each of `labels` (empty for a label never added).
+
+        Tokens whose type fails `keep` are dropped from the id stream, so they
+        occupy no position; the test runs once per distinct type."""
+        types = list(self._table)
+        new_id = None
+        if keep is not None:
+            kept = np.fromiter(map(keep, types), dtype=bool, count=len(types))
+            if not kept.all():
+                new_id = (np.cumsum(kept) - 1).astype(np.int32)
+                types = list(itertools.compress(types, kept.tolist()))
+        out = []
+        for label in labels:
+            ids, lengths = self._slices.get(label, (array("i"), array("q")))
+            ids = np.array(ids, dtype=np.int32)
+            lengths = np.array(lengths, dtype=np.int64)
+            if new_id is not None:
+                mask = kept[ids]
+                before = np.concatenate(([0], np.cumsum(mask)))
+                ends = np.cumsum(lengths)
+                lengths = before[ends] - before[ends - lengths]
+                ids = new_id[ids[mask]]
+            out.append(TokenIds(ids=ids, lengths=lengths, types=types))
+        return out
+
+
+def _encode(slices):
+    """TokenIds of slices given as lists of token lists, over one type table."""
+    enc = _Encoder()
+    for t, docs in enumerate(slices):
+        for doc in docs:
+            enc.add(t, doc)
+    return enc.slices(range(len(slices)))
 
 
 @dataclass
 class TimeSlicedCorpus:
     """Ordered collection of tokenized document slices.
 
-    slices[t] is a list of documents, each a list of lowercase tokens;
-    slice_labels[t] is the integer label (e.g. a year) of slice t.
+    slices[t] holds the documents of slice t as TokenIds; slices given as
+    lists of documents, each a list of lowercase tokens, are encoded on
+    construction. slice_labels[t] is the integer label (e.g. a year) of
+    slice t.
     """
 
     slices: list
@@ -55,6 +158,11 @@ class TimeSlicedCorpus:
         labels = list(self.slice_labels)
         if any(b <= a for a, b in zip(labels, labels[1:])):
             raise ValueError("slice_labels must be strictly increasing")
+        if not isinstance(self.slices[0], TokenIds):
+            self.slices = _encode(self.slices)
+        elif any(not isinstance(s, TokenIds) or s.types is not
+                 self.slices[0].types for s in self.slices):
+            raise ValueError("slices must be TokenIds over one type table")
 
     @property
     def num_slices(self):
@@ -89,19 +197,19 @@ def build_vocabulary(corpus, min_count=1):
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = {}
-    for docs in corpus.slices:
-        for doc in docs:
-            for tok in doc:
-                counts[tok] = counts.get(tok, 0) + 1
-    kept = [w for w, c in counts.items() if c >= min_count]
+    types = corpus.slices[0].types
+    counts = np.zeros(len(types), dtype=np.int64)
+    for s in corpus.slices:
+        counts += np.bincount(s.ids, minlength=len(types))
+    kept = np.flatnonzero(counts >= min_count).tolist()
     if not kept:
         raise EmptyVocabularyError(
             f"no word reaches min_count={min_count} (corpus has "
-            f"{len(counts)} distinct words)"
+            f"{np.count_nonzero(counts)} distinct words)"
         )
-    kept.sort(key=lambda w: (-counts[w], w))
-    return Vocabulary(kept)
+    c = counts.tolist()
+    kept.sort(key=lambda i: (-c[i], types[i]))
+    return Vocabulary([types[i] for i in kept])
 
 
 @dataclass
@@ -133,35 +241,39 @@ class SliceStats:
 def count_cooccurrences(docs, vocab, window):
     """Count windowed co-occurrences of one slice against a fixed vocabulary.
 
-    Every ordered position pair (i, j) with 0 < |i - j| <= window and both
-    tokens in the vocabulary increments cooc[w_i, w_j] by one, which makes
-    the matrix symmetric by construction. Windows never cross document
+    `docs` is a TokenIds or a list of documents, each a list of tokens. Every
+    ordered position pair (i, j) with 0 < |i - j| <= window and both tokens
+    in the vocabulary increments cooc[w_i, w_j] by one, which makes the
+    matrix symmetric by construction. Windows never cross document
     boundaries. Out-of-vocabulary tokens still occupy positions but
     contribute no counts. total_tokens counts in-vocabulary tokens only.
 
     The slice is counted in array passes: its documents are laid end to end
-    as one id array with `window` gap positions (id -1, like an
-    out-of-vocabulary token) after each document, so no window reaches from
-    one document into the next. For each offset 1..window the pairs of
-    in-vocabulary ids are packed into keys a*V + b and b*V + a, and one
-    `np.unique` over all keys gives the counts already in CSR order. The
-    keys are the transient peak: 2 * window * N int64 values for a slice
-    of N positions.
+    as one vocabulary-index array with `window` gap positions (index -1,
+    like an out-of-vocabulary token) after each document, so no window
+    reaches from one document into the next. For each offset 1..window the
+    pairs of in-vocabulary indices are packed into keys a*V + b and b*V + a,
+    and one `np.unique` over all keys gives the counts already in CSR order.
+    The keys are the transient peak: 2 * window * N int64 values for a
+    slice of N positions.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    if not isinstance(docs, TokenIds):
+        docs = _encode([docs])[0]
     V = len(vocab)
-    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=len(docs))
-    tokens = list(itertools.chain.from_iterable(docs))
-    positions = np.arange(len(tokens)) + window * np.repeat(
-        np.arange(len(docs)), lengths
+    lengths = docs.lengths
+    n = len(docs.ids)
+    positions = np.arange(n) + window * np.repeat(
+        np.arange(len(lengths)), lengths
     )
-    ids = np.full(len(tokens) + window * len(docs), -1, dtype=np.int64)
-    ids[positions] = np.fromiter(
-        map(vocab.index.get, tokens, itertools.repeat(-1)),
+    ids = np.full(n + window * len(lengths), -1, dtype=np.int64)
+    index = np.fromiter(
+        map(vocab.index.get, docs.types, itertools.repeat(-1)),
         dtype=np.int64,
-        count=len(tokens),
+        count=len(docs.types),
     )
+    ids[positions] = index[docs.ids]
     unigram = np.bincount(ids[ids >= 0], minlength=V).astype(np.int64)
     keys = []
     for off in range(1, window + 1):
@@ -278,59 +390,80 @@ def read_stats(path):
 
 
 def load_corpus(path, stopwords=frozenset()):
-    """Load and tokenize a time-sliced corpus from disk."""
+    """Load and tokenize a time-sliced corpus from disk.
+
+    Each document is tokenized straight into ids, so its token strings live
+    no longer than the document. Stopwords and numeric tokens are dropped
+    once per distinct type.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"corpus path does not exist: {path}")
-    per_label = {}
+    enc = _Encoder()
     if path.is_file():
-        # Undecodable bytes become lone surrogates, so the line that holds
-        # them can be named.
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: not valid UTF-8"
-                    ) from None
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    label, text = int(rec["label"]), rec["text"]
-                    if not isinstance(text, str):
-                        raise TypeError("text is not a string")
-                except (ValueError, KeyError, TypeError):
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: expected a JSON object with an "
-                        'integer "label" and a string "text"'
-                    ) from None
-                per_label.setdefault(label, []).append(tokenize(text, stopwords))
+        _read_jsonl(path, enc)
     else:
-        subdirs = [p for p in path.iterdir() if p.is_dir()]
-        if not subdirs:
-            raise FileNotFoundError(f"no slice directories under {path}")
-        for sub in subdirs:
+        _read_directories(path, enc)
+    labels = enc.labels()
+    slices = enc.slices(labels, keep=lambda t: _kept(t, stopwords))
+    return TimeSlicedCorpus(slices=slices, slice_labels=labels)
+
+
+def _read_jsonl(path, enc):
+    decode = json.JSONDecoder().raw_decode
+    # Undecodable bytes become lone surrogates, so the line that holds them
+    # can be named.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
             try:
-                label = int(sub.name)
-            except ValueError:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
                 raise CorpusFormatError(
-                    f"{sub}: slice directory name is not an integer label"
+                    f"{path}:{lineno}: not valid UTF-8"
                 ) from None
-            docs = per_label.setdefault(label, [])
-            for f in sorted(sub.iterdir()):
-                if f.is_file():
-                    try:
-                        text = f.read_text(encoding="utf-8")
-                    except UnicodeDecodeError:
-                        raise CorpusFormatError(f"{f}: not valid UTF-8") from None
-                    docs.append(tokenize(text, stopwords))
-    labels = sorted(per_label)
-    return TimeSlicedCorpus(
-        slices=[per_label[lab] for lab in labels], slice_labels=labels
-    )
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                # The stripped line must hold one JSON value and nothing
+                # after it, as json.loads requires.
+                rec, end = decode(line)
+                label, text = rec["label"], rec["text"]
+                if (end != len(line) or type(label) is not int
+                        or not isinstance(text, str)):
+                    raise ValueError
+            except (ValueError, KeyError, TypeError):
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: expected a JSON object with an "
+                    'integer "label" and a string "text"'
+                ) from None
+            enc.add(label, _split(text))
+
+
+def _read_directories(path, enc):
+    subdirs = sorted(p for p in path.iterdir() if p.is_dir())
+    if not subdirs:
+        raise FileNotFoundError(f"no slice directories under {path}")
+    seen = {}
+    for sub in subdirs:
+        try:
+            label = int(sub.name)
+        except ValueError:
+            raise CorpusFormatError(
+                f"{sub}: slice directory name is not an integer label"
+            ) from None
+        if label in seen:
+            raise CorpusFormatError(
+                f"{sub}: slice label {label} is also the label of {seen[label]}"
+            )
+        seen[label] = sub
+        for f in sorted(sub.iterdir()):
+            if f.is_file():
+                try:
+                    text = f.read_text(encoding="utf-8")
+                except UnicodeDecodeError:
+                    raise CorpusFormatError(f"{f}: not valid UTF-8") from None
+                enc.add(label, _split(text))
 
 
 def load_stopwords(path):

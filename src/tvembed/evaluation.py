@@ -277,7 +277,9 @@ def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
     (otherwise same-slice queries are degenerate). The answer's rank is its
     position in `nearest_neighbors`' order. A rank beyond K_max, an excluded
     answer and a zero answer vector are recorded as None ("not found").
-    Records whose query vector is None or zero are skipped with a warning.
+    Records whose query vector is zero, and records whose query has no
+    local map (`queries[i]` is None while the word's own vector is
+    nonzero), are skipped with one warning that counts each cause.
 
     Records are ranked one target slice at a time against its CosineRows.
     Returns (ranks, skipped_count).
@@ -286,11 +288,16 @@ def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
         raise ValueError("K must be >= 1")
     by_label = {lab: m for lab, m in zip(labels, matrices)}
     by_target = {}
-    skipped = 0
+    zero = unmapped = 0
     for i, (word, query_label, target_label, _) in enumerate(testset.records):
-        q = by_label[query_label][word] if queries is None else queries[i]
-        if q is None or np.linalg.norm(q) == 0:
-            skipped += 1
+        q = by_label[query_label][word]
+        if queries is not None and np.linalg.norm(q) > 0:
+            q = queries[i]
+        if q is None:
+            unmapped += 1
+            continue
+        if np.linalg.norm(q) == 0:
+            zero += 1
             continue
         drop = word if query_label == target_label else None
         by_target.setdefault(target_label, []).append((i, q, drop))
@@ -301,8 +308,13 @@ def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
         for i, q, drop in group:
             rank = rows.rank(q, testset.records[i][3], drop)
             ranks[i] = rank if rank is not None and rank <= K_max else None
+    skipped = zero + unmapped
     if skipped:
-        warnings.warn(f"skipped {skipped} records with zero query vectors")
+        causes = [f"{zero} with a zero query vector"] if zero else []
+        if unmapped:
+            causes.append(f"{unmapped} with no local map (fewer than k "
+                          "neighbours nonzero in both slices)")
+        warnings.warn(f"skipped {skipped} records: {', '.join(causes)}")
     return [ranks[i] for i in sorted(ranks)], skipped
 
 

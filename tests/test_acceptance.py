@@ -354,7 +354,7 @@ def test_10_bit_exact_io_and_reruns(tmp_path, capsys):
     ok &= p.read_bytes() == blob
 
     corpus_dir = tmp_path / "corpus"
-    for t, docs in enumerate(corpus.slices):
+    for t, docs in enumerate(s.documents() for s in corpus.slices):
         d = corpus_dir / str(t)
         d.mkdir(parents=True)
         for i, doc in enumerate(docs):

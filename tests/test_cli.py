@@ -140,6 +140,34 @@ class TestBuild:
         assert len(err) == 1
         assert err[0].startswith(f"error: {corpus}:2:")
 
+    @pytest.mark.parametrize("label", ["2.7", "true", '"3"', "2e0", "null"])
+    def test_non_integer_jsonl_label(self, tmp_path, capsys, label):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"label": 1, "text": "a b c"}\n'
+                          f'{{"label": {label}, "text": "d e f"}}\n')
+        code = main(["build", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f'error: {corpus}:2: expected a JSON object with an integer '
+            '"label" and a string "text"']
+
+    @pytest.mark.parametrize("names", [("1", "01"), ("1000", "1_000")])
+    def test_directories_with_one_label(self, tmp_path, capsys, names):
+        corpus = tmp_path / "corpus"
+        for name in names:
+            (corpus / name).mkdir(parents=True)
+            (corpus / name / "d.txt").write_text("a b c")
+        code = main(["build", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        named = [str(corpus / name) for name in names]
+        assert all(f"{path}:" in err[0] or err[0].endswith(path)
+                   for path in named)
+        assert not (tmp_path / "run").exists()
+
 
     # SHA-256 of the integer and text artifacts of one fixed build, recorded
     # with the per-document counting loop. These files hold no floats, so the
@@ -164,7 +192,8 @@ class TestBuild:
                                       docs_per_slice=60, doc_len=12, halo=3,
                                       seed=7)
         lines = []
-        for label, docs in zip(corpus.slice_labels, corpus.slices):
+        for label, ids in zip(corpus.slice_labels, corpus.slices):
+            docs = ids.documents()
             # A hapax below --min-count (out-of-vocabulary positions) and an
             # empty document ride along in every slice.
             extra = [docs[0][:5] + [f"hapax{label}"] + docs[1][:5], []]
@@ -178,6 +207,59 @@ class TestBuild:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.GOLDEN_DIGESTS}
         assert digests == self.GOLDEN_DIGESTS
+
+    # SHA-256 of every file one fixed directory-layout build writes, recorded
+    # with the per-token string tokenizer and vocabulary. The corpus has a
+    # stopword file, numeric tokens, underscores, an empty file and documents
+    # that only the regex tokenizer splits correctly.
+    DIRECTORY_GOLDEN_DIGESTS = {
+        "vocab.txt":
+            "7d439913edadbe7cfe5e07b6775d9a61613ec6725ca7a664a62e82a72fbb57f3",
+        "labels.json":
+            "e1b8a126e0a2aa1fe76286a7f79cc02886fa3304cade0dc550b66e830e999b93",
+        "stats_1990.tvco":
+            "f63c424528f7efdc46b0d154a32b7a231e04843381bbfdb57850fffe8b840971",
+        "stats_1995.tvco":
+            "621483b8d783b490186f45324931687c014b2188bca5df4ed728bceba1bad266",
+        "stats_2000.tvco":
+            "0c2c00ad6f7b7cdd60de7da8dd727d25a7c1aa99595b75563c92a82b5f46d554",
+        "ppmi_1990.tvpm":
+            "20b1befe8437837ca50fa67e3d441c0b1276a5c585a62f909c63b95da959ea44",
+        "ppmi_1995.tvpm":
+            "a84936fdee73e2a18f3699a862721d71afcab9fdb1071c01240521668e11bf57",
+        "ppmi_2000.tvpm":
+            "912d3f3245aee4bcd870e020d48b232ea4e97450f19dc460380cc68a129fa16e",
+    }
+
+    def test_directory_golden_digests(self, tmp_path):
+        rng = np.random.default_rng(17)
+        pool = ([f"w{i}" for i in range(12)]
+                + ["The", "and", "AND", "1991", "3", "snake_case", "_x_",
+                   "Stra\u00dfe", "\u0130stanbul", "\u00bd", "\u00b2",
+                   "\u0663", "na\u00efve", "cafe\u0301",
+                   "\u03a3\u038a\u03a3\u03a5\u03a6\u039f\u03a3",
+                   "x\u00a0y", "a\u2028b", "don't"])
+        corpus = tmp_path / "corpus"
+        for year in (1990, 1995, 2000):
+            (corpus / str(year)).mkdir(parents=True)
+            for doc_id in range(12):
+                words = [pool[i] for i in rng.integers(len(pool), size=14)]
+                if doc_id % 3 == 0:
+                    # Only plain words: the whitespace-split case.
+                    words = [w for w in words if w.startswith("w")]
+                (corpus / str(year) / f"d{doc_id:02d}.txt").write_text(
+                    " ".join(words), encoding="utf-8")
+            (corpus / str(year) / "empty.txt").write_text("")
+        stop = tmp_path / "stop.txt"
+        stop.write_text("the\nAND\nw3\n", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(corpus), "--out", str(out),
+                     "--window", "2", "--min-count", "2",
+                     "--stopwords", str(stop)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.DIRECTORY_GOLDEN_DIGESTS}
+        assert sorted(p.name for p in out.iterdir()) == sorted(digests)
+        assert digests == self.DIRECTORY_GOLDEN_DIGESTS
 
     def test_stopwords_dropped_from_vocab_and_counts(self, toy_corpus,
                                                      tmp_path):
@@ -531,7 +613,8 @@ class TestEvaluate:
         ts.write_text("query_word,query_label,target_label,answer_word\n"
                       "w0,1990,1991,w0\n")
         capsys.readouterr()
-        with pytest.warns(UserWarning, match="skipped 1 records"):
+        with pytest.warns(UserWarning,
+                          match="skipped 1 records: 1 with no local map"):
             code = main(["evaluate", "--out", str(out), "--method", "tw2v",
                          "--testset", str(ts)])
         assert code == 4
@@ -615,7 +698,7 @@ class TestEvaluate:
                                       seed=29)
         lines = [json.dumps({"label": label, "text": " ".join(doc)})
                  for label, docs in zip(corpus.slice_labels, corpus.slices)
-                 for doc in docs]
+                 for doc in docs.documents()]
         path = tmp_path / "corpus.jsonl"
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "run"
@@ -663,7 +746,7 @@ class TestEvaluate:
                                       seed=31)
         lines = [json.dumps({"label": label, "text": " ".join(doc)})
                  for label, docs in zip(corpus.slice_labels, corpus.slices)
-                 for doc in docs]
+                 for doc in docs.documents()]
         path = tmp_path / "corpus.jsonl"
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "run"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import loop_count_cooccurrences
 from tvembed.corpus import (
+    _TOKEN_RE,
     EmptyVocabularyError,
     SliceStats,
     TimeSlicedCorpus,
@@ -69,6 +70,43 @@ class TestTokenize:
             "me",
             "now",
         ]
+
+    # Letters, digits and whitespace of several kinds, plus characters on
+    # which a whitespace split and the regex could disagree: the underscore,
+    # letters whose lowercase form changes length or adds a combining mark,
+    # non-ASCII digits and numerics, and bare combining marks.
+    ALPHABET = (list("abzAZ09") + ["\t", " ", "\n", "\x1c", "\x1d", "\x1e",
+                                   "\x1f", "\u00a0", "\u2028"]
+                + ["_", "\u0130", "\u00df", "\u03a3", "\u0663", "\u0669",
+                   "\u00b2", "\u00bd", "\u0301", "\u0307", "-", "'"])
+
+    @given(text=st.text(alphabet=st.sampled_from(ALPHABET), max_size=40),
+           stopwords=st.frozensets(st.text(alphabet=st.sampled_from(ALPHABET),
+                                           min_size=1, max_size=2)))
+    @example(text="Plain words only 42", stopwords=frozenset({"only"}))
+    @example(text="snake_case \u0130stanbul", stopwords=frozenset())
+    @example(text="x\u00a0y\u2028z\x1c\u00bd \u00b2", stopwords=frozenset())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_regex(self, text, stopwords):
+        want = [t for t in _TOKEN_RE.findall(text.lower())
+                if t not in stopwords and not t.isdigit()]
+        assert tokenize(text, stopwords) == want
+
+
+class TestTimeSlicedCorpus:
+    def test_token_lists_encode_and_decode(self):
+        slices = [[["b", "a"], [], ["a"]], [], [["c"]]]
+        corpus = make_corpus(slices)
+        assert [s.documents() for s in corpus.slices] == slices
+        assert [len(s) for s in corpus.slices] == [3, 0, 1]
+        assert all(s.ids.dtype == np.int32 for s in corpus.slices)
+        assert all(s.types is corpus.slices[0].types for s in corpus.slices)
+
+    def test_slices_of_two_type_tables_rejected(self):
+        a = make_corpus([[["a"]]]).slices[0]
+        b = make_corpus([[["b"]]]).slices[0]
+        with pytest.raises(ValueError):
+            TimeSlicedCorpus(slices=[a, b], slice_labels=[0, 1])
 
 
 class TestBuildVocabulary:
@@ -323,7 +361,7 @@ class TestLoadCorpus:
             (d / "doc1.txt").write_text(text)
         corpus = load_corpus(tmp_path)
         assert corpus.slice_labels == [1990, 1995]
-        assert corpus.slices[0] == [["alpha", "beta"]]
+        assert corpus.slices[0].documents() == [["alpha", "beta"]]
 
     def test_jsonl_layout(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
@@ -333,7 +371,14 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(p)
         assert corpus.slice_labels == [2000, 2001]
-        assert corpus.slices[1] == [["the", "dog"]]
+        assert corpus.slices[1].documents() == [["the", "dog"]]
+
+    def test_dropped_tokens_leave_the_type_table(self, tmp_path):
+        (tmp_path / "1").mkdir()
+        (tmp_path / "1" / "d.txt").write_text("The 1991 cat, the dog")
+        corpus = load_corpus(tmp_path, stopwords=frozenset({"the"}))
+        assert corpus.slices[0].documents() == [["cat", "dog"]]
+        assert corpus.slices[0].types == ["cat", "dog"]
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -417,6 +417,23 @@ class TestRunAlignmentTest:
         assert ranks == []
         assert skipped == 1
 
+    def test_skip_warning_names_each_cause(self):
+        # A zero own vector is a zero query even when a map is given; a
+        # nonzero word without a map is unmapped.
+        mats, labels = self.embeddings()
+        mats[0][1] = 0.0
+        ts = AlignmentTestset(records=[(1, 2000, 2001, 1), (2, 2000, 2001, 2),
+                                       (3, 2000, 2001, 3)])
+        queries = [None, None, mats[1][3]]
+        with pytest.warns(UserWarning, match=(
+                r"^skipped 2 records: 1 with a zero query vector, 1 with no "
+                r"local map \(fewer than k neighbours nonzero in both "
+                r"slices\)$")):
+            ranks, skipped = run_alignment_test(ts, mats, labels,
+                                                queries=queries)
+        assert ranks == [1]
+        assert skipped == 2
+
     def test_not_found_beyond_cutoff(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((30, 3))

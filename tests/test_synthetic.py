@@ -21,12 +21,13 @@ class TestPlantedShiftCorpus:
         assert len(corpus.slices) == 4
         assert corpus.slice_labels == [0, 1, 2, 3]
         assert all(len(s) == 120 for s in corpus.slices)
-        assert all(len(d) == 10 for s in corpus.slices for d in s)
+        assert all(len(d) == 10 for s in corpus.slices for d in s.documents())
 
     def test_deterministic(self, corpus):
         again = planted_shift_corpus(n_slices=4, community_size=20,
                                      docs_per_slice=120, doc_len=10, seed=7)
-        assert again.slices == corpus.slices
+        assert ([s.documents() for s in again.slices]
+                == [s.documents() for s in corpus.slices])
 
     def test_vocab_is_two_communities_plus_probe(self, vocab):
         assert "probeword" in vocab
