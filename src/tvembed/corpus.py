@@ -98,9 +98,6 @@ class _Encoder:
         ids.extend(map(self._table.__getitem__, tokens))
         lengths.append(len(tokens))
 
-    def labels(self):
-        return sorted(self._slices)
-
     def slices(self, labels, keep=None):
         """TokenIds of each of `labels` (empty for a label never added).
 
@@ -394,22 +391,25 @@ def load_corpus(path, stopwords=frozenset()):
 
     Each document is tokenized straight into ids, so its token strings live
     no longer than the document. Stopwords and numeric tokens are dropped
-    once per distinct type.
+    once per distinct type. Every label the corpus names is a slice, even one
+    with no documents.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"corpus path does not exist: {path}")
     enc = _Encoder()
     if path.is_file():
-        _read_jsonl(path, enc)
+        labels = _read_jsonl(path, enc)
     else:
-        _read_directories(path, enc)
-    labels = enc.labels()
+        labels = _read_directories(path, enc)
     slices = enc.slices(labels, keep=lambda t: _kept(t, stopwords))
     return TimeSlicedCorpus(slices=slices, slice_labels=labels)
 
 
 def _read_jsonl(path, enc):
+    """Add every record of a JSON-lines corpus to `enc`; return the sorted
+    labels."""
+    labels = set()
     decode = json.JSONDecoder().raw_decode
     # Undecodable bytes become lone surrogates, so the line that holds them
     # can be named.
@@ -437,10 +437,14 @@ def _read_jsonl(path, enc):
                     f"{path}:{lineno}: expected a JSON object with an "
                     'integer "label" and a string "text"'
                 ) from None
+            labels.add(label)
             enc.add(label, _split(text))
+    return sorted(labels)
 
 
 def _read_directories(path, enc):
+    """Add the files of every slice directory to `enc`; return the sorted
+    labels, including those of directories without files."""
     subdirs = sorted(p for p in path.iterdir() if p.is_dir())
     if not subdirs:
         raise FileNotFoundError(f"no slice directories under {path}")
@@ -464,6 +468,7 @@ def _read_directories(path, enc):
                 except UnicodeDecodeError:
                     raise CorpusFormatError(f"{f}: not valid UTF-8") from None
                 enc.add(label, _split(text))
+    return sorted(seen)
 
 
 def load_stopwords(path):

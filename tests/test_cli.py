@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from tvembed.cli import derive_seed, main, parse_config_file
+from tvembed.corpus import read_stats
+from tvembed.ppmi import read_ppmi
 from tvembed.solver import read_embeddings_binary
 from tvembed.synthetic import planted_shift_corpus
 
@@ -167,6 +169,27 @@ class TestBuild:
         assert all(f"{path}:" in err[0] or err[0].endswith(path)
                    for path in named)
         assert not (tmp_path / "run").exists()
+
+    def test_slice_directory_without_files(self, toy_corpus, tmp_path):
+        (toy_corpus / "1997").mkdir()
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(toy_corpus), "--out", str(out),
+                     "--window", "3", "--min-count", "2"]) == 0
+        assert json.loads((out / "labels.json").read_text()) == [
+            1990, 1995, 1997, 2000]
+        assert read_stats(out / "stats_1997.tvco").total_tokens == 0
+        ppmi = read_ppmi(out / "ppmi_1997.tvpm")
+        assert ppmi.slice_label == 1997 and ppmi.values.nnz == 0
+
+    def test_all_slice_directories_without_files(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        for year in (1990, 1995):
+            (corpus / str(year)).mkdir(parents=True)
+        code = main(["build", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
     # SHA-256 of the integer and text artifacts of one fixed build, recorded
