@@ -1,6 +1,8 @@
 """The container of the .tvco, .tvpm and .tvem artifacts: a 4-byte magic, a
 u32 version, then struct header fields and raw little-endian arrays in a fixed
-order, with no byte left over. A damaged file raises ArtifactError."""
+order, with no byte left over. A damaged file raises ArtifactError, which is
+also the error of every other malformed input file; `read_text` decodes the
+text inputs."""
 
 import os
 import struct
@@ -11,10 +13,20 @@ import scipy.sparse as sp
 
 
 class ArtifactError(ValueError):
-    """An artifact is damaged, of another format or version, or stale."""
+    """A malformed input file: an artifact that is damaged, of another format
+    or version, or stale, or a corpus file, CSV or other text input that
+    cannot be parsed. `path` may end in ":<line>"."""
 
     def __init__(self, path, reason):
         super().__init__(f"{path}: {reason}")
+
+
+def read_text(path):
+    """The whole UTF-8 text of `path`, its line endings untranslated."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise ArtifactError(path, "not valid UTF-8") from None
 
 
 def atomic_write_bytes(path, data):

@@ -5,10 +5,15 @@ Runs are reproducible from a single config file (key = value lines);
 command-line flags override file values. A master seed fans out to the
 stochastic components through name-hashed subseeds.
 
-Exit codes: 0 success, 2 usage/config error, a malformed input file or a
-damaged or stale artifact (one line "error: <path>[:<line>]: <reason>"), 3
-lookup failure (unknown word or slice label), 4 empty evaluation, 1 internal
-error.
+Every failure prints one line "error: <reason>" to stderr (after the usage,
+when argparse rejects the command line) and exits with the code
+`_EXIT_CODES` gives its exception, never with a traceback:
+
+- 2: a bad flag, setting or config file, a missing file, no word reaching
+  min_count, or a malformed input file or a damaged or stale artifact
+  ("error: <path>[:<line>]: <reason>");
+- 3: an unknown word or slice label;
+- 4: an evaluation left with nothing to score.
 """
 
 import argparse
@@ -20,10 +25,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from tvembed import baselines, evaluation
-from tvembed.artifact import ArtifactError, atomic_write_bytes
+from tvembed.artifact import ArtifactError, atomic_write_bytes, read_text
 from tvembed.corpus import (
-    CorpusFormatError,
     EmptyVocabularyError,
+    Vocabulary,
     build_vocabulary,
     count_cooccurrences,
     load_corpus,
@@ -36,15 +41,12 @@ from tvembed.ppmi import PpmiSequence, build_ppmi, read_ppmi, write_ppmi
 from tvembed.solver import (
     SolverConfig,
     final_embedding,
+    objective,
     read_embeddings_binary,
     train,
     write_embeddings_binary,
     write_embeddings_text,
 )
-
-EXIT_USAGE = 2
-EXIT_LOOKUP = 3
-EXIT_EMPTY_EVAL = 4
 
 METHODS = ("dw2v", "sw2v", "tw2v", "aw2v")
 
@@ -55,6 +57,11 @@ class UsageError(Exception):
 
 class LookupFailure(Exception):
     pass
+
+
+_EXIT_CODES = {UsageError: 2, FileNotFoundError: 2, EmptyVocabularyError: 2,
+               ArtifactError: 2, LookupFailure: 3,
+               evaluation.EmptyEvaluation: 4}
 
 
 def derive_seed(master, component):
@@ -96,7 +103,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 def parse_config_file(path):
     """Parse 'key = value' lines; '#' starts a comment; unknown keys rejected."""
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -129,6 +136,12 @@ def build_run_config(args):
         raise UsageError(
             f"unknown method {cfg.method!r}, expected one of {'/'.join(METHODS)}"
         )
+    if cfg.window < 1 or cfg.min_count < 1:
+        raise UsageError("window and min_count must be >= 1")
+    try:
+        cfg.solver_config()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     return cfg
 
 
@@ -164,17 +177,18 @@ def write_vocab(words, path):
 
 
 def read_vocab(path):
-    from tvembed.corpus import Vocabulary
-
-    words = Path(path).read_text(encoding="utf-8").splitlines()
-    return Vocabulary(words)
+    words = read_text(path).splitlines()
+    try:
+        return Vocabulary(words)
+    except ValueError as e:
+        raise ArtifactError(path, f"{e}; rerun build") from None
 
 
 def read_labels(out):
     path = _labels_file(out)
     try:
-        labels = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
+        labels = json.loads(read_text(path))
+    except json.JSONDecodeError:
         labels = None
     if not (isinstance(labels, list) and labels
             and all(type(lab) is int for lab in labels)
@@ -217,10 +231,7 @@ def cmd_build(args):
     if not cfg.corpus:
         raise UsageError("no corpus path configured")
     stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
-    try:
-        corpus = load_corpus(cfg.corpus, stopwords)
-    except FileNotFoundError as e:
-        raise UsageError(str(e)) from None
+    corpus = load_corpus(cfg.corpus, stopwords)
     vocab = build_vocabulary(corpus, cfg.min_count)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -259,37 +270,35 @@ def _write_embeddings(out, method, matrices, labels, words):
                           _emb_path(out, method, "txt"))
 
 
+def _fit(cfg, method, Y, stats=None, sink=None):
+    """The per-slice embedding matrices of `method` trained on Y; sw2v trains
+    on the count statistics `stats` instead, and dw2v reports each update to
+    `sink`."""
+    config = cfg.solver_config(method)
+    if method == "dw2v":
+        return final_embedding(train(Y, config, progress_sink=sink))
+    if method == "sw2v":
+        # One static matrix reused for every slice keeps the downstream
+        # query/evaluate interface uniform.
+        return [baselines.train_static(stats, config)] * len(Y.labels)
+    mats = baselines.train_per_slice(Y, config)
+    return baselines.align_sequence(mats) if method == "aw2v" else mats
+
+
 def cmd_train(args):
     cfg = build_run_config(args)
     vocab = read_vocab(_vocab_path(cfg.out))
     Y = _load_ppmi_sequence(cfg, vocab)
-    labels = Y.labels
-    method = cfg.method
-    if method == "dw2v":
-        from tvembed.solver import objective as _objective
+    labels, method = Y.labels, cfg.method
 
-        T = len(labels)
+    def sink(event):
+        # Log the objective once per epoch, after the last update.
+        if event.t == len(labels) - 1 and event.factor == "W":
+            print(f"epoch {event.epoch + 1}: objective "
+                  f"{objective(event.state, Y):.6e}")
 
-        def sink(event):
-            # Log the objective once per epoch, after the last update.
-            if event.t == T - 1 and event.factor == "W":
-                print(
-                    f"epoch {event.epoch + 1}: objective "
-                    f"{_objective(event.state, Y):.6e}"
-                )
-
-        mats = final_embedding(
-            train(Y, cfg.solver_config("dw2v"), progress_sink=sink))
-    elif method == "sw2v":
-        stats = _load_stats(cfg, vocab, labels)
-        # One static matrix reused for every slice keeps the downstream
-        # query/evaluate interface uniform.
-        static = baselines.train_static(stats, cfg.solver_config("sw2v"))
-        mats = [static] * len(labels)
-    else:
-        mats = baselines.train_per_slice(Y, cfg.solver_config(method))
-        if method == "aw2v":
-            mats = baselines.align_sequence(mats)
+    stats = _load_stats(cfg, vocab, labels) if method == "sw2v" else None
+    mats = _fit(cfg, method, Y, stats, sink)
     _write_embeddings(cfg.out, method, mats, labels, vocab.words)
     print(f"trained {method} on {len(labels)} slices, out={cfg.out}")
     return 0
@@ -307,22 +316,20 @@ def _embeddings_for(cfg, vocab):
 
 def cmd_query(args):
     cfg = build_run_config(args)
+    if args.k < 1:
+        raise UsageError("-k must be >= 1")
     vocab = read_vocab(_vocab_path(cfg.out))
     mats, labels = _embeddings_for(cfg, vocab)
     if args.word not in vocab:
         close = difflib.get_close_matches(args.word, vocab.words, n=5)
-        print(
-            f"word {args.word!r} not in vocabulary; closest: {', '.join(close)}",
-            file=sys.stderr,
+        raise LookupFailure(
+            f"word {args.word!r} not in vocabulary; closest: {', '.join(close)}"
         )
-        return EXIT_LOOKUP
     w = vocab.index[args.word]
     by_label = {lab: m for lab, m in zip(labels, mats)}
     target = args.label if args.target_label is None else args.target_label
-    for label in (args.label, target):
-        if label not in by_label:
-            print(f"unknown slice label {label}", file=sys.stderr)
-            return EXIT_LOOKUP
+    for flag, label in (("--label", args.label), ("--target-label", target)):
+        _check_slice_labels(flag, [label], labels)
     targets = labels if args.all_years else [target]
     for target in targets:
         exclude = (
@@ -389,6 +396,8 @@ def _check_slice_labels(source, used, labels):
 
 def cmd_evaluate(args):
     cfg = build_run_config(args)
+    if not (args.testset or args.triplets):
+        raise UsageError("nothing to evaluate: give --testset or --triplets")
     vocab = read_vocab(_vocab_path(cfg.out))
     mats, labels = _embeddings_for(cfg, vocab)
     report = _evaluate_report(cfg, mats, labels, vocab, args.testset,
@@ -458,11 +467,8 @@ def cmd_robustness(args):
             ],
             vocab_size=len(vocab),
         )
-        dw2v_mats = final_embedding(train(Y, cfg.solver_config("dw2v")))
-        aligned = baselines.align_sequence(
-            baselines.train_per_slice(Y, cfg.solver_config("aw2v")))
-        for method, mats in (("dw2v", dw2v_mats), ("aw2v", aligned)):
-            rep = evaluation.alignment_report(ts, mats, labels)
+        for method in ("dw2v", "aw2v"):
+            rep = evaluation.alignment_report(ts, _fit(cfg, method, Y), labels)
             rows.append(
                 {"method": method, "rate": rate, "mrr": rep["mrr"],
                  "mp": rep["mp"]}
@@ -483,8 +489,7 @@ def cmd_export_norms(args):
     words = args.words.split(",")
     missing = [w for w in words if w not in vocab]
     if missing:
-        print(f"words not in vocabulary: {', '.join(missing)}", file=sys.stderr)
-        return EXIT_LOOKUP
+        raise LookupFailure(f"words not in vocabulary: {', '.join(missing)}")
     lines = ["word,label,norm"]
     for w in words:
         for lab, norm in evaluation.norm_series(vocab.index[w], mats, labels):
@@ -558,23 +563,13 @@ def make_parser():
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except LookupFailure as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_LOOKUP
-    except evaluation.EmptyEvaluation as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_EMPTY_EVAL
-    except (FileNotFoundError, CorpusFormatError, EmptyVocabularyError,
-            ArtifactError, evaluation.CsvFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES.items()
+                    if isinstance(e, kind))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Corpus ingestion: tokenization, vocabulary, per-slice co-occurrence counts."""
 
+import io
 import itertools
 import json
 import re
@@ -11,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from tvembed.artifact import ArtifactReader, triplet_parts, write_artifact
+from tvembed.artifact import (
+    ArtifactError,
+    ArtifactReader,
+    read_text,
+    triplet_parts,
+    write_artifact,
+)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -21,10 +28,6 @@ STATS_VERSION = 1
 
 class EmptyVocabularyError(ValueError):
     """No word survived the minimum-count filter."""
-
-
-class CorpusFormatError(ValueError):
-    """The corpus on disk does not follow either supported layout."""
 
 
 def _split(text):
@@ -418,9 +421,7 @@ def _read_jsonl(path, enc):
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: not valid UTF-8"
-                ) from None
+                raise ArtifactError(f"{path}:{lineno}", "not valid UTF-8") from None
             line = line.strip()
             if not line:
                 continue
@@ -433,8 +434,8 @@ def _read_jsonl(path, enc):
                         or not isinstance(text, str)):
                     raise ValueError
             except (ValueError, KeyError, TypeError):
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected a JSON object with an "
+                raise ArtifactError(
+                    f"{path}:{lineno}", "expected a JSON object with an "
                     'integer "label" and a string "text"'
                 ) from None
             labels.add(label)
@@ -453,25 +454,22 @@ def _read_directories(path, enc):
         try:
             label = int(sub.name)
         except ValueError:
-            raise CorpusFormatError(
-                f"{sub}: slice directory name is not an integer label"
+            raise ArtifactError(
+                sub, "slice directory name is not an integer label"
             ) from None
         if label in seen:
-            raise CorpusFormatError(
-                f"{sub}: slice label {label} is also the label of {seen[label]}"
+            raise ArtifactError(
+                sub, f"slice label {label} is also the label of {seen[label]}"
             )
         seen[label] = sub
         for f in sorted(sub.iterdir()):
             if f.is_file():
-                try:
-                    text = f.read_text(encoding="utf-8")
-                except UnicodeDecodeError:
-                    raise CorpusFormatError(f"{f}: not valid UTF-8") from None
-                enc.add(label, _split(text))
+                enc.add(label, _split(read_text(f)))
     return sorted(seen)
 
 
 def load_stopwords(path):
-    """Read a stopword file, one token per line."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
+    """Read a UTF-8 stopword file, one token per line; a line ends at "\n",
+    "\r\n" or "\r"."""
+    lines = io.StringIO(read_text(path), newline=None)
+    return frozenset(line.strip() for line in lines if line.strip())

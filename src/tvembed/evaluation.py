@@ -2,11 +2,14 @@
 alignment quality (MRR, MP@K), and per-word norm series."""
 
 import csv
+import io
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+
+from tvembed.artifact import ArtifactError, read_text
 
 TOP_RANK_CUTOFF = 10  # reciprocal rank counts as 0 beyond this position
 PRECISIONS = (1, 3, 5, 10)  # the K of the MP@K columns
@@ -348,39 +351,29 @@ def norm_series(word, matrices, labels):
 # File loaders.
 
 
-class CsvFormatError(ValueError):
-    """A testset or triplet CSV that cannot be parsed; the message is
-    "<path>[:<line>]: <reason>"."""
-
-
 def _csv_rows(path, columns):
     """(line number, row dict) for each data row of a UTF-8 CSV file with a
     header; every name in `columns` must be in the header and in the row."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            header = reader.fieldnames or columns
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise CsvFormatError(
-                    f"{path}:1: no {missing[0]!r} column in the header"
-                )
-            for row in reader:
-                for column in columns:
-                    if row[column] is None:
-                        raise CsvFormatError(f"{path}:{reader.line_num}: "
-                                             f"missing column {column!r}")
-                yield reader.line_num, row
-        except UnicodeDecodeError:
-            raise CsvFormatError(f"{path}: not valid UTF-8") from None
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    header = reader.fieldnames or columns
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ArtifactError(f"{path}:1",
+                            f"no {missing[0]!r} column in the header")
+    for row in reader:
+        for column in columns:
+            if row[column] is None:
+                raise ArtifactError(f"{path}:{reader.line_num}",
+                                    f"missing column {column!r}")
+        yield reader.line_num, row
 
 
 def _csv_value(path, line, row, column, parse, kind):
     try:
         return parse(row[column])
     except ValueError:
-        raise CsvFormatError(
-            f"{path}:{line}: {column} {row[column]!r} is not {kind}"
+        raise ArtifactError(
+            f"{path}:{line}", f"{column} {row[column]!r} is not {kind}"
         ) from None
 
 
@@ -389,7 +382,7 @@ def load_testset(path, vocab):
 
     Records whose query or answer word is out of vocabulary are dropped;
     the drop count is returned alongside the testset. A file that is not
-    UTF-8, a missing column or a non-integer label raises CsvFormatError.
+    UTF-8, a missing column or a non-integer label raises ArtifactError.
     """
     records = []
     dropped = 0
@@ -418,7 +411,7 @@ def load_labeled_triplets(path, vocab, min_strength=0.35, top_per_section=200):
     year of largest strength is kept, rows below the strength threshold
     are dropped, and each section keeps its top rows by strength. A file
     that is not UTF-8, a missing column, a non-integer label or a non-float
-    strength raises CsvFormatError.
+    strength raises ArtifactError.
     """
     rows = []
     dropped = 0

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tvembed.artifact import ArtifactError, atomic_write_bytes
+from tvembed.artifact import ArtifactError, atomic_write_bytes, read_text
 from tvembed.corpus import SliceStats, read_stats, write_stats
 from tvembed.ppmi import PpmiMatrix, read_ppmi, write_ppmi
 from tvembed.solver import read_embeddings_binary, write_embeddings_binary
@@ -180,6 +180,20 @@ class TestDamagedArtifacts:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
+
+
+class TestReadText:
+    def test_keeps_line_endings(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes("a\r\nb\rc\u2028\n".encode("utf-8"))
+        assert read_text(p) == "a\r\nb\rc\u2028\n"
+
+    def test_non_utf8_is_an_artifact_error(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"ok\ncaf\xe9\n")
+        with pytest.raises(ArtifactError) as info:
+            read_text(p)
+        assert str(info.value) == f"{p}: not valid UTF-8"
 
 
 class TestAtomicWrite:

@@ -391,6 +391,15 @@ class TestTrain:
         ]
         assert not (run_dir / "embeddings_dw2v.txt").exists()
 
+    def test_vocab_word_listed_twice(self, run_dir, capsys):
+        vocab = run_dir / "vocab.txt"
+        words = vocab.read_text().splitlines()
+        vocab.write_text("\n".join(words + words[:1]) + "\n")
+        assert main(train_args(run_dir)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {vocab}: duplicate words in vocabulary; rerun build"
+        ]
+
     def test_truncated_ppmi(self, run_dir, capsys):
         ppmi = run_dir / "ppmi_1995.tvpm"
         ppmi.write_bytes(ppmi.read_bytes()[:-5])
@@ -503,7 +512,8 @@ class TestQuery:
         code = main(["query", "shifty", "--out", str(run_dir), "--label",
                      "1990", "--target-label", "1991"])
         assert code == 3
-        assert capsys.readouterr().err == "unknown slice label 1991\n"
+        assert capsys.readouterr().err == (
+            "error: --target-label: unknown slice label 1991\n")
 
     def test_embeddings_of_a_run_with_other_labels(self, run_dir, toy_corpus,
                                                    tmp_path, capsys):
@@ -604,6 +614,16 @@ class TestEvaluate:
         # exact self word need not rank first, but it must land in the top 10.
         assert report["mp"]["10"] == 1.0
         assert report["mrr"] > 0.5
+
+    def test_nothing_to_evaluate(self, run_dir, capsys):
+        main(train_args(run_dir))
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(run_dir)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: nothing to evaluate: give --testset or --triplets"
+        ]
 
     def test_empty_testset_exit_4(self, run_dir, capsys):
         main(train_args(run_dir))
@@ -939,3 +959,68 @@ class TestConfigPlumbing:
         assert a == derive_seed(42, "dw2v")
         assert a != derive_seed(42, "aw2v")
         assert a != derive_seed(43, "dw2v")
+
+
+class TestErrorLine:
+    """Each failure prints one `error:` line and exits with its code."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["build", "--window", "0"], "window and min_count must be >= 1"),
+        (["build", "--min-count", "0"], "window and min_count must be >= 1"),
+        (["train", "--dim", "0"], "dim and epochs must be >= 1"),
+        (["train", "--epochs", "0"], "dim and epochs must be >= 1"),
+        (["train", "--ridge", "-1"], "ridge must be finite and >= 0"),
+        (["train", "--ridge", "nan"], "ridge must be finite and >= 0"),
+        (["train", "--smoothing", "-1"], "smoothing must be finite and >= 0"),
+        (["train", "--coupling", "nan"], "coupling must be finite and >= 0"),
+        (["robustness", "--ridge", "-1"], "ridge must be finite and >= 0"),
+        (["query", "-k", "0"], "-k must be >= 1"),
+        (["query", "-k", "-3"], "-k must be >= 1"),
+    ], ids=["window-0", "min-count-0", "dim-0", "epochs-0", "ridge-negative",
+            "ridge-nan", "smoothing-negative", "coupling-nan",
+            "robustness-ridge", "k-0", "k-negative"])
+    def test_out_of_range_setting(self, run_dir, capsys, argv, message):
+        assert main(train_args(run_dir)) == 0
+        ts = TestEvaluate().make_testset(run_dir)
+        operands = {
+            "build": ["--corpus", str(run_dir.parent / "corpus")],
+            "query": ["shifty", "--label", "1990"],
+            "robustness": ["--testset", str(ts), "--rates", "0.5"],
+        }
+        capsys.readouterr()
+        code = main(argv[:1] + operands.get(argv[0], [])
+                    + ["--out", str(run_dir)] + argv[1:])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("name", ["vocab.txt", "labels.json", "run.cfg",
+                                      "stopwords.txt"])
+    def test_non_utf8_text_input(self, run_dir, capsys, name):
+        path = run_dir / name
+        path.write_bytes(b"caf\xe9\n")
+        argv = {
+            "run.cfg": train_args(run_dir) + ["--config", str(path)],
+            "stopwords.txt": ["build", "--corpus", str(run_dir.parent / "corpus"),
+                              "--out", str(run_dir), "--stopwords", str(path)],
+        }.get(name, train_args(run_dir))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: not valid UTF-8"
+        ]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["query", "unicorn", "--label", "1990"],
+         "word 'unicorn' not in vocabulary; closest: "),
+        (["query", "shifty", "--label", "1991"],
+         "--label: unknown slice label 1991"),
+        (["export-norms", "--words", "pet0,unicorn,dragon"],
+         "words not in vocabulary: unicorn, dragon"),
+    ], ids=["query-word", "query-label", "export-norms-words"])
+    def test_lookup_failure(self, run_dir, capsys, argv, message):
+        main(train_args(run_dir))
+        capsys.readouterr()
+        assert main(argv + ["--out", str(run_dir)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]

@@ -14,6 +14,7 @@ from tvembed.corpus import (
     build_vocabulary,
     count_cooccurrences,
     load_corpus,
+    load_stopwords,
     pool_stats,
     read_stats,
     subsample_counts,
@@ -383,3 +384,10 @@ class TestLoadCorpus:
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope")
+
+    def test_stopword_line_endings(self, tmp_path):
+        # Lines end at "\n", "\r\n" or "\r"; other Unicode line breaks
+        # such as U+0085 stay inside a stopword.
+        p = tmp_path / "stop.txt"
+        p.write_bytes("a\r\nb\rc\n\n  d\u0085e \r".encode("utf-8"))
+        assert load_stopwords(p) == frozenset({"a", "b", "c", "d\u0085e"})

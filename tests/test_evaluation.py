@@ -28,6 +28,7 @@ from tvembed.evaluation import (
     run_alignment_test,
     spherical_kmeans,
 )
+from tvembed.artifact import ArtifactError
 from tvembed.corpus import Vocabulary
 
 
@@ -547,3 +548,17 @@ class TestLoaders:
         assert len(items) == 2
         kept = {i.word for i in items}
         assert kept == {vocab.index["w4"], vocab.index["w3"]}
+
+    def test_csv_line_endings_and_quoted_newlines(self, tmp_path):
+        # A quoted field keeps its "\r\n", and line numbers count the
+        # physical lines it spans.
+        p = tmp_path / "l.csv"
+        p.write_bytes(b'word,label,section,strength\r\n'
+                      b'cat,2000,"Pets\r\nand more",0.9\r\n')
+        vocab = Vocabulary(["cat", "dog"])
+        items = load_labeled_triplets(p, vocab)
+        assert [(i.word, i.slice_label, i.section) for i in items] == [
+            (0, 2000, "Pets\r\nand more")]
+        p.write_bytes(p.read_bytes() + b"dog,x,Pets,0.9\r\n")
+        with pytest.raises(ArtifactError, match=r"l\.csv:4: label 'x' is not"):
+            load_labeled_triplets(p, vocab)
