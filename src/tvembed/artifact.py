@@ -1,11 +1,12 @@
 """The container of the .tvco, .tvpm and .tvem artifacts: a 4-byte magic, a
 u32 version, then struct header fields and raw little-endian arrays in a fixed
 order, with no byte left over. A damaged file raises ArtifactError, which is
-also the error of every other malformed input file; `read_text` decodes the
-text inputs."""
+also the error of every other malformed or unreadable input file; `read_text`
+decodes the text inputs."""
 
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +22,32 @@ class ArtifactError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
+@contextmanager
+def reading(path):
+    """Turn an OSError other than FileNotFoundError raised in the block (a
+    directory, no permission) into an ArtifactError naming the file it
+    names, else `path`."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise
+    except OSError as e:
+        raise ArtifactError(e.filename or path, e.strerror or e) from None
+
+
 def read_text(path):
     """The whole UTF-8 text of `path`, its line endings untranslated."""
+    with reading(path):
+        raw = Path(path).read_bytes()
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError:
         raise ArtifactError(path, "not valid UTF-8") from None
 
 
 def atomic_write_bytes(path, data):
-    """Write a file atomically via a per-process temp file, fsync and rename."""
+    """Write a file atomically via a per-process temp file, fsync and rename.
+    An OSError that names the temp file is raised again naming `path`."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -39,8 +56,10 @@ def atomic_write_bytes(path, data):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename == str(tmp):
+            raise OSError(e.errno, e.strerror, str(path)) from None
         raise
 
 
@@ -65,7 +84,9 @@ class ArtifactReader:
     """Reads the parts of one artifact in order, each within the file."""
 
     def __init__(self, path, magic, version):
-        self.path, self.raw, self.off = path, Path(path).read_bytes(), 4
+        with reading(path):
+            self.raw = Path(path).read_bytes()
+        self.path, self.off = path, 4
         if self.raw[:4] != magic:
             raise ArtifactError(path, f"bad magic {self.raw[:4]!r}, expected {magic!r}")
         (found,) = self.fields("<I")

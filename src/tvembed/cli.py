@@ -9,9 +9,10 @@ Every failure prints one line "error: <reason>" to stderr (after the usage,
 when argparse rejects the command line) and exits with the code
 `_EXIT_CODES` gives its exception, never with a traceback:
 
-- 2: a bad flag, setting or config file, a missing file, no word reaching
-  min_count, or a malformed input file or a damaged or stale artifact
-  ("error: <path>[:<line>]: <reason>");
+- 2: a bad flag, setting or config file, a missing file, an input that
+  cannot be read (a directory, "error: <path>: <reason>") or an output that
+  cannot be written, no word reaching min_count, or a malformed input file
+  or a damaged or stale artifact ("error: <path>[:<line>]: <reason>");
 - 3: an unknown word or slice label;
 - 4: an evaluation left with nothing to score.
 """
@@ -41,7 +42,6 @@ from tvembed.ppmi import PpmiSequence, build_ppmi, read_ppmi, write_ppmi
 from tvembed.solver import (
     SolverConfig,
     final_embedding,
-    objective,
     read_embeddings_binary,
     train,
     write_embeddings_binary,
@@ -59,7 +59,7 @@ class LookupFailure(Exception):
     pass
 
 
-_EXIT_CODES = {UsageError: 2, FileNotFoundError: 2, EmptyVocabularyError: 2,
+_EXIT_CODES = {UsageError: 2, OSError: 2, EmptyVocabularyError: 2,
                ArtifactError: 2, LookupFailure: 3,
                evaluation.EmptyEvaluation: 4}
 
@@ -292,10 +292,10 @@ def cmd_train(args):
     labels, method = Y.labels, cfg.method
 
     def sink(event):
-        # Log the objective once per epoch, after the last update.
-        if event.t == len(labels) - 1 and event.factor == "W":
+        # The solver streams the objective on each epoch's last update.
+        if event.objective is not None:
             print(f"epoch {event.epoch + 1}: objective "
-                  f"{objective(event.state, Y):.6e}")
+                  f"{event.objective.total:.6e}")
 
     stats = _load_stats(cfg, vocab, labels) if method == "sw2v" else None
     mats = _fit(cfg, method, Y, stats, sink)

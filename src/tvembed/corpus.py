@@ -16,6 +16,7 @@ from tvembed.artifact import (
     ArtifactError,
     ArtifactReader,
     read_text,
+    reading,
     triplet_parts,
     write_artifact,
 )
@@ -401,10 +402,11 @@ def load_corpus(path, stopwords=frozenset()):
     if not path.exists():
         raise FileNotFoundError(f"corpus path does not exist: {path}")
     enc = _Encoder()
-    if path.is_file():
-        labels = _read_jsonl(path, enc)
-    else:
-        labels = _read_directories(path, enc)
+    with reading(path):
+        if path.is_file():
+            labels = _read_jsonl(path, enc)
+        else:
+            labels = _read_directories(path, enc)
     slices = enc.slices(labels, keep=lambda t: _kept(t, stopwords))
     return TimeSlicedCorpus(slices=slices, slice_labels=labels)
 

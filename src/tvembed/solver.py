@@ -17,8 +17,20 @@ all V rows, with
 where c_t counts the temporal neighbors of slice t (2 interior, 1 at the
 ends, 0 when T = 1) and the neighbor terms are dropped at the boundaries.
 The W update is symmetric (Y is symmetric).
+
+Given a progress sink, `train` also reports the objective after every
+epoch, split into its four terms (fit, coupling, ridge, smoothing), as the
+`objective` of the epoch's last ProgressEvent; `tvembed train` prints its
+total as "epoch N: objective X.XXXXXXe+YY". The terms come from the
+updates' own products, so the log costs no second sparse product: within
+an epoch U(t) is final when W(t) is updated, so that update's Y(t) U(t)
+gives the cross term <W(t), Y(t) U(t)> of the fit and its U(t)^T U(t) the
+Gram term <U(t)^T U(t), W(t)^T W(t)>; ||Y(t)||^2 is taken once per run and
+the other terms are O(V d) each. `objective` evaluates the same value from
+the factors alone.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -81,6 +93,20 @@ class EmbeddingSequence:
         return len(self.U)
 
 
+@dataclass(frozen=True)
+class ObjectiveTerms:
+    """The four terms of the objective of the module docstring."""
+
+    fit: float  # 1/2 sum_t ||Y(t) - U(t) W(t)^T||_F^2
+    coupling: float
+    ridge: float
+    smoothing: float
+
+    @property
+    def total(self):
+        return self.fit + self.coupling + self.ridge + self.smoothing
+
+
 @dataclass
 class ProgressEvent:
     """Emitted after every factor update, once per (epoch, t, factor)."""
@@ -92,6 +118,8 @@ class ProgressEvent:
     A: np.ndarray
     B: np.ndarray
     state: "EmbeddingSequence" = None  # live view, already includes this update
+    # The objective at the end of the epoch, on its last event only.
+    objective: ObjectiveTerms = None
 
     @property
     def normal_residual(self):
@@ -170,6 +198,12 @@ def update_factor(factor, t, state, Y, config):
     `factor` is "U" or "W". Raises FloatingPointError if A, B or new is
     not finite.
     """
+    return _solve_factor(factor, t, state, Y, config)[:3]
+
+
+def _solve_factor(factor, t, state, Y, config, cross=False):
+    """update_factor's (new, A, B), then the Gram F^T F of the other factor
+    F at slice t and, if `cross`, <new, Y(t) F> (else None)."""
     if factor not in ("U", "W"):
         raise ValueError("factor must be 'U' or 'W'")
     T = state.num_slices
@@ -178,14 +212,18 @@ def update_factor(factor, t, state, Y, config):
     shrink = (
         config.coupling + config.ridge + _neighbor_weight(t, T) * config.smoothing
     )
-    A = F.T @ F + shrink * np.eye(config.dim)
+    gram = F.T @ F
+    A = gram + shrink * np.eye(config.dim)
     if not np.all(np.isfinite(A)):
         raise FloatingPointError(
             f"non-finite ridge system for {factor}({t}); "
             "input data or factors contain NaN/inf"
         )
-    B = np.asarray(Y.matrices[t].values @ F)
-    B += config.coupling * F
+    product = np.asarray(Y.matrices[t].values @ F)
+    # coupling F + Y(t) F has the bits of Y(t) F + coupling F and leaves the
+    # product for the cross term.
+    B = config.coupling * F
+    B += product
     if t > 0:
         B += config.smoothing * same[t - 1]
     if t < T - 1:
@@ -202,7 +240,36 @@ def update_factor(factor, t, state, Y, config):
         new = scipy.linalg.lstsq(A, B.T, check_finite=False)[0].T
     if not np.all(np.isfinite(new)):
         raise FloatingPointError(f"non-finite values in {factor}({t})")
-    return new, A, B
+    return new, A, B, gram, _dot(new, product) if cross else None
+
+
+def _slice_terms(t, state, ynorm2, UtU, cross, config):
+    """Slice t's share of the four objective terms, once U(t) and W(t) are
+    final: `UtU` is U(t)^T U(t) and `cross` is <W(t), Y(t) U(t)>, both from
+    the W(t) update, and `ynorm2` is ||Y(t)||_F^2. The smoothing share is
+    that of the pair (t-1, t)."""
+    U, W = state.U, state.W
+    WtW = W[t].T @ W[t]
+    fit = 0.5 * (ynorm2 - 2.0 * cross + _dot(UtU, WtW))
+    coupling = 0.5 * config.coupling * _sq_dist(U[t], W[t])
+    ridge = 0.5 * config.ridge * (float(np.trace(UtU)) + float(np.trace(WtW)))
+    smoothing = 0.0
+    if t > 0:
+        smoothing = 0.5 * config.smoothing * (
+            _sq_dist(U[t - 1], U[t]) + _sq_dist(W[t - 1], W[t])
+        )
+    return fit, coupling, ridge, smoothing
+
+
+def _dot(a, b):
+    # einsum sums in one pass on this thread; a BLAS dot of this size can
+    # spend longer starting its threads than summing.
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+def _sq_dist(a, b):
+    diff = a - b
+    return _dot(diff, diff)
 
 
 def normal_residual(new, A, B):
@@ -222,25 +289,40 @@ def train(Y, config, progress_sink=None):
     replacing U(t) and then W(t) by `update_factor`. Each factor update is
     the exact minimizer over that factor, so the objective is
     non-increasing after every update. `progress_sink`, if given, is called
-    with one ProgressEvent per (epoch, t, factor). Deterministic given the
-    config.
+    with one ProgressEvent per (epoch, t, factor); the last one of each
+    epoch carries the epoch's ObjectiveTerms. Deterministic given the
+    config; the factors do not depend on whether a sink is given.
     """
     if not Y.matrices:
         raise ValueError("empty PPMI sequence")
     T = len(Y.matrices)
     state = init_embeddings(Y.vocab_size, T, config)
     state.labels = list(Y.labels)
+    streamed = progress_sink is not None
+    if streamed:
+        ynorm2 = [_dot(m.values.data, m.values.data) for m in Y.matrices]
     for epoch in range(config.epochs):
+        terms = []
         for t in range(T):
             for factor in ("U", "W"):
+                slice_done = streamed and factor == "W"
                 try:
-                    new, A, B = update_factor(factor, t, state, Y, config)
+                    new, A, B, gram, cross = _solve_factor(
+                        factor, t, state, Y, config, cross=slice_done)
                 except FloatingPointError as e:
                     raise FloatingPointError(f"epoch {epoch}: {e}") from None
                 (state.U if factor == "U" else state.W)[t] = new
-                if progress_sink is not None:
-                    progress_sink(ProgressEvent(epoch, t, factor, new, A, B,
-                                                state))
+                if not streamed:
+                    continue
+                epoch_objective = None
+                if slice_done:
+                    terms.append(_slice_terms(t, state, ynorm2[t], gram,
+                                              cross, config))
+                    if t == T - 1:
+                        epoch_objective = ObjectiveTerms(
+                            *map(math.fsum, zip(*terms)))
+                progress_sink(ProgressEvent(epoch, t, factor, new, A, B,
+                                            state, epoch_objective))
     return state
 
 

@@ -23,20 +23,27 @@ def random_ppmi_sequence(V, T, density=0.3, seed=0):
     return PpmiSequence(matrices=mats, vocab_size=V)
 
 
+def dense_objective_terms(seq, Y):
+    """Brute-force dense (fit, coupling, ridge, smoothing) terms of the full
+    training objective."""
+    cfg = seq.config
+    fit = coupling = ridge = smoothing = 0.0
+    for t in range(seq.num_slices):
+        D = Y.matrices[t].values.toarray()
+        fit += 0.5 * np.sum((D - seq.U[t] @ seq.W[t].T) ** 2)
+        coupling += 0.5 * cfg.coupling * np.sum((seq.U[t] - seq.W[t]) ** 2)
+        ridge += 0.5 * cfg.ridge * (np.sum(seq.U[t] ** 2)
+                                    + np.sum(seq.W[t] ** 2))
+        if t > 0:
+            smoothing += 0.5 * cfg.smoothing * (
+                np.sum((seq.U[t - 1] - seq.U[t]) ** 2)
+                + np.sum((seq.W[t - 1] - seq.W[t]) ** 2))
+    return fit, coupling, ridge, smoothing
+
+
 def dense_objective_oracle(seq, Y):
     """Brute-force dense evaluation of the full training objective."""
-    cfg = seq.config
-    total = 0.0
-    T = seq.num_slices
-    for t in range(T):
-        D = Y.matrices[t].values.toarray()
-        total += 0.5 * np.sum((D - seq.U[t] @ seq.W[t].T) ** 2)
-        total += 0.5 * cfg.coupling * np.sum((seq.U[t] - seq.W[t]) ** 2)
-        total += 0.5 * cfg.ridge * (np.sum(seq.U[t] ** 2) + np.sum(seq.W[t] ** 2))
-        if t > 0:
-            total += 0.5 * cfg.smoothing * np.sum((seq.U[t - 1] - seq.U[t]) ** 2)
-            total += 0.5 * cfg.smoothing * np.sum((seq.W[t - 1] - seq.W[t]) ** 2)
-    return total
+    return sum(dense_objective_terms(seq, Y))
 
 
 def dense_ridge_system(factor, t, seq, Y, config):

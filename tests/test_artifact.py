@@ -1,6 +1,7 @@
 """The artifact container: a damaged file of any of the three binary formats
 raises ArtifactError naming its path, and writes are atomic."""
 
+import errno
 import os
 import struct
 import tempfile
@@ -195,6 +196,21 @@ class TestReadText:
             read_text(p)
         assert str(info.value) == f"{p}: not valid UTF-8"
 
+    def test_directory_is_an_artifact_error(self, tmp_path):
+        with pytest.raises(ArtifactError) as info:
+            read_text(tmp_path)
+        assert str(info.value) == f"{tmp_path}: {os.strerror(errno.EISDIR)}"
+
+    def test_missing_file_stays_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_text(tmp_path / "nope.txt")
+
+    @pytest.mark.parametrize("name", sorted(FORMATS))
+    def test_directory_as_artifact(self, tmp_path, name):
+        with pytest.raises(ArtifactError) as info:
+            FORMATS[name][1](tmp_path)
+        assert str(info.value) == f"{tmp_path}: {os.strerror(errno.EISDIR)}"
+
 
 class TestAtomicWrite:
     def test_failed_replace_leaves_target_and_no_temp(self, tmp_path,
@@ -210,6 +226,13 @@ class TestAtomicWrite:
             atomic_write_bytes(target, b"new")
         assert target.read_bytes() == b"old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        target = tmp_path / "missing" / "a.bin"
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write_bytes(target, b"new")
+        assert info.value.filename == str(target)
+        assert str(target) + "." not in str(info.value)
 
     def test_permissions_match_a_plain_write(self, tmp_path):
         (tmp_path / "plain").write_bytes(b"x")

@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 
@@ -355,6 +357,55 @@ class TestTrain:
         assert objs == sorted(objs, reverse=True)
         assert (run_dir / "embeddings_dw2v.tvem").exists()
         assert (run_dir / "embeddings_dw2v.txt").exists()
+
+    def test_dw2v_never_calls_objective(self, run_dir, capsys, monkeypatch):
+        import tvembed.solver as solver
+
+        def refuse(seq, Y):
+            raise AssertionError("objective() called")
+
+        monkeypatch.setattr(solver, "objective", refuse)
+        assert main(train_args(run_dir)) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("epoch ") for line in out) == 3
+
+    # The epoch lines of two fixed runs, recorded when `train` called
+    # objective() once per epoch. Users and scripts parse this format.
+    RECORDED_EPOCH_LINES = {
+        "toy": ["epoch 1: objective 9.866454e+02",
+                "epoch 2: objective 3.286887e+02",
+                "epoch 3: objective 1.697596e+02"],
+        "planted": ["epoch 1: objective 1.025853e+04",
+                    "epoch 2: objective 9.405775e+03",
+                    "epoch 3: objective 9.260675e+03",
+                    "epoch 4: objective 9.188993e+03",
+                    "epoch 5: objective 9.104806e+03",
+                    "epoch 6: objective 8.980812e+03",
+                    "epoch 7: objective 8.792301e+03",
+                    "epoch 8: objective 8.519150e+03"],
+    }
+
+    def test_epoch_lines_match_recorded(self, run_dir, tmp_path, capsys):
+        corpus = planted_shift_corpus(n_slices=5, community_size=20,
+                                      docs_per_slice=80, doc_len=12, halo=3,
+                                      seed=11)
+        path = tmp_path / "planted.jsonl"
+        path.write_text("".join(
+            json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
+            for label, docs in zip(corpus.slice_labels, corpus.slices)
+            for doc in docs.documents()))
+        planted = tmp_path / "planted"
+        assert main(["build", "--corpus", str(path), "--out", str(planted),
+                     "--window", "3"]) == 0
+        runs = {"toy": train_args(run_dir),
+                "planted": ["train", "--out", str(planted), "--dim", "6",
+                            "--epochs", "8", "--seed", "4"]}
+        for name, argv in runs.items():
+            capsys.readouterr()
+            assert main(argv) == 0
+            lines = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("epoch")]
+            assert lines == self.RECORDED_EPOCH_LINES[name]
 
     def test_aw2v_writes_aligned_only(self, run_dir):
         assert main(train_args(run_dir, method="aw2v")) == 0
@@ -1007,6 +1058,40 @@ class TestErrorLine:
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: not valid UTF-8"
+        ]
+
+    @pytest.mark.parametrize("flag", ["--config", "--stopwords", "--testset",
+                                      "--triplets"])
+    def test_directory_as_text_input(self, run_dir, capsys, flag):
+        folder = run_dir.parent
+        argv = {
+            "--config": train_args(run_dir),
+            "--stopwords": ["build", "--corpus", str(folder / "corpus"),
+                            "--out", str(run_dir)],
+        }.get(flag, ["evaluate", "--out", str(run_dir)])
+        assert main(train_args(run_dir)) == 0
+        capsys.readouterr()
+        assert main(argv + [flag, str(folder)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {folder}: {os.strerror(errno.EISDIR)}"
+        ]
+
+    @pytest.mark.parametrize("command", ["evaluate", "export-norms"])
+    def test_output_in_missing_directory(self, run_dir, capsys, command):
+        target = run_dir / "missing" / "out.txt"
+        argv = {
+            "evaluate": ["evaluate", "--testset",
+                         str(TestEvaluate().make_testset(run_dir)),
+                         "--json-out", str(target)],
+            "export-norms": ["export-norms", "--words", "pet0",
+                             "--csv-out", str(target)],
+        }[command]
+        assert main(train_args(run_dir)) == 0
+        capsys.readouterr()
+        assert main(argv + ["--out", str(run_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+            f"'{target}'"
         ]
 
     @pytest.mark.parametrize("argv,message", [

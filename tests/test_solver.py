@@ -6,10 +6,12 @@ import scipy.sparse as sp
 
 from conftest import (
     dense_objective_oracle,
+    dense_objective_terms,
     dense_ridge_system,
     random_ppmi_sequence,
 )
-from tvembed.ppmi import PpmiMatrix, PpmiSequence
+from tvembed.corpus import build_vocabulary, count_cooccurrences
+from tvembed.ppmi import PpmiMatrix, PpmiSequence, build_ppmi
 from tvembed.solver import (
     EmbeddingSequence,
     SolverConfig,
@@ -24,6 +26,7 @@ from tvembed.solver import (
     write_embeddings_binary,
     write_embeddings_text,
 )
+from tvembed.synthetic import planted_shift_corpus
 
 
 def zero_sequence(V, T):
@@ -331,6 +334,105 @@ class TestTrain:
         cfg = SolverConfig(dim=2, epochs=1, seed=13)
         with pytest.raises(FloatingPointError):
             train(Y, cfg)
+
+
+def streamed_run(Y, cfg):
+    """train with a sink: the factors, then per epoch the ObjectiveTerms,
+    objective(seq, Y) and the dense terms, all read at the epoch's end."""
+    epochs = []
+
+    def sink(event):
+        last = (event.t, event.factor) == (len(Y.matrices) - 1, "W")
+        assert (event.objective is not None) == last
+        if last:
+            epochs.append((event.objective, objective(event.state, Y),
+                           dense_objective_terms(event.state, Y)))
+
+    seq = train(Y, cfg, progress_sink=sink)
+    assert len(epochs) == cfg.epochs
+    return seq, epochs
+
+
+def with_zero_slice(Y, t):
+    V = Y.vocab_size
+    Y.matrices[t] = PpmiMatrix(values=sp.csr_matrix((V, V)),
+                               slice_label=Y.matrices[t].slice_label)
+    return Y
+
+
+class TestStreamedObjective:
+    """The objective train streams on each epoch's last event."""
+
+    CASES = {
+        "T1": (lambda: random_ppmi_sequence(12, 1, seed=21),
+               dict(ridge=1.0, smoothing=3.0, coupling=2.0)),
+        "T2": (lambda: random_ppmi_sequence(12, 2, seed=22),
+               dict(ridge=1.0, smoothing=3.0, coupling=2.0)),
+        "T5": (lambda: random_ppmi_sequence(15, 5, density=0.4, seed=23),
+               dict(ridge=0.5, smoothing=4.0, coupling=1.5)),
+        "no-coupling-no-smoothing": (
+            lambda: random_ppmi_sequence(12, 4, seed=24),
+            dict(ridge=2.0, smoothing=0.0, coupling=0.0)),
+        "zero-slice": (
+            lambda: with_zero_slice(random_ppmi_sequence(12, 4, seed=25), 2),
+            dict(ridge=1.0, smoothing=3.0, coupling=2.0)),
+    }
+
+    @pytest.fixture(params=sorted(CASES))
+    def case(self, request):
+        make, settings = self.CASES[request.param]
+        cfg = SolverConfig(dim=3, epochs=4, seed=26, **settings)
+        return make(), cfg
+
+    def test_total_matches_objective_every_epoch(self, case):
+        Y, cfg = case
+        _, epochs = streamed_run(Y, cfg)
+        for terms, want, _ in epochs:
+            assert terms.total == pytest.approx(want, rel=1e-12)
+
+    def test_each_term_matches_its_closed_form(self, case):
+        Y, cfg = case
+        _, epochs = streamed_run(Y, cfg)
+        for terms, _, dense in epochs:
+            got = (terms.fit, terms.coupling, terms.ridge, terms.smoothing)
+            # A term that is zero (no coupling, no smoothing, T=1) is
+            # exactly zero.
+            assert got == pytest.approx(dense, rel=1e-12, abs=1e-300)
+
+    def test_sink_leaves_factors_bit_identical(self, case):
+        Y, cfg = case
+        seq, _ = streamed_run(Y, cfg)
+        bare = train(Y, cfg)
+        for a, b in zip(seq.U + seq.W, bare.U + bare.W):
+            assert np.array_equal(a, b)
+
+    def test_fit_cancellation_near_convergence(self):
+        # The streamed fit term is 1/2 (||Y||^2 - 2<Y, U W^T> + <U^T U,
+        # W^T W>), whose parts nearly cancel once the factors fit Y. Over 40
+        # epochs on a planted corpus the fit falls to about a quarter of
+        # ||Y||^2 / 2; measured worst relative error against the dense
+        # oracle: fit 1.8e-15, total 5.6e-16.
+        corpus = planted_shift_corpus(n_slices=4, community_size=20,
+                                      docs_per_slice=80, doc_len=12, halo=3,
+                                      seed=27)
+        vocab = build_vocabulary(corpus, min_count=1)
+        Y = PpmiSequence(
+            matrices=[build_ppmi(count_cooccurrences(s, vocab, window=3),
+                                 slice_label=lab)
+                      for s, lab in zip(corpus.slices, corpus.slice_labels)],
+            vocab_size=len(vocab))
+        cfg = SolverConfig(dim=8, epochs=40, seed=27)
+        _, epochs = streamed_run(Y, cfg)
+        half_ynorm2 = 0.5 * sum(float(m.values.power(2).sum())
+                                for m in Y.matrices)
+        fit_err = max(abs(terms.fit - dense[0]) / dense[0]
+                      for terms, _, dense in epochs)
+        total_err = max(abs(terms.total - sum(dense)) / sum(dense)
+                        for terms, _, dense in epochs)
+        print(f"fit/(||Y||^2/2) {epochs[-1][0].fit / half_ynorm2:.3f} after "
+              f"{cfg.epochs} epochs; worst relative error: fit "
+              f"{fit_err:.1e}, total {total_err:.1e}")
+        assert fit_err <= 1e-12 and total_err <= 1e-12
 
 
 def init_embeddings_with_labels(V, T, cfg, Y):
