@@ -19,7 +19,7 @@ from tvembed.corpus import (
     subsample_counts,
     tokenize,
 )
-from tvembed.ppmi import PpmiMatrix, PpmiSequence, build_ppmi, pmi_value
+from tvembed.ppmi import PpmiMatrix, PpmiSequence, build_ppmi
 from tvembed.solver import (
     EmbeddingSequence,
     SolverConfig,

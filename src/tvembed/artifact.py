@@ -4,6 +4,7 @@ order, with no byte left over. A damaged file raises ArtifactError, which is
 also the error of every other malformed or unreadable input file; `read_text`
 decodes the text inputs."""
 
+import mmap
 import os
 import struct
 from contextlib import contextmanager
@@ -81,11 +82,20 @@ def triplet_parts(matrix, value_dtype):
 
 
 class ArtifactReader:
-    """Reads the parts of one artifact in order, each within the file."""
+    """Reads the parts of one artifact in order, each within the file.
+
+    The file is mapped read-only, so `array` returns read-only views into the
+    mapping; the mapping lives as long as the reader or any such view. A
+    caller that writes into an array copies it first. Writers replace files
+    by rename (`atomic_write_bytes`), which leaves a live mapping intact;
+    truncating a mapped file in place is unsupported."""
 
     def __init__(self, path, magic, version):
-        with reading(path):
-            self.raw = Path(path).read_bytes()
+        with reading(path), open(path, "rb") as fh:
+            # mmap refuses an empty file; it then fails the magic check.
+            empty = os.fstat(fh.fileno()).st_size == 0
+            self.raw = b"" if empty else mmap.mmap(fh.fileno(), 0,
+                                                    access=mmap.ACCESS_READ)
         self.path, self.off = path, 4
         if self.raw[:4] != magic:
             raise ArtifactError(path, f"bad magic {self.raw[:4]!r}, expected {magic!r}")
@@ -99,6 +109,10 @@ class ArtifactReader:
             raise ArtifactError(self.path, f"truncated: needs {size} bytes, has {left}")
         self.off += size
         return self.off - size
+
+    def skip(self, dtype, count):
+        """Pass over an array of `count` `dtype` items without reading it."""
+        self._take(count * np.dtype(dtype).itemsize)
 
     def fields(self, fmt):
         return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt)))

@@ -304,14 +304,16 @@ def cmd_train(args):
     return 0
 
 
-def _embeddings_for(cfg, vocab):
+def _embeddings_for(cfg, vocab, select=None):
+    """The embeddings of cfg.method and their labels, checked against the
+    run's vocab.txt and labels.json; with `select`, only those slices are
+    read and the others are None."""
     path = _emb_path(cfg.out, cfg.method, "tvem")
     if not path.exists():
         raise UsageError(f"no embeddings found at {path}; run train first")
-    mats, labels = read_embeddings_binary(path)
-    _check_fresh(path, mats[0].shape[0] if mats else 0, vocab, "train",
-                 labels, read_labels(cfg.out))
-    return mats, labels
+    return read_embeddings_binary(
+        path, select, check=lambda V, labels: _check_fresh(
+            path, V, vocab, "train", labels, read_labels(cfg.out)))
 
 
 def cmd_query(args):
@@ -319,7 +321,9 @@ def cmd_query(args):
     if args.k < 1:
         raise UsageError("-k must be >= 1")
     vocab = read_vocab(_vocab_path(cfg.out))
-    mats, labels = _embeddings_for(cfg, vocab)
+    target = args.label if args.target_label is None else args.target_label
+    mats, labels = _embeddings_for(
+        cfg, vocab, None if args.all_years else {args.label, target})
     if args.word not in vocab:
         close = difflib.get_close_matches(args.word, vocab.words, n=5)
         raise LookupFailure(
@@ -327,7 +331,6 @@ def cmd_query(args):
         )
     w = vocab.index[args.word]
     by_label = {lab: m for lab, m in zip(labels, mats)}
-    target = args.label if args.target_label is None else args.target_label
     for flag, label in (("--label", args.label), ("--target-label", target)):
         _check_slice_labels(flag, [label], labels)
     targets = labels if args.all_years else [target]
@@ -512,23 +515,7 @@ def _add_config_flags(p):
                        default=None)
 
 
-def make_parser():
-    parser = argparse.ArgumentParser(
-        prog="tvembed",
-        description="Temporally aligned word embeddings from time-sliced corpora",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="corpus -> stats + PPMI artifacts")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("train", help="PPMI artifacts -> embeddings")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("query", help="nearest neighbors of a word-year pair")
-    _add_config_flags(p)
+def _query_flags(p):
     p.add_argument("word")
     p.add_argument("--label", type=int, required=True)
     p.add_argument("--target-label", type=int, default=None)
@@ -536,34 +523,67 @@ def make_parser():
     p.add_argument("--all-years", action="store_true")
     p.add_argument("--keep-self", action="store_true",
                    help="do not exclude the query word in its own slice")
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("evaluate", help="clustering and alignment metrics")
-    _add_config_flags(p)
+
+def _evaluate_flags(p):
     p.add_argument("--testset", help="alignment testset CSV")
     p.add_argument("--triplets", help="labeled triplet CSV")
     p.add_argument("--json-out", help="write the JSON report here")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("robustness", help="subsampled-rates comparison table")
-    _add_config_flags(p)
+
+def _robustness_flags(p):
     p.add_argument("--testset", required=True)
     p.add_argument("--rates", default="1,0.1,0.01,0.001")
     p.add_argument("--slices", default="alternate",
                    help="'alternate', 'all', or comma-separated labels")
-    p.set_defaults(func=cmd_robustness)
 
-    p = sub.add_parser("export-norms", help="per-word norm series CSV")
-    _add_config_flags(p)
+
+def _export_norms_flags(p):
     p.add_argument("--words", required=True, help="comma-separated word list")
     p.add_argument("--csv-out")
-    p.set_defaults(func=cmd_export_norms)
 
+
+COMMANDS = ("build", "train", "query", "evaluate", "robustness",
+            "export-norms")
+
+
+def make_parser(argv=None):
+    """The command-line parser. Given the `argv` it will parse, only the
+    subcommand named by argv[0] gets its flags, as the others are never
+    consulted; if argv[0] names no subcommand (a help flag, nothing, a
+    typo), every subcommand gets them, so that help and errors list all."""
+    parser = argparse.ArgumentParser(
+        prog="tvembed",
+        description="Temporally aligned word embeddings from time-sliced corpora",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    running = argv[0] if argv and argv[0] in COMMANDS else None
+
+    def add(name, help_text, func, add_flags=None):
+        p = sub.add_parser(name, help=help_text)
+        if running in (None, name):
+            _add_config_flags(p)
+            if add_flags is not None:
+                add_flags(p)
+            p.set_defaults(func=func)
+
+    add("build", "corpus -> stats + PPMI artifacts", cmd_build)
+    add("train", "PPMI artifacts -> embeddings", cmd_train)
+    add("query", "nearest neighbors of a word-year pair", cmd_query,
+        _query_flags)
+    add("evaluate", "clustering and alignment metrics", cmd_evaluate,
+        _evaluate_flags)
+    add("robustness", "subsampled-rates comparison table", cmd_robustness,
+        _robustness_flags)
+    add("export-norms", "per-word norm series CSV", cmd_export_norms,
+        _export_norms_flags)
     return parser
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = make_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as e:

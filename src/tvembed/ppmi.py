@@ -1,6 +1,5 @@
 """Positive PMI matrices built from per-slice co-occurrence statistics."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,18 +9,6 @@ from tvembed.artifact import ArtifactReader, triplet_parts, write_artifact
 
 PPMI_MAGIC = b"TVPM"
 PPMI_VERSION = 1
-
-
-def pmi_value(count_wc, count_w, count_c, total):
-    """Pointwise mutual information log(count_wc * total / (count_w * count_c)).
-
-    Natural log. Returns -inf when count_wc is zero (callers clamp).
-    """
-    if count_wc > 0 and (count_w <= 0 or count_c <= 0 or total <= 0):
-        raise ValueError("marginal counts must be positive when the pair count is")
-    if count_wc == 0:
-        return -math.inf
-    return math.log(count_wc * total / (count_w * count_c))
 
 
 @dataclass

@@ -42,12 +42,19 @@ def _write_tvem(path, V, rng):
     write_embeddings_binary(mats, list(range(1990, 1990 + T)), path)
 
 
+def _read_tvem_selected(path):
+    """The selective read `query` does: of _write_tvem's one to three slices
+    only the second, if any, is read and the others are skipped."""
+    return read_embeddings_binary(path, select={1991})
+
+
 # name -> (writer, reader, magic, offset of the row array in a triplet
 # block as a function of V, or None)
 FORMATS = {
     "tvco": (_write_tvco, read_stats, b"TVCO", lambda V: 36 + 8 * V),
     "tvpm": (_write_tvpm, read_ppmi, b"TVPM", lambda V: 32),
     "tvem": (_write_tvem, read_embeddings_binary, b"TVEM", None),
+    "tvem-selected": (_write_tvem, _read_tvem_selected, b"TVEM", None),
 }
 
 # name -> (offset, struct format) of each header field after the version
@@ -56,6 +63,7 @@ HEADERS = {
     "tvpm": [(8, "<Q"), (16, "<q")],  # V, slice_label
     "tvem": [(8, "<Q"), (16, "<Q"), (24, "<Q")],  # V, T, d
 }
+HEADERS["tvem-selected"] = HEADERS["tvem"]
 
 
 def _flip(blob, offset, fmt, bit):
@@ -181,6 +189,81 @@ class TestDamagedArtifacts:
             finally:
                 tracemalloc.stop()
             assert peak < 2**20
+
+
+class TestMappedRead:
+    """Artifacts are mapped, not read: arrays are read-only views, and a
+    selective .tvem read skips the slices it is not asked for."""
+
+    @staticmethod
+    def _tvem(path, T=4, V=5, d=3):
+        rng = np.random.default_rng(7)
+        mats = [rng.standard_normal((V, d)) for _ in range(T)]
+        labels = list(range(1990, 1990 + T))
+        write_embeddings_binary(mats, labels, path)
+        return mats, labels
+
+    @pytest.mark.parametrize("select", [set(), {1990}, {1991, 1993}, {1993},
+                                        {1990, 1991, 1992, 1993}, {1989}])
+    def test_selected_slices_equal_a_full_read(self, tmp_path, select):
+        path = tmp_path / "e.tvem"
+        self._tvem(path)
+        full, labels = read_embeddings_binary(path)
+        part, part_labels = read_embeddings_binary(path, select=select)
+        assert part_labels == labels
+        for label, a, b in zip(labels, full, part):
+            if label in select:
+                assert np.array_equal(a, b)
+            else:
+                assert b is None
+
+    @pytest.mark.parametrize("cut", [1, 8 * 15 // 2, 8 * 15 - 1])
+    def test_truncated_inside_a_skipped_slice(self, tmp_path, cut):
+        # Slice 1993 is the last one; the read asks for 1990 only.
+        path = tmp_path / "e.tvem"
+        self._tvem(path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ArtifactError, match="truncated") as info:
+            read_embeddings_binary(path, select={1990})
+        assert str(path) in str(info.value)
+
+    def test_check_sees_the_header_after_the_length_checks(self, tmp_path):
+        path = tmp_path / "e.tvem"
+        self._tvem(path)
+        seen = []
+        read_embeddings_binary(path, select=set(),
+                               check=lambda V, labels: seen.append((V, labels)))
+        assert seen == [(5, [1990, 1991, 1992, 1993])]
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ArtifactError, match="1 trailing bytes"):
+            read_embeddings_binary(path, check=lambda V, labels: 1 / 0)
+
+    @pytest.mark.parametrize("name", ["tvco", "tvpm", "tvem"])
+    def test_empty_file_is_an_artifact_error(self, tmp_path, name):
+        path = tmp_path / f"empty.{name}"
+        path.write_bytes(b"")
+        with pytest.raises(ArtifactError) as info:
+            FORMATS[name][1](path)
+        assert str(info.value) == (
+            f"{path}: bad magic b'', expected {FORMATS[name][2]!r}")
+
+    def test_arrays_are_read_only_views(self, tmp_path):
+        path = tmp_path / "e.tvem"
+        self._tvem(path)
+        mats, _ = read_embeddings_binary(path)
+        assert not any(m.flags.writeable for m in mats)
+        with pytest.raises(ValueError, match="read-only"):
+            mats[0][0, 0] = 1.0
+
+    def test_atomic_replace_leaves_a_mapped_read_intact(self, tmp_path):
+        path = tmp_path / "e.tvem"
+        mats, labels = self._tvem(path)
+        before, _ = read_embeddings_binary(path)
+        write_embeddings_binary([-m for m in mats], labels, path)
+        after, _ = read_embeddings_binary(path)
+        for m, old, new in zip(mats, before, after):
+            assert np.array_equal(old, m)
+            assert np.array_equal(new, -m)
 
 
 class TestReadText:

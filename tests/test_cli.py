@@ -1,17 +1,28 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tvembed.cli import derive_seed, main, parse_config_file
+from tvembed import cli
+from tvembed.cli import (
+    COMMANDS,
+    derive_seed,
+    main,
+    make_parser,
+    parse_config_file,
+)
+from tvembed.evaluation import nearest_neighbors
 from tvembed.corpus import read_stats
 from tvembed.ppmi import read_ppmi
-from tvembed.solver import read_embeddings_binary
+from tvembed.solver import read_embeddings_binary, write_embeddings_binary
 from tvembed.synthetic import planted_shift_corpus
 
 
@@ -594,6 +605,122 @@ class TestQuery:
         )
         assert code == 3
         assert "shifty" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("extra,read", [
+        ([], [1990]),
+        (["--target-label", "2000"], [1990, 2000]),
+        (["--all-years"], [1990, 1995, 2000]),
+    ], ids=["same-slice", "target-label", "all-years"])
+    def test_reads_only_the_slices_it_ranks(self, run_dir, capsys,
+                                            monkeypatch, extra, read):
+        main(train_args(run_dir))
+        seen = []
+
+        def spy(*args, **kwargs):
+            mats, labels = read_embeddings_binary(*args, **kwargs)
+            seen.append([lab for lab, m in zip(labels, mats) if m is not None])
+            return mats, labels
+
+        monkeypatch.setattr(cli, "read_embeddings_binary", spy)
+        assert main(["query", "shifty", "--out", str(run_dir), "--label",
+                     "1990"] + extra) == 0
+        assert seen == [read]
+
+    def test_stale_artifact_before_unknown_label(self, run_dir, capsys):
+        # No slice of the file is read, so V must come from its header.
+        main(train_args(run_dir))
+        vocab = run_dir / "vocab.txt"
+        n = len(vocab.read_text().splitlines())
+        vocab.write_text(vocab.read_text() + "zebra\n")
+        capsys.readouterr()
+        code = main(["query", "shifty", "--out", str(run_dir), "--label",
+                     "1991"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {run_dir / 'embeddings_dw2v.tvem'}: V={n} but vocab.txt "
+            f"has {n + 1} words; rerun train"
+        ]
+
+    def test_second_query_sees_a_replaced_artifact(self, run_dir, capsys):
+        # Nothing read by one main() call survives into the next.
+        main(train_args(run_dir))
+        argv = ["query", "shifty", "--out", str(run_dir), "--label", "1995",
+                "-k", "4"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        path = run_dir / "embeddings_dw2v.tvem"
+        mats, labels = read_embeddings_binary(path)
+        rng = np.random.default_rng(5)
+        new = [rng.standard_normal(m.shape) for m in mats]
+        write_embeddings_binary(new, labels, path)  # atomic_write_bytes
+        words = (run_dir / "vocab.txt").read_text().splitlines()
+        w = words.index("shifty")
+        top = nearest_neighbors(new[1][w], new[1], 4, exclude={w})
+        expected = "shifty@1995 -> 1995: " + ", ".join(
+            f"{words[i]}:{s:.4f}" for i, s in top) + "\n"
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert second == expected
+        assert second != first
+
+
+def _parse_outcome(parser, argv):
+    """The stdout, stderr and result (the parsed flags or the exit code) of
+    parsing `argv` with `parser`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return out.getvalue(), err.getvalue(), result
+
+
+class TestParser:
+    """`main` builds only the running subcommand's flags; whatever the
+    command line, it parses as the parser with every subcommand built."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], *([name, "-h"] for name in COMMANDS), [],
+        ["nope"], ["quer", "w", "--label", "1"], ["query", "w"],
+        ["query", "w", "--label", "1990", "-k", "x"],
+        ["query", "w", "--label", "1990", "--bogus"], ["train", "--bogus"],
+        ["evaluate", "--testset"], ["robustness", "--out", "r"],
+        ["query", "w", "--label", "1990", "--all-years", "-k", "3"],
+        ["build", "--out", "r", "--window", "3", "--config", "c.cfg"],
+        ["export-norms", "--words", "a,b", "--csv-out", "n.csv"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_as_the_full_parser(self, argv):
+        lazy = _parse_outcome(make_parser(argv), argv)
+        assert lazy == _parse_outcome(make_parser(), argv)
+        if argv[-1:] in (["-h"], ["--help"]):
+            assert lazy[2] == 0
+
+    def test_other_subcommands_get_no_flags(self):
+        out, err, code = _parse_outcome(make_parser(["query"]),
+                                        ["train", "--out", "r"])
+        assert code == 2
+        assert "unrecognized arguments: --out r" in err
+
+    def test_console_script_reads_sys_argv(self, run_dir, capsys,
+                                           monkeypatch):
+        main(train_args(run_dir))
+        argv = ["query", "shifty", "--out", str(run_dir), "--label", "1990"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["tvembed"] + argv)
+        assert main() == 0
+        assert capsys.readouterr() == expected
+        for argv in (["--help"], ["query", "--help"]):
+            monkeypatch.setattr(sys, "argv", ["tvembed"] + argv)
+            with pytest.raises(SystemExit) as info:
+                main()
+            assert info.value.code == 0
+            assert capsys.readouterr().out == _parse_outcome(
+                make_parser(), argv)[0]
 
 
 class TestEvaluate:

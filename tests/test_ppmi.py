@@ -9,10 +9,21 @@ from tvembed.corpus import SliceStats, Vocabulary, count_cooccurrences
 from tvembed.ppmi import (
     PpmiSequence,
     build_ppmi,
-    pmi_value,
     read_ppmi,
     write_ppmi,
 )
+
+
+def pmi_value(count_wc, count_w, count_c, total):
+    """Pointwise mutual information log(count_wc * total / (count_w * count_c)).
+
+    Natural log. Returns -inf when count_wc is zero (callers clamp).
+    """
+    if count_wc > 0 and (count_w <= 0 or count_c <= 0 or total <= 0):
+        raise ValueError("marginal counts must be positive when the pair count is")
+    if count_wc == 0:
+        return -math.inf
+    return math.log(count_wc * total / (count_w * count_c))
 
 
 def dense_ppmi_oracle(stats):
@@ -22,11 +33,8 @@ def dense_ppmi_oracle(stats):
     cooc = stats.cooc.toarray()
     for w in range(V):
         for c in range(V):
-            if cooc[w, c] == 0:
-                continue
-            pmi = math.log(
-                cooc[w, c] * stats.total_tokens / (stats.unigram[w] * stats.unigram[c])
-            )
+            pmi = pmi_value(cooc[w, c], stats.unigram[w], stats.unigram[c],
+                            stats.total_tokens)
             out[w, c] = max(pmi, 0.0)
     return out
 
