@@ -110,10 +110,6 @@ class ArtifactReader:
         self.off += size
         return self.off - size
 
-    def skip(self, dtype, count):
-        """Pass over an array of `count` `dtype` items without reading it."""
-        self._take(count * np.dtype(dtype).itemsize)
-
     def fields(self, fmt):
         return struct.unpack_from(fmt, self.raw, self._take(struct.calcsize(fmt)))
 

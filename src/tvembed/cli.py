@@ -304,16 +304,14 @@ def cmd_train(args):
     return 0
 
 
-def _embeddings_for(cfg, vocab, select=None):
-    """The embeddings of cfg.method and their labels, checked against the
-    run's vocab.txt and labels.json; with `select`, only those slices are
-    read and the others are None."""
+def _embeddings_for(cfg, vocab):
     path = _emb_path(cfg.out, cfg.method, "tvem")
     if not path.exists():
         raise UsageError(f"no embeddings found at {path}; run train first")
-    return read_embeddings_binary(
-        path, select, check=lambda V, labels: _check_fresh(
-            path, V, vocab, "train", labels, read_labels(cfg.out)))
+    mats, labels = read_embeddings_binary(path)
+    _check_fresh(path, mats[0].shape[0] if mats else 0, vocab, "train",
+                 labels, read_labels(cfg.out))
+    return mats, labels
 
 
 def cmd_query(args):
@@ -321,9 +319,7 @@ def cmd_query(args):
     if args.k < 1:
         raise UsageError("-k must be >= 1")
     vocab = read_vocab(_vocab_path(cfg.out))
-    target = args.label if args.target_label is None else args.target_label
-    mats, labels = _embeddings_for(
-        cfg, vocab, None if args.all_years else {args.label, target})
+    mats, labels = _embeddings_for(cfg, vocab)
     if args.word not in vocab:
         close = difflib.get_close_matches(args.word, vocab.words, n=5)
         raise LookupFailure(
@@ -331,6 +327,7 @@ def cmd_query(args):
         )
     w = vocab.index[args.word]
     by_label = {lab: m for lab, m in zip(labels, mats)}
+    target = args.label if args.target_label is None else args.target_label
     for flag, label in (("--label", args.label), ("--target-label", target)):
         _check_slice_labels(flag, [label], labels)
     targets = labels if args.all_years else [target]
@@ -543,8 +540,23 @@ def _export_norms_flags(p):
     p.add_argument("--csv-out")
 
 
-COMMANDS = ("build", "train", "query", "evaluate", "robustness",
-            "export-norms")
+def _no_flags(p):
+    pass
+
+
+# name -> (help, handler, adder of the flags beyond the config flags)
+COMMANDS = {
+    "build": ("corpus -> stats + PPMI artifacts", cmd_build, _no_flags),
+    "train": ("PPMI artifacts -> embeddings", cmd_train, _no_flags),
+    "query": ("nearest neighbors of a word-year pair", cmd_query,
+              _query_flags),
+    "evaluate": ("clustering and alignment metrics", cmd_evaluate,
+                 _evaluate_flags),
+    "robustness": ("subsampled-rates comparison table", cmd_robustness,
+                   _robustness_flags),
+    "export-norms": ("per-word norm series CSV", cmd_export_norms,
+                     _export_norms_flags),
+}
 
 
 def make_parser(argv=None):
@@ -558,25 +570,12 @@ def make_parser(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     running = argv[0] if argv and argv[0] in COMMANDS else None
-
-    def add(name, help_text, func, add_flags=None):
+    for name, (help_text, func, add_flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if running in (None, name):
             _add_config_flags(p)
-            if add_flags is not None:
-                add_flags(p)
+            add_flags(p)
             p.set_defaults(func=func)
-
-    add("build", "corpus -> stats + PPMI artifacts", cmd_build)
-    add("train", "PPMI artifacts -> embeddings", cmd_train)
-    add("query", "nearest neighbors of a word-year pair", cmd_query,
-        _query_flags)
-    add("evaluate", "clustering and alignment metrics", cmd_evaluate,
-        _evaluate_flags)
-    add("robustness", "subsampled-rates comparison table", cmd_robustness,
-        _robustness_flags)
-    add("export-norms", "per-word norm series CSV", cmd_export_norms,
-        _export_norms_flags)
     return parser
 
 

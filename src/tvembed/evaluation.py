@@ -69,10 +69,7 @@ class CosineRows:
         words = np.flatnonzero(valid)
         self.position = np.full(len(matrix), -1, dtype=np.int64)
         self.position[words] = np.arange(len(words))
-        if len(words) == len(matrix):  # every row: no need to gather them
-            self._full = (matrix, norms, words)
-        else:
-            self._full = (matrix[words], norms[words], words)
+        self._full = (matrix[words], norms[words], words)
         self._rest, self._dropped = None, -1
 
     def _gap(self, drop):

@@ -350,26 +350,16 @@ def write_embeddings_binary(matrices, labels, path):
     ])
 
 
-def read_embeddings_binary(path, select=None, check=None):
+def read_embeddings_binary(path):
     """The per-slice V x d matrices of a .tvem file and its slice labels.
 
-    The matrices are read-only views into the mapped file. With `select`, a
-    set of labels, the slices of other labels are skipped and stand as None;
-    they still count toward the length checks. `check(V, labels)`, if given,
-    runs once the whole file has passed them, and may raise."""
+    The matrices are read-only views into the mapped file, so a slice that
+    is never used is never read from disk."""
     r = ArtifactReader(path, EMB_MAGIC, EMB_VERSION)
     V, T, d = r.fields("<QQQ")
     labels = r.array("<i8", T).tolist()
-    matrices = []
-    for label in labels:
-        if select is None or label in select:
-            matrices.append(r.array("<f8", V * d).reshape(V, d))
-        else:
-            r.skip("<f8", V * d)
-            matrices.append(None)
+    matrices = [r.array("<f8", V * d).reshape(V, d) for _ in range(T)]
     r.end()
-    if check is not None:
-        check(V, labels)
     return matrices, labels
 
 

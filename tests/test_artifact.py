@@ -42,19 +42,12 @@ def _write_tvem(path, V, rng):
     write_embeddings_binary(mats, list(range(1990, 1990 + T)), path)
 
 
-def _read_tvem_selected(path):
-    """The selective read `query` does: of _write_tvem's one to three slices
-    only the second, if any, is read and the others are skipped."""
-    return read_embeddings_binary(path, select={1991})
-
-
 # name -> (writer, reader, magic, offset of the row array in a triplet
 # block as a function of V, or None)
 FORMATS = {
     "tvco": (_write_tvco, read_stats, b"TVCO", lambda V: 36 + 8 * V),
     "tvpm": (_write_tvpm, read_ppmi, b"TVPM", lambda V: 32),
     "tvem": (_write_tvem, read_embeddings_binary, b"TVEM", None),
-    "tvem-selected": (_write_tvem, _read_tvem_selected, b"TVEM", None),
 }
 
 # name -> (offset, struct format) of each header field after the version
@@ -63,7 +56,6 @@ HEADERS = {
     "tvpm": [(8, "<Q"), (16, "<q")],  # V, slice_label
     "tvem": [(8, "<Q"), (16, "<Q"), (24, "<Q")],  # V, T, d
 }
-HEADERS["tvem-selected"] = HEADERS["tvem"]
 
 
 def _flip(blob, offset, fmt, bit):
@@ -192,8 +184,9 @@ class TestDamagedArtifacts:
 
 
 class TestMappedRead:
-    """Artifacts are mapped, not read: arrays are read-only views, and a
-    selective .tvem read skips the slices it is not asked for."""
+    """Artifacts are mapped, not read: arrays are read-only views into the
+    file. TestDamagedArtifacts checks that the whole file is still
+    length-checked."""
 
     @staticmethod
     def _tvem(path, T=4, V=5, d=3):
@@ -202,41 +195,6 @@ class TestMappedRead:
         labels = list(range(1990, 1990 + T))
         write_embeddings_binary(mats, labels, path)
         return mats, labels
-
-    @pytest.mark.parametrize("select", [set(), {1990}, {1991, 1993}, {1993},
-                                        {1990, 1991, 1992, 1993}, {1989}])
-    def test_selected_slices_equal_a_full_read(self, tmp_path, select):
-        path = tmp_path / "e.tvem"
-        self._tvem(path)
-        full, labels = read_embeddings_binary(path)
-        part, part_labels = read_embeddings_binary(path, select=select)
-        assert part_labels == labels
-        for label, a, b in zip(labels, full, part):
-            if label in select:
-                assert np.array_equal(a, b)
-            else:
-                assert b is None
-
-    @pytest.mark.parametrize("cut", [1, 8 * 15 // 2, 8 * 15 - 1])
-    def test_truncated_inside_a_skipped_slice(self, tmp_path, cut):
-        # Slice 1993 is the last one; the read asks for 1990 only.
-        path = tmp_path / "e.tvem"
-        self._tvem(path)
-        path.write_bytes(path.read_bytes()[:-cut])
-        with pytest.raises(ArtifactError, match="truncated") as info:
-            read_embeddings_binary(path, select={1990})
-        assert str(path) in str(info.value)
-
-    def test_check_sees_the_header_after_the_length_checks(self, tmp_path):
-        path = tmp_path / "e.tvem"
-        self._tvem(path)
-        seen = []
-        read_embeddings_binary(path, select=set(),
-                               check=lambda V, labels: seen.append((V, labels)))
-        assert seen == [(5, [1990, 1991, 1992, 1993])]
-        path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(ArtifactError, match="1 trailing bytes"):
-            read_embeddings_binary(path, check=lambda V, labels: 1 / 0)
 
     @pytest.mark.parametrize("name", ["tvco", "tvpm", "tvem"])
     def test_empty_file_is_an_artifact_error(self, tmp_path, name):

@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tvembed import cli
 from tvembed.cli import (
     COMMANDS,
     derive_seed,
@@ -606,29 +605,7 @@ class TestQuery:
         assert code == 3
         assert "shifty" in capsys.readouterr().err
 
-
-    @pytest.mark.parametrize("extra,read", [
-        ([], [1990]),
-        (["--target-label", "2000"], [1990, 2000]),
-        (["--all-years"], [1990, 1995, 2000]),
-    ], ids=["same-slice", "target-label", "all-years"])
-    def test_reads_only_the_slices_it_ranks(self, run_dir, capsys,
-                                            monkeypatch, extra, read):
-        main(train_args(run_dir))
-        seen = []
-
-        def spy(*args, **kwargs):
-            mats, labels = read_embeddings_binary(*args, **kwargs)
-            seen.append([lab for lab, m in zip(labels, mats) if m is not None])
-            return mats, labels
-
-        monkeypatch.setattr(cli, "read_embeddings_binary", spy)
-        assert main(["query", "shifty", "--out", str(run_dir), "--label",
-                     "1990"] + extra) == 0
-        assert seen == [read]
-
     def test_stale_artifact_before_unknown_label(self, run_dir, capsys):
-        # No slice of the file is read, so V must come from its header.
         main(train_args(run_dir))
         vocab = run_dir / "vocab.txt"
         n = len(vocab.read_text().splitlines())
