@@ -46,14 +46,17 @@ def read_text(path):
         raise ArtifactError(path, "not valid UTF-8") from None
 
 
-def atomic_write_bytes(path, data):
-    """Write a file atomically via a per-process temp file, fsync and rename.
-    An OSError that names the temp file is raised again naming `path`."""
+def atomic_write(path, chunks):
+    """Write the byte chunks of an iterable to `path` atomically, each as it
+    comes, via a per-process temp file, fsync and rename. If anything raises,
+    the temp file is removed and `path` is left as it was. An OSError that
+    names the temp file is raised again naming `path`."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -64,13 +67,22 @@ def atomic_write_bytes(path, data):
         raise
 
 
+def atomic_write_bytes(path, data):
+    """`atomic_write` of the one chunk `data`."""
+    atomic_write(path, [data])
+
+
 def write_artifact(path, magic, version, parts):
     """Write magic, u32 version, then each part: a (fmt, *values) tuple is
-    packed with struct, an array is written as its raw bytes."""
-    blob = [magic, struct.pack("<I", version)] + [
-        struct.pack(p[0], *p[1:]) if isinstance(p, tuple)
-        else np.ascontiguousarray(p).tobytes() for p in parts]
-    atomic_write_bytes(path, b"".join(blob))
+    packed with struct, an array is written as its raw bytes, straight from
+    its memory."""
+    def chunks():
+        yield magic
+        yield struct.pack("<I", version)
+        for p in parts:
+            yield (struct.pack(p[0], *p[1:]) if isinstance(p, tuple)
+                   else memoryview(np.ascontiguousarray(p)).cast("B"))
+    atomic_write(path, chunks())
 
 
 def triplet_parts(matrix, value_dtype):
@@ -87,7 +99,7 @@ class ArtifactReader:
     The file is mapped read-only, so `array` returns read-only views into the
     mapping; the mapping lives as long as the reader or any such view. A
     caller that writes into an array copies it first. Writers replace files
-    by rename (`atomic_write_bytes`), which leaves a live mapping intact;
+    by rename (`atomic_write`), which leaves a live mapping intact;
     truncating a mapped file in place is unsupported."""
 
     def __init__(self, path, magic, version):

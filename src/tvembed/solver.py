@@ -30,6 +30,7 @@ the other terms are O(V d) each. `objective` evaluates the same value from
 the factors alone.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from tvembed.artifact import ArtifactReader, atomic_write_bytes, write_artifact
+from tvembed.artifact import ArtifactReader, atomic_write, write_artifact
 
 EMB_MAGIC = b"TVEM"
 EMB_VERSION = 1
@@ -335,8 +336,26 @@ def final_embedding(seq):
 # Persistence.
 # Binary, in the artifact container: magic "TVEM", version 1, then V u64,
 # T u64, d u64, T labels i64 and T row-major f64 V x d matrices.
-# Text: header "V T d", then one "word label v1 ... vd" line per (word,
-# slice) with 9 significant digits.
+# Text: header "V T d", then one "word label v1 ... vd" line per (slice,
+# word), slices in order, each value as "%.9g" prints it.
+#
+# The text writer is a table formatter that streams blocks of rows into the
+# file. A value is four u64 words, each gathered from a table: a head (the
+# separating space, the sign, and "0." with leading zeros then the first
+# digit, or the first digit and a point if any digit follows), two groups of
+# 4 digits (trailing zeros dropped from the last group that is not all
+# zeros, and an all-zero group after it dropped) and an exponent ("e+XX",
+# "e-XXX" or nothing).
+# A byte the value does not print is 0xFF, which UTF-8 never contains, and
+# `bytes.translate` deletes it. The 9 digits are n = rint(|x| 10^(8-e)) with
+# e = floor(log10 |x|); n = 10^9 carries into e + 1. A value goes through
+# "%.9g" itself where float64 cannot settle its digits or the tables do not
+# print it:
+#   - the fraction of |x| 10^(8-e) lies within 1e-5 of 0.5 (its worst error
+#     is about 2.2e-7);
+#   - |x| 10^(8-e) is below 10^8, or n above 10^9 (a log10 off by one);
+#   - |x| is outside (1e-290, 1e290), zero excepted (subnormals, inf, nan);
+#   - fixed notation puts the point inside the digits (1 <= e <= 8).
 
 
 def write_embeddings_binary(matrices, labels, path):
@@ -363,11 +382,90 @@ def read_embeddings_binary(path):
     return matrices, labels
 
 
+_TEXT_BLOCK_ROWS = 512
+_EXP_RANGE = 300  # the tables cover exponents -300..300
+
+
+def _u64_words(data):
+    """`data` padded with 0xFF to a whole number of u64 words."""
+    return np.frombuffer(data.ljust(-(-len(data) // 8) * 8, b"\xff"), np.uint64)
+
+
+@functools.cache
+def _text_tables():
+    """The read-only head, digit-group, exponent and power-of-ten tables."""
+    def table(strings):
+        return _u64_words(b"".join(s.encode().ljust(8, b"\xff") for s in strings))
+
+    heads = table(" " + sign + (f"0.{'0' * (form - 1)}{digit}" if form
+                                else digit + "." * point)
+                  for sign in ("", "-") for form in range(5)
+                  for digit in "0123456789" for point in (0, 1))
+    groups = np.stack([table(f"{g:04d}" for g in range(10000)),
+                       table(f"{g:04d}".rstrip("0") for g in range(10000))])
+    exps = range(-_EXP_RANGE, _EXP_RANGE + 1)
+    exponents = table("" if -4 <= e <= 8 else f"e{e:+03d}" for e in exps)
+    powers = np.array([float(f"1e{k}") for k in exps])
+    for a in (heads, groups, exponents, powers):
+        a.flags.writeable = False
+    return heads, groups, exponents, powers
+
+
+def _format_values(x):
+    """The u64 words of each value of the float64 array `x`, four per value,
+    in a (values, 4) array: " %.9g" of the value, padded with 0xFF."""
+    heads, groups, exponents, powers = _text_tables()
+    x = x.ravel()
+    scaled = np.abs(x)
+    zero = scaled == 0
+    tabled = (scaled > 1e-290) & (scaled < 1e290)
+    scaled[~tabled] = 1.0
+    e = np.floor(np.log10(scaled)).astype(np.int64)
+    scaled *= powers[8 - e + _EXP_RANGE]
+    n = np.rint(scaled)
+    slow = (~tabled | (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-5)
+            | (scaled < 1e8) | (n > 1e9))
+    del scaled
+    carry = n == 1e9
+    n[carry] = 1e8
+    e += carry
+    slow = (slow | ((e >= 1) & (e <= 8))) & ~zero
+    n[slow | zero] = 0
+    first, rest = np.divmod(n.astype(np.int64), 10**8)
+    high, low = np.divmod(rest, 10**4)
+    form = np.where((e < 0) & (e >= -4), -e, 0)
+    out = np.empty((len(x), 4), np.uint64)
+    out[:, 0] = heads[((np.signbit(x) * 5 + form) * 10 + first) * 2 + (rest != 0)]
+    out[:, 1] = groups[(low == 0).astype(np.intp), high]
+    out[:, 2] = groups[1, low]
+    out[:, 3] = exponents[e + _EXP_RANGE]
+    chars = out.view(np.uint8).reshape(len(x), 32)
+    for i in np.flatnonzero(slow):
+        chars[i] = np.frombuffer(f" {x[i]:.9g}".encode().ljust(32, b"\xff"),
+                                 np.uint8)
+    return out
+
+
 def write_embeddings_text(matrices, labels, words, path):
     V, d = matrices[0].shape
-    row_format = " ".join(["%.9g"] * d)
-    lines = [f"{V} {len(matrices)} {d}\n"]
-    for m, label in zip(matrices, labels):
-        for i, word in enumerate(words):
-            lines.append(f"{word} {label} {row_format % tuple(m[i].tolist())}\n")
-    atomic_write_bytes(path, "".join(lines).encode("utf-8"))
+    encoded = [w.encode("utf-8") for w in words]
+    width = -(-max(map(len, encoded), default=0) // 8) * 8
+    prefixes = _u64_words(b"".join(w.ljust(width, b"\xff") for w in encoded))
+    prefixes = prefixes.reshape(V, width // 8)
+    newline = _u64_words(b"\n")
+
+    def blocks():
+        yield f"{V} {len(matrices)} {d}\n".encode()
+        for m, label in zip(matrices, labels):
+            tail = _u64_words(f" {label}".encode())
+            for i in range(0, V, _TEXT_BLOCK_ROWS):
+                rows = np.asarray(m[i:i + _TEXT_BLOCK_ROWS], dtype=np.float64)
+                r = len(rows)
+                yield np.hstack([
+                    prefixes[i:i + r],
+                    np.broadcast_to(tail, (r, len(tail))),
+                    _format_values(rows).reshape(r, 4 * d),
+                    np.broadcast_to(newline, (r, 1)),
+                ]).tobytes().translate(None, b"\xff")
+
+    atomic_write(path, blocks())

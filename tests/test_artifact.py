@@ -14,10 +14,12 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tvembed.artifact import ArtifactError, atomic_write_bytes, read_text
+from tvembed.artifact import (ArtifactError, atomic_write, atomic_write_bytes,
+                              read_text)
 from tvembed.corpus import SliceStats, read_stats, write_stats
 from tvembed.ppmi import PpmiMatrix, read_ppmi, write_ppmi
-from tvembed.solver import read_embeddings_binary, write_embeddings_binary
+from tvembed.solver import (read_embeddings_binary, write_embeddings_binary,
+                            write_embeddings_text)
 
 
 def _symmetric(rng, V, values):
@@ -274,6 +276,51 @@ class TestAtomicWrite:
             atomic_write_bytes(target, b"new")
         assert info.value.filename == str(target)
         assert str(target) + "." not in str(info.value)
+
+    def test_chunks_raising_partway_leave_target_and_no_temp(self, tmp_path):
+        target = tmp_path / "a.bin"
+        target.write_bytes(b"old")
+
+        def chunks():
+            yield b"new"
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            atomic_write(target, chunks())
+        assert target.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    def test_failed_replace_of_chunks_names_the_target(self, tmp_path,
+                                                      monkeypatch):
+        target = tmp_path / "a.bin"
+        target.write_bytes(b"old")
+
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(src))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError) as info:
+            atomic_write(target, iter([b"n", b"e", b"w"]))
+        assert info.value.filename == str(target)
+        assert target.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
+    def test_text_embeddings_are_written_without_holding_the_file(self,
+                                                                 tmp_path):
+        rng = np.random.default_rng(16)
+        V, T, d = 4200, 8, 50
+        mats = [rng.standard_normal((V, d)) for _ in range(T)]
+        words = [f"w{i}" for i in range(V)]
+        p = tmp_path / "e.txt"
+        tracemalloc.start()
+        try:
+            write_embeddings_text(mats, list(range(T)), words, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = p.stat().st_size
+        assert size >= 20e6
+        assert peak < size / 4
 
     def test_permissions_match_a_plain_write(self, tmp_path):
         (tmp_path / "plain").write_bytes(b"x")

@@ -1,8 +1,12 @@
 import copy
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     dense_objective_oracle,
@@ -27,6 +31,31 @@ from tvembed.solver import (
     write_embeddings_text,
 )
 from tvembed.synthetic import planted_shift_corpus
+
+
+def _nudge(x, step):
+    """x moved `step` (-1, 0 or 1) ulps."""
+    return float(np.nextafter(x, step * np.inf)) if step else x
+
+
+_ULP_STEPS = st.sampled_from([-1, 0, 1])
+
+# Values that reach every branch of the text formatter, either sign.
+TEXT_VALUES = st.builds(lambda v, neg: -v if neg else v, st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-290, 1e290,
+                     1.7976931348623157e308, 12345678.25, 123456788.5]),
+    # powers of ten and their neighbours: exponent guesses and carries
+    st.builds(lambda k, step: _nudge(float(f"1e{k}"), step),
+              st.integers(-323, 308), _ULP_STEPS),
+    # 9-digit rounding ties and their neighbours
+    st.builds(lambda n, k, step: _nudge((n + 0.5) * float(f"1e{k}"), step),
+              st.integers(10**8, 10**9 - 1), st.integers(-305, 299), _ULP_STEPS),
+    st.floats(1, 1e9, exclude_max=True),
+    st.floats(1e100, 1e300),
+    st.floats(1e-300, 1e-100),
+    st.floats(-2, 2),
+    st.floats(),
+), st.booleans())
 
 
 def zero_sequence(V, T):
@@ -503,3 +532,25 @@ class TestEmbeddingIO:
                 coords = " ".join(f"{x:.9g}" for x in m[i])
                 lines.append(f"{word} {label} {coords}\n")
         assert p.read_bytes() == "".join(lines).encode("utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(TEXT_VALUES, min_size=1, max_size=64),
+           words=st.lists(st.text(max_size=6), min_size=1, max_size=8),
+           labels=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3),
+           V=st.integers(1, 1100), d=st.integers(1, 4))
+    @example(values=[0.1, -2.5e-7], words=["ü"], labels=[-12, 2000],
+             V=1029, d=1)
+    def test_text_bytes_match_the_reference_on_every_branch(
+            self, values, words, labels, V, d):
+        mats = list(np.resize(np.array(values), (len(labels), V, d)))
+        words = [words[i % len(words)] for i in range(V)]
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "e.txt"
+            write_embeddings_text(mats, labels, words, p)
+            got = p.read_bytes()
+        lines = [f"{V} {len(labels)} {d}\n"]
+        for m, label in zip(mats, labels):
+            for i, word in enumerate(words):
+                coords = " ".join(f"{x:.9g}" for x in m[i])
+                lines.append(f"{word} {label} {coords}\n")
+        assert got == "".join(lines).encode("utf-8")
