@@ -3,17 +3,23 @@ export-norms.
 
 Runs are reproducible from a single config file (key = value lines);
 command-line flags override file values. A master seed fans out to the
-stochastic components through name-hashed subseeds.
+stochastic components through name-hashed subseeds. `main` resolves the
+config and the run directory `--out` (`RunDir`) once; every command reads
+and writes `--out` through it.
 
 Every failure prints one line "error: <reason>" to stderr (after the usage,
 when argparse rejects the command line) and exits with the code
 `_EXIT_CODES` gives its exception, never with a traceback:
 
-- 2: a bad flag, setting or config file, a missing file, an input that
-  cannot be read (a directory, "error: <path>: <reason>") or an output that
-  cannot be written, no word reaching min_count, or a malformed input file
-  or a damaged or stale artifact ("error: <path>[:<line>]: <reason>");
-- 3: an unknown word or slice label;
+- 2: a bad flag, setting or config file, a missing input file, a file of
+  the run directory that is missing ("error: <path>: missing; run <build|
+  train> first"), an input that cannot be read (a directory, "error:
+  <path>: <reason>") or an output that cannot be written, no word reaching
+  min_count, or a malformed input file, such as a slice label outside the
+  signed 64-bit range, or a damaged or stale artifact ("error:
+  <path>[:<line>]: <reason>");
+- 3: an unknown word or slice label, or a query word whose vector is zero
+  in its slice;
 - 4: an evaluation left with nothing to score.
 """
 
@@ -23,6 +29,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 from tvembed import baselines, evaluation
@@ -146,30 +153,7 @@ def build_run_config(args):
 
 
 # ---------------------------------------------------------------------------
-# Artifact layout inside the output directory.
-
-
-def _vocab_path(out):
-    return Path(out) / "vocab.txt"
-
-
-def _stats_path(out, label):
-    return Path(out) / f"stats_{label}.tvco"
-
-
-def _ppmi_path(out, label):
-    return Path(out) / f"ppmi_{label}.tvpm"
-
-
-def _emb_path(out, method, suffix):
-    """The embeddings file of `method` with extension `suffix`; tw2v's are
-    its unaligned per-slice matrices, tagged so."""
-    tag = "_perslice" if method == "tw2v" else ""
-    return Path(out) / f"embeddings_{method}{tag}.{suffix}"
-
-
-def _labels_file(out):
-    return Path(out) / "labels.json"
+# The run directory.
 
 
 def write_vocab(words, path):
@@ -184,90 +168,130 @@ def read_vocab(path):
         raise ArtifactError(path, f"{e}; rerun build") from None
 
 
-def read_labels(out):
-    path = _labels_file(out)
-    try:
-        labels = json.loads(read_text(path))
-    except json.JSONDecodeError:
-        labels = None
-    if not (isinstance(labels, list) and labels
-            and all(type(lab) is int for lab in labels)
-            and all(a < b for a, b in zip(labels, labels[1:]))):
-        raise ArtifactError(
-            path, "expected a JSON list of strictly increasing integer labels"
-        )
-    return labels
+class RunDir:
+    """The run directory `--out` of one command (README "Run directory").
+    `vocab` and `labels` are read once each, on first use; a command reads
+    vocab.txt before any other file, so a run with several faults reports
+    the same one first. Each artifact reader checks the artifact against
+    vocab.txt and labels.json; a missing file names its writer command."""
 
+    def __init__(self, out):
+        self.out = Path(out)
 
-def _check_fresh(path, V, vocab, rerun, labels=None, run_labels=None):
-    """Raise ArtifactError when an artifact read from `path` does not match
-    the run's labels.json (its slice labels) or vocab.txt (its V)."""
-    if labels != run_labels:
-        raise ArtifactError(
-            path, f"slice labels {labels} but labels.json expects "
-            f"{run_labels}; rerun {rerun}"
-        )
-    if V != len(vocab):
-        raise ArtifactError(
-            path, f"V={V} but vocab.txt has {len(vocab)} words; rerun {rerun}"
-        )
+    def stats_path(self, label):
+        return self.out / f"stats_{label}.tvco"
 
+    def ppmi_path(self, label):
+        return self.out / f"ppmi_{label}.tvpm"
 
-def _load_stats(cfg, vocab, labels):
-    stats = []
-    for lab in labels:
-        path = _stats_path(cfg.out, lab)
-        stats.append(read_stats(path))
-        _check_fresh(path, stats[-1].cooc.shape[0], vocab, "build")
-    return stats
+    def _emb_path(self, method, suffix):
+        tag = "_perslice" if method == "tw2v" else ""
+        return self.out / f"embeddings_{method}{tag}.{suffix}"
+
+    def _read(self, reader, path, writer, **kwargs):
+        try:
+            return reader(path, **kwargs)
+        except FileNotFoundError:
+            raise ArtifactError(path, f"missing; run {writer} first") from None
+
+    @cached_property
+    def vocab(self):
+        return self._read(read_vocab, self.out / "vocab.txt", "build")
+
+    @cached_property
+    def labels(self):
+        path = self.out / "labels.json"
+        try:
+            labels = json.loads(self._read(read_text, path, "build"))
+        except json.JSONDecodeError:
+            labels = None
+        if not (isinstance(labels, list) and labels
+                and all(type(lab) is int for lab in labels)
+                and all(a < b for a, b in zip(labels, labels[1:]))):
+            raise ArtifactError(
+                path, "expected a JSON list of strictly increasing integer labels"
+            )
+        return labels
+
+    def _check_fresh(self, path, V, writer, labels=None, run_labels=None):
+        """Raise ArtifactError unless `labels` and V match the run's."""
+        if labels != run_labels:
+            raise ArtifactError(
+                path, f"slice labels {labels} but labels.json expects "
+                f"{run_labels}; rerun {writer}"
+            )
+        if V != len(self.vocab):
+            raise ArtifactError(
+                path, f"V={V} but vocab.txt has {len(self.vocab)} words; "
+                f"rerun {writer}"
+            )
+
+    def create(self, words, labels):
+        """Make the directory and write build's vocab.txt and labels.json."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        write_vocab(words, self.out / "vocab.txt")
+        atomic_write_bytes(self.out / "labels.json",
+                           json.dumps(labels, sort_keys=True).encode())
+
+    def stats(self):
+        """The count statistics of every slice, in label order."""
+        stats = []
+        for lab in self.labels:
+            path = self.stats_path(lab)
+            stats.append(self._read(read_stats, path, "build"))
+            self._check_fresh(path, stats[-1].cooc.shape[0], "build")
+        return stats
+
+    def ppmi(self):
+        """The PPMI sequence of every slice, in label order."""
+        self.vocab  # read before any other file
+        mats = []
+        for lab in self.labels:
+            path = self.ppmi_path(lab)
+            mats.append(self._read(
+                read_ppmi, path, "build", check=lambda V, label:
+                self._check_fresh(path, V, "build", [label], [lab])))
+        return PpmiSequence(matrices=mats, vocab_size=len(self.vocab))
+
+    def embeddings(self, method):
+        """The per-slice embedding matrices of `method` and their labels."""
+        self.vocab  # read before any other file
+        path = self._emb_path(method, "tvem")
+        mats, labels = self._read(read_embeddings_binary, path, "train")
+        self._check_fresh(path, mats[0].shape[0] if mats else 0, "train",
+                          labels, self.labels)
+        return mats, labels
+
+    def write_embeddings(self, method, matrices, labels):
+        write_embeddings_binary(matrices, labels,
+                                self._emb_path(method, "tvem"))
+        write_embeddings_text(matrices, labels, self.vocab.words,
+                              self._emb_path(method, "txt"))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 
-def cmd_build(args):
-    cfg = build_run_config(args)
+def cmd_build(args, cfg, run):
     if not cfg.corpus:
         raise UsageError("no corpus path configured")
     stopwords = load_stopwords(cfg.stopwords) if cfg.stopwords else frozenset()
     corpus = load_corpus(cfg.corpus, stopwords)
     vocab = build_vocabulary(corpus, cfg.min_count)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_vocab(vocab.words, _vocab_path(out))
-    atomic_write_bytes(
-        _labels_file(out),
-        json.dumps(corpus.slice_labels, sort_keys=True).encode(),
-    )
+    run.create(vocab.words, corpus.slice_labels)
     total_nnz = 0
     for docs, label in zip(corpus.slices, corpus.slice_labels):
         stats = count_cooccurrences(docs, vocab, cfg.window)
-        write_stats(stats, _stats_path(out, label))
+        write_stats(stats, run.stats_path(label))
         mat = build_ppmi(stats, slice_label=label)
-        write_ppmi(mat, _ppmi_path(out, label))
+        write_ppmi(mat, run.ppmi_path(label))
         total_nnz += mat.values.nnz
     print(
         f"V={len(vocab)} T={corpus.num_slices} ppmi_nnz={total_nnz} "
-        f"out={out}"
+        f"out={run.out}"
     )
     return 0
-
-
-def _load_ppmi_sequence(cfg, vocab):
-    labels = read_labels(cfg.out)
-    mats = []
-    for lab in labels:
-        path = _ppmi_path(cfg.out, lab)
-        mats.append(read_ppmi(path, check=lambda V, label: _check_fresh(
-            path, V, vocab, "build", [label], [lab])))
-    return PpmiSequence(matrices=mats, vocab_size=len(vocab))
-
-
-def _write_embeddings(out, method, matrices, labels, words):
-    write_embeddings_binary(matrices, labels, _emb_path(out, method, "tvem"))
-    write_embeddings_text(matrices, labels, words,
-                          _emb_path(out, method, "txt"))
 
 
 def _fit(cfg, method, Y, stats=None, sink=None):
@@ -285,10 +309,8 @@ def _fit(cfg, method, Y, stats=None, sink=None):
     return baselines.align_sequence(mats) if method == "aw2v" else mats
 
 
-def cmd_train(args):
-    cfg = build_run_config(args)
-    vocab = read_vocab(_vocab_path(cfg.out))
-    Y = _load_ppmi_sequence(cfg, vocab)
+def cmd_train(args, cfg, run):
+    Y = run.ppmi()
     labels, method = Y.labels, cfg.method
 
     def sink(event):
@@ -297,29 +319,18 @@ def cmd_train(args):
             print(f"epoch {event.epoch + 1}: objective "
                   f"{event.objective.total:.6e}")
 
-    stats = _load_stats(cfg, vocab, labels) if method == "sw2v" else None
+    stats = run.stats() if method == "sw2v" else None
     mats = _fit(cfg, method, Y, stats, sink)
-    _write_embeddings(cfg.out, method, mats, labels, vocab.words)
+    run.write_embeddings(method, mats, labels)
     print(f"trained {method} on {len(labels)} slices, out={cfg.out}")
     return 0
 
 
-def _embeddings_for(cfg, vocab):
-    path = _emb_path(cfg.out, cfg.method, "tvem")
-    if not path.exists():
-        raise UsageError(f"no embeddings found at {path}; run train first")
-    mats, labels = read_embeddings_binary(path)
-    _check_fresh(path, mats[0].shape[0] if mats else 0, vocab, "train",
-                 labels, read_labels(cfg.out))
-    return mats, labels
-
-
-def cmd_query(args):
-    cfg = build_run_config(args)
+def cmd_query(args, cfg, run):
     if args.k < 1:
         raise UsageError("-k must be >= 1")
-    vocab = read_vocab(_vocab_path(cfg.out))
-    mats, labels = _embeddings_for(cfg, vocab)
+    vocab = run.vocab
+    mats, labels = run.embeddings(cfg.method)
     if args.word not in vocab:
         close = difflib.get_close_matches(args.word, vocab.words, n=5)
         raise LookupFailure(
@@ -330,13 +341,17 @@ def cmd_query(args):
     target = args.label if args.target_label is None else args.target_label
     for flag, label in (("--label", args.label), ("--target-label", target)):
         _check_slice_labels(flag, [label], labels)
+    query = by_label[args.label][w]
+    if not query.any():
+        raise LookupFailure(
+            f"word {args.word!r} has a zero vector in slice {args.label}")
     targets = labels if args.all_years else [target]
     for target in targets:
         exclude = (
             {w} if (target == args.label and not args.keep_self) else set()
         )
         top = evaluation.nearest_neighbors(
-            by_label[args.label][w], by_label[target], args.k, exclude=exclude
+            query, by_label[target], args.k, exclude=exclude
         )
         row = ", ".join(f"{vocab.words[i]}:{s:.4f}" for i, s in top)
         print(f"{args.word}@{args.label} -> {target}: {row}")
@@ -394,13 +409,11 @@ def _check_slice_labels(source, used, labels):
             raise LookupFailure(f"{source}: unknown slice label {label}")
 
 
-def cmd_evaluate(args):
-    cfg = build_run_config(args)
+def cmd_evaluate(args, cfg, run):
     if not (args.testset or args.triplets):
         raise UsageError("nothing to evaluate: give --testset or --triplets")
-    vocab = read_vocab(_vocab_path(cfg.out))
-    mats, labels = _embeddings_for(cfg, vocab)
-    report = _evaluate_report(cfg, mats, labels, vocab, args.testset,
+    mats, labels = run.embeddings(cfg.method)
+    report = _evaluate_report(cfg, mats, labels, run.vocab, args.testset,
                               args.triplets)
     payload = json.dumps(report, sort_keys=True, indent=2)
     if args.json_out:
@@ -430,11 +443,9 @@ def _parse_rates(text):
     return rates
 
 
-def cmd_robustness(args):
-    cfg = build_run_config(args)
+def cmd_robustness(args, cfg, run):
     rates = _parse_rates(args.rates)
-    vocab = read_vocab(_vocab_path(cfg.out))
-    labels = read_labels(cfg.out)
+    vocab, labels = run.vocab, run.labels
     if args.slices == "alternate":
         selected = set(labels[::2])
     elif args.slices == "all":
@@ -449,7 +460,7 @@ def cmd_robustness(args):
             ) from None
         _check_slice_labels("--slices", chosen, labels)
         selected = set(chosen)
-    stats = _load_stats(cfg, vocab, labels)
+    stats = run.stats()
     ts = _load_testset(args.testset, vocab, labels)
     rows = []
     for rate in rates:
@@ -482,11 +493,13 @@ def cmd_robustness(args):
     return 0
 
 
-def cmd_export_norms(args):
-    cfg = build_run_config(args)
-    vocab = read_vocab(_vocab_path(cfg.out))
-    mats, labels = _embeddings_for(cfg, vocab)
+def cmd_export_norms(args, cfg, run):
     words = args.words.split(",")
+    if "" in words:
+        raise UsageError(f"--words: word {words.index('') + 1} of "
+                         f"{args.words!r} is empty")
+    vocab = run.vocab
+    mats, labels = run.embeddings(cfg.method)
     missing = [w for w in words if w not in vocab]
     if missing:
         raise LookupFailure(f"words not in vocabulary: {', '.join(missing)}")
@@ -584,7 +597,8 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = make_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        cfg = build_run_config(args)
+        return args.func(args, cfg, RunDir(cfg.out))
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()

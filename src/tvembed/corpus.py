@@ -411,6 +411,13 @@ def load_corpus(path, stopwords=frozenset()):
     return TimeSlicedCorpus(slices=slices, slice_labels=labels)
 
 
+def _check_label(where, label):
+    """Artifacts store a slice label as a signed 64-bit integer."""
+    if label not in range(-2**63, 2**63):
+        raise ArtifactError(
+            where, f"slice label {label} is outside the signed 64-bit range")
+
+
 def _read_jsonl(path, enc):
     """Add every record of a JSON-lines corpus to `enc`; return the sorted
     labels."""
@@ -440,6 +447,7 @@ def _read_jsonl(path, enc):
                     f"{path}:{lineno}", "expected a JSON object with an "
                     'integer "label" and a string "text"'
                 ) from None
+            _check_label(f"{path}:{lineno}", label)
             labels.add(label)
             enc.add(label, _split(text))
     return sorted(labels)
@@ -459,6 +467,7 @@ def _read_directories(path, enc):
             raise ArtifactError(
                 sub, "slice directory name is not an integer label"
             ) from None
+        _check_label(sub, label)
         if label in seen:
             raise ArtifactError(
                 sub, f"slice label {label} is also the label of {seen[label]}"

@@ -19,7 +19,7 @@ from tvembed.cli import (
     parse_config_file,
 )
 from tvembed.evaluation import nearest_neighbors
-from tvembed.corpus import read_stats
+from tvembed.corpus import SliceStats, read_stats, write_stats
 from tvembed.ppmi import read_ppmi
 from tvembed.solver import read_embeddings_binary, write_embeddings_binary
 from tvembed.synthetic import planted_shift_corpus
@@ -353,6 +353,46 @@ class TestBuild:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {corpus}:3: not valid UTF-8"]
 
+    @pytest.mark.parametrize("label", [2**63, -2**63 - 1,
+                                       99999999999999999999])
+    def test_slice_label_outside_int64(self, tmp_path, capsys, label):
+        # Artifacts store slice labels as signed 64-bit integers.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"label": 1990, "text": "a b c"}\n'
+                          f'{{"label": {label}, "text": "d e f"}}\n')
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {corpus}:2: slice label {label} is outside the signed "
+            "64-bit range"]
+        assert not out.exists()
+
+    def test_slice_label_int64_extremes(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            f'{{"label": {label}, "text": "a b c"}}\n'
+            for label in (-2**63, 2**63 - 1)))
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert json.loads((out / "labels.json").read_text()) == [
+            -2**63, 2**63 - 1]
+        assert read_ppmi(out / f"ppmi_{-2**63}.tvpm").slice_label == -2**63
+
+    @pytest.mark.parametrize("name", ["99999999999999999999",
+                                      "9223372036854775808",
+                                      "-9223372036854775809"])
+    def test_slice_directory_outside_int64(self, toy_corpus, tmp_path,
+                                           capsys, name):
+        (toy_corpus / name).mkdir()
+        (toy_corpus / name / "d.txt").write_text("pet0 pet1")
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(toy_corpus),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {toy_corpus / name}: slice label {int(name)} is outside "
+            "the signed 64-bit range"]
+        assert not out.exists()
+
 
 class TestTrain:
     def test_dw2v_epoch_log_non_increasing(self, run_dir, capsys):
@@ -596,6 +636,21 @@ class TestQuery:
             f"error: {emb}: slice labels [1990, 1995] but labels.json "
             "expects [1990, 1995, 2000]; rerun train"
         ]
+
+    def test_zero_query_vector_exit_3(self, run_dir, capsys):
+        main(train_args(run_dir))
+        path = run_dir / "embeddings_dw2v.tvem"
+        mats, labels = read_embeddings_binary(path)
+        mats = [m.copy() for m in mats]
+        w = (run_dir / "vocab.txt").read_text().splitlines().index("shifty")
+        mats[1][w] = 0
+        write_embeddings_binary(mats, labels, path)
+        capsys.readouterr()
+        code = main(["query", "shifty", "--out", str(run_dir), "--label",
+                     "1995", "--target-label", "2000"])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: word 'shifty' has a zero vector in slice 1995\n")
 
     def test_oov_word_suggestions(self, run_dir, capsys):
         main(train_args(run_dir))
@@ -1131,9 +1186,11 @@ class TestErrorLine:
         (["robustness", "--ridge", "-1"], "ridge must be finite and >= 0"),
         (["query", "-k", "0"], "-k must be >= 1"),
         (["query", "-k", "-3"], "-k must be >= 1"),
+        (["export-norms", "--words", "pet0,,shifty"],
+         "--words: word 2 of 'pet0,,shifty' is empty"),
     ], ids=["window-0", "min-count-0", "dim-0", "epochs-0", "ridge-negative",
             "ridge-nan", "smoothing-negative", "coupling-nan",
-            "robustness-ridge", "k-0", "k-negative"])
+            "robustness-ridge", "k-0", "k-negative", "words-empty"])
     def test_out_of_range_setting(self, run_dir, capsys, argv, message):
         assert main(train_args(run_dir)) == 0
         ts = TestEvaluate().make_testset(run_dir)
@@ -1213,3 +1270,125 @@ class TestErrorLine:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == [f"error: {message}"]
+
+
+def _damage(run, fault):
+    """Apply one named fault to a trained run directory of the toy corpus
+    (labels 1990, 1995 and 2000; dw2v embeddings trained)."""
+    if fault == "vocab-short":
+        vocab = run / "vocab.txt"
+        vocab.write_text("\n".join(vocab.read_text().splitlines()[:-1]) + "\n")
+    elif fault == "vocab-twice":
+        vocab = run / "vocab.txt"
+        vocab.write_text(vocab.read_text() * 2)
+    elif fault == "labels-malformed":
+        (run / "labels.json").write_text("[1990,")
+    elif fault == "tvpm-stale":
+        (run / "ppmi_1995.tvpm").write_bytes(
+            (run / "ppmi_2000.tvpm").read_bytes())
+    elif fault == "tvco-stale":
+        # The counts of a vocabulary one word longer.
+        st = read_stats(run / "stats_1995.tvco")
+        cooc = st.cooc.copy()
+        cooc.resize((cooc.shape[0] + 1,) * 2)
+        write_stats(SliceStats(cooc=cooc, unigram=np.append(st.unigram, 0),
+                               total_tokens=st.total_tokens,
+                               window=st.window), run / "stats_1995.tvco")
+    elif fault == "tvem-stale":
+        path = run / "embeddings_dw2v.tvem"
+        mats, labels = read_embeddings_binary(path)
+        write_embeddings_binary([np.vstack([m, m[:1]]) for m in mats],
+                                labels, path)
+    elif fault == "tvem-truncated":
+        path = run / "embeddings_dw2v.tvem"
+        path.write_bytes(path.read_bytes()[:-8])
+    else:
+        name = {"vocab": "vocab.txt", "labels": "labels.json",
+                "tvpm": "ppmi_1995.tvpm", "tvco": "stats_1995.tvco",
+                "tvem": "embeddings_dw2v.tvem"}[fault.removeprefix("missing-")]
+        (run / name).unlink()
+
+
+_READERS = ("train-dw2v", "train-sw2v", "query", "evaluate", "robustness",
+            "export-norms")
+
+_LABELS_ERROR = (2, "{run}/labels.json: expected a JSON list of strictly "
+                    "increasing integer labels")
+_TVPM_SHORT = (2, "{run}/ppmi_1990.tvpm: V=17 but vocab.txt has 16 words; "
+                  "rerun build")
+_TVPM_STALE = (2, "{run}/ppmi_1995.tvpm: slice labels [2000] but labels.json "
+                  "expects [1995]; rerun build")
+_TVCO_SHORT = (2, "{run}/stats_1990.tvco: V=17 but vocab.txt has 16 words; "
+                  "rerun build")
+_TVCO_STALE = (2, "{run}/stats_1995.tvco: V=18 but vocab.txt has 17 words; "
+                  "rerun build")
+_TVEM_SHORT = (2, "{run}/embeddings_dw2v.tvem: V=17 but vocab.txt has 16 "
+                  "words; rerun train")
+_TVEM_STALE = (2, "{run}/embeddings_dw2v.tvem: V=18 but vocab.txt has 17 "
+                  "words; rerun train")
+_TVEM_TRUNCATED = (2, "{run}/embeddings_dw2v.tvem: truncated: needs 680 "
+                      "bytes, has 672")
+_VOCAB_TWICE = (2, "{run}/vocab.txt: duplicate words in vocabulary; rerun "
+                   "build")
+_MISSING_TVPM = (2, "{run}/ppmi_1995.tvpm: missing; run build first")
+_MISSING_TVCO = (2, "{run}/stats_1995.tvco: missing; run build first")
+_MISSING_TVEM = (2, "{run}/embeddings_dw2v.tvem: missing; run train first")
+
+# fault(s) -> (exit code, stderr line after "error: ") of each command in
+# _READERS order; None is exit 0 with nothing on stderr. Recorded before
+# the run directory got one owner (`cli.RunDir`), so that every command
+# still reads vocab.txt, its artifact and labels.json in the same order;
+# only the missing-file lines have changed since, to one form.
+RUN_DIR_ERRORS = {
+    "vocab-short": [_TVPM_SHORT, _TVPM_SHORT, _TVEM_SHORT, _TVEM_SHORT,
+                    _TVCO_SHORT, _TVEM_SHORT],
+    "labels-malformed": [_LABELS_ERROR] * 6,
+    "tvpm-stale": [_TVPM_STALE, _TVPM_STALE, None, None, None, None],
+    "tvco-stale": [None, _TVCO_STALE, None, None, _TVCO_STALE, None],
+    "tvem-stale": [None, None, _TVEM_STALE, _TVEM_STALE, None, _TVEM_STALE],
+    "vocab-short+labels-malformed": [_LABELS_ERROR] * 6,
+    "vocab-twice+labels-malformed": [_VOCAB_TWICE] * 6,
+    "tvem-truncated+labels-malformed": [
+        _LABELS_ERROR, _LABELS_ERROR, _TVEM_TRUNCATED, _TVEM_TRUNCATED,
+        _LABELS_ERROR, _TVEM_TRUNCATED],
+    "tvpm-stale+tvco-stale": [_TVPM_STALE, _TVPM_STALE, None, None,
+                              _TVCO_STALE, None],
+    "missing-vocab": [(2, "{run}/vocab.txt: missing; run build first")] * 6,
+    "missing-labels": [
+        (2, "{run}/labels.json: missing; run build first")] * 6,
+    "missing-tvpm": [_MISSING_TVPM, _MISSING_TVPM, None, None, None, None],
+    "missing-tvco": [None, _MISSING_TVCO, None, None, _MISSING_TVCO, None],
+    "missing-tvem": [None, None, _MISSING_TVEM, _MISSING_TVEM, None,
+                     _MISSING_TVEM],
+}
+
+
+class TestRunDirErrors:
+    """Each reading command on a damaged run directory: the first fault it
+    meets decides the one error line and the exit code."""
+
+    @pytest.mark.parametrize("faults,command,expected", [
+        pytest.param(faults, command, expected, id=f"{faults}-{command}")
+        for faults, row in RUN_DIR_ERRORS.items()
+        for command, expected in zip(_READERS, row, strict=True)
+    ])
+    def test_first_error(self, run_dir, capsys, faults, command, expected):
+        assert main(train_args(run_dir)) == 0
+        ts = TestEvaluate().make_testset(run_dir)
+        argv = {
+            "train-dw2v": train_args(run_dir, "dw2v"),
+            "train-sw2v": train_args(run_dir, "sw2v"),
+            "query": ["query", "shifty", "--label", "1990"],
+            "evaluate": ["evaluate", "--testset", str(ts)],
+            "robustness": ["robustness", "--testset", str(ts), "--rates",
+                           "0.5", "--dim", "3", "--epochs", "1"],
+            "export-norms": ["export-norms", "--words", "pet0"],
+        }[command] + ["--out", str(run_dir)]
+        for fault in faults.split("+"):
+            _damage(run_dir, fault)
+        capsys.readouterr()
+        code, line = expected or (0, None)
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([] if line is None
+                       else ["error: " + line.format(run=run_dir)])
