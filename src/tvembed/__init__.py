@@ -41,7 +41,6 @@ from tvembed.baselines import (
 )
 from tvembed.evaluation import (
     AlignmentTestset,
-    Clustering,
     f_beta,
     mp_at_k,
     mrr,

@@ -55,7 +55,7 @@ def train_per_slice(Y, config):
     """
     mats = []
     for t, m in enumerate(Y.matrices):
-        cfg = replace(config, smoothing=0.0, seed=config.seed + 1000003 * (t + 1))
+        cfg = replace(config, seed=config.seed + 1000003 * (t + 1))
         mats.append(factorize_single(m, cfg))
     return mats
 

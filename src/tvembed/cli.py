@@ -18,8 +18,8 @@ when argparse rejects the command line) and exits with the code
   min_count, or a malformed input file, such as a slice label outside the
   signed 64-bit range, or a damaged or stale artifact ("error:
   <path>[:<line>]: <reason>");
-- 3: an unknown word or slice label, or a query word whose vector is zero
-  in its slice;
+- 3: an unknown word or slice label, a query word whose vector is zero in
+  its slice, or a tw2v query word with no local map into a target slice;
 - 4: an evaluation left with nothing to score.
 """
 
@@ -84,11 +84,11 @@ class RunConfig:
     stopwords: str = ""
     min_count: int = 1
     window: int = 5
-    dim: int = 50
-    ridge: float = 10.0
-    smoothing: float = 50.0
-    coupling: float = 50.0
-    epochs: int = 5
+    dim: int = SolverConfig.dim
+    ridge: float = SolverConfig.ridge
+    smoothing: float = SolverConfig.smoothing
+    coupling: float = SolverConfig.coupling
+    epochs: int = SolverConfig.epochs
     seed: int = 0
     method: str = "dw2v"
     out: str = "run"
@@ -227,14 +227,20 @@ class RunDir:
             )
 
     def create(self, words, labels):
-        """Make the directory and write build's vocab.txt and labels.json."""
+        """Make the directory, remove every method's embeddings, which belong
+        to the corpus of an earlier build, and write build's vocab.txt and
+        labels.json."""
         self.out.mkdir(parents=True, exist_ok=True)
+        for method in METHODS:
+            for suffix in ("tvem", "txt"):
+                self._emb_path(method, suffix).unlink(missing_ok=True)
         write_vocab(words, self.out / "vocab.txt")
         atomic_write_bytes(self.out / "labels.json",
                            json.dumps(labels, sort_keys=True).encode())
 
     def stats(self):
         """The count statistics of every slice, in label order."""
+        self.vocab  # read before any other file
         stats = []
         for lab in self.labels:
             path = self.stats_path(lab)
@@ -294,24 +300,23 @@ def cmd_build(args, cfg, run):
     return 0
 
 
-def _fit(cfg, method, Y, stats=None, sink=None):
-    """The per-slice embedding matrices of `method` trained on Y; sw2v trains
-    on the count statistics `stats` instead, and dw2v reports each update to
-    `sink`."""
+def _fit(cfg, method, data, sink=None):
+    """The per-slice embedding matrices of `method` trained on `data`: the
+    count statistics of every slice for sw2v, the PpmiSequence otherwise.
+    dw2v reports each update to `sink`."""
     config = cfg.solver_config(method)
     if method == "dw2v":
-        return final_embedding(train(Y, config, progress_sink=sink))
+        return final_embedding(train(data, config, progress_sink=sink))
     if method == "sw2v":
         # One static matrix reused for every slice keeps the downstream
         # query/evaluate interface uniform.
-        return [baselines.train_static(stats, config)] * len(Y.labels)
-    mats = baselines.train_per_slice(Y, config)
+        return [baselines.train_static(data, config)] * len(data)
+    mats = baselines.train_per_slice(data, config)
     return baselines.align_sequence(mats) if method == "aw2v" else mats
 
 
 def cmd_train(args, cfg, run):
-    Y = run.ppmi()
-    labels, method = Y.labels, cfg.method
+    method = cfg.method
 
     def sink(event):
         # The solver streams the objective on each epoch's last update.
@@ -319,10 +324,10 @@ def cmd_train(args, cfg, run):
             print(f"epoch {event.epoch + 1}: objective "
                   f"{event.objective.total:.6e}")
 
-    stats = run.stats() if method == "sw2v" else None
-    mats = _fit(cfg, method, Y, stats, sink)
-    run.write_embeddings(method, mats, labels)
-    print(f"trained {method} on {len(labels)} slices, out={cfg.out}")
+    data = run.stats() if method == "sw2v" else run.ppmi()
+    mats = _fit(cfg, method, data, sink)
+    run.write_embeddings(method, mats, run.labels)
+    print(f"trained {method} on {len(run.labels)} slices, out={cfg.out}")
     return 0
 
 
@@ -346,12 +351,26 @@ def cmd_query(args, cfg, run):
         raise LookupFailure(
             f"word {args.word!r} has a zero vector in slice {args.label}")
     targets = labels if args.all_years else [target]
+    queries = dict.fromkeys(targets, query)
+    if cfg.method == "tw2v":
+        # tw2v's slices are not aligned: map the query into every other
+        # target slice by its local linear transform, as `evaluate` does.
+        others = [t for t in targets if t != args.label]
+        mapped = baselines.local_linear_maps(
+            [(w, by_label[args.label], by_label[t]) for t in others])
+        for t, q in zip(others, mapped):
+            if q is None:
+                raise LookupFailure(
+                    f"word {args.word!r} has no local map from slice "
+                    f"{args.label} into slice {t}: too few words are nonzero "
+                    f"in both")
+            queries[t] = q
     for target in targets:
         exclude = (
             {w} if (target == args.label and not args.keep_self) else set()
         )
         top = evaluation.nearest_neighbors(
-            query, by_label[target], args.k, exclude=exclude
+            queries[target], by_label[target], args.k, exclude=exclude
         )
         row = ", ".join(f"{vocab.words[i]}:{s:.4f}" for i, s in top)
         print(f"{args.word}@{args.label} -> {target}: {row}")
@@ -390,7 +409,7 @@ def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path):
 def _load_testset(path, vocab, labels):
     """The alignment testset at `path`; every record's query and target
     label must be a slice of the run."""
-    ts, _ = evaluation.load_testset(path, vocab)
+    ts = evaluation.load_testset(path, vocab)
     if not ts.records:
         raise evaluation.EmptyEvaluation(
             "testset is empty after vocabulary filtering")

@@ -175,11 +175,10 @@ class Vocabulary:
     """Dense word <-> index bijection shared by all time slices."""
 
     words: list
-    index: dict = field(default=None)
+    index: dict = field(init=False)
 
     def __post_init__(self):
-        if self.index is None:
-            self.index = {w: i for i, w in enumerate(self.words)}
+        self.index = {w: i for i, w in enumerate(self.words)}
         if len(self.index) != len(self.words):
             raise ValueError("duplicate words in vocabulary")
 
@@ -307,13 +306,6 @@ def subsample_counts(stats, rate, rng_seed):
     """
     if not 0 < rate <= 1:
         raise ValueError(f"subsampling rate must be in (0, 1], got {rate}")
-    if rate == 1.0:
-        return SliceStats(
-            cooc=stats.cooc.copy(),
-            unigram=stats.unigram.copy(),
-            total_tokens=stats.total_tokens,
-            window=stats.window,
-        )
     rng = np.random.default_rng(rng_seed)
     upper = sp.triu(stats.cooc, k=0).tocoo()
     new_data = rng.binomial(upper.data, rate)

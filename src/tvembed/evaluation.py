@@ -14,6 +14,8 @@ from tvembed.artifact import ArtifactError, read_text
 TOP_RANK_CUTOFF = 10  # reciprocal rank counts as 0 beyond this position
 PRECISIONS = (1, 3, 5, 10)  # the K of the MP@K columns
 CLUSTER_SIZES = (10, 15, 20)  # the K of the k-means NMI and F-beta columns
+TRIPLET_MIN_STRENGTH = 0.35  # labeled triplets below this are dropped
+TRIPLET_TOP_PER_SECTION = 200  # the strongest triplets kept per section
 KMEANS_MAX_ITERS = 100  # Lloyd iterations per restart, at most
 KMEANS_RESTARTS = 10
 
@@ -36,14 +38,6 @@ class AlignmentTestset:
     """Query/answer records for cross-time equivalence scoring."""
 
     records: list  # (query_word, query_label, target_label, answer_word)
-
-
-@dataclass
-class Clustering:
-    """Item index -> cluster id assignment."""
-
-    assignment: np.ndarray
-    num_clusters: int
 
 
 class CosineRows:
@@ -180,8 +174,8 @@ def spherical_kmeans(vectors, K, seed=0):
     """Cluster unit-normalized vectors by cosine similarity.
 
     Runs KMEANS_RESTARTS independent k-means++ seeded Lloyd iterations and
-    keeps the assignment with the best mean cosine to centroid.
-    Deterministic given the seed.
+    keeps the assignment with the best mean cosine to centroid: an array of
+    the cluster id of each item. Deterministic given the seed.
     """
     X = np.asarray(vectors, dtype=np.float64)
     n = X.shape[0]
@@ -197,7 +191,7 @@ def spherical_kmeans(vectors, K, seed=0):
         assign, obj = _kmeans_once(X, K, rng)
         if obj > best_obj:
             best_assign, best_obj = assign, obj
-    return Clustering(assignment=best_assign, num_clusters=K)
+    return best_assign
 
 
 def _entropy(counts, n):
@@ -206,14 +200,14 @@ def _entropy(counts, n):
     return float(-np.sum(p * np.log(p)))
 
 
-def nmi(labels, clusters):
-    """Mutual information normalized by the mean of the two entropies.
+def nmi(labels, assign):
+    """Mutual information normalized by the mean of the two entropies of
+    `labels` and of `assign`, the cluster id array of `spherical_kmeans`.
 
     Natural log throughout (the ratio is base-invariant). Returns 1 with a
     warning in the degenerate single-label, single-cluster case.
     """
     labels = list(labels)
-    assign = clusters.assignment
     n = len(labels)
     if n != len(assign):
         raise ValueError("labels and clustering have different lengths")
@@ -232,8 +226,9 @@ def nmi(labels, clusters):
     return float(mi / ((h_l + h_c) / 2.0))
 
 
-def f_beta(labels, clusters, beta=5.0):
-    """Pairwise-decision F measure: (beta^2+1)PR / (beta^2 P + R).
+def f_beta(labels, assign, beta=5.0):
+    """Pairwise-decision F measure of the cluster id array `assign` against
+    `labels`: (beta^2+1)PR / (beta^2 P + R).
 
     Over all unordered item pairs: TP = same cluster and same label,
     FP = same cluster, different label, FN = different cluster, same
@@ -243,7 +238,6 @@ def f_beta(labels, clusters, beta=5.0):
     FN = sum C(b_i, 2) over label sizes - TP.
     """
     labels = list(labels)
-    assign = clusters.assignment
     n = len(labels)
     if n != len(assign):
         raise ValueError("labels and clustering have different lengths")
@@ -380,9 +374,9 @@ def _csv_value(path, line, row, column, parse, kind):
 def load_testset(path, vocab):
     """Load an alignment testset CSV: query_word,query_label,target_label,answer_word.
 
-    Records whose query or answer word is out of vocabulary are dropped;
-    the drop count is returned alongside the testset. A file that is not
-    UTF-8, a missing column or a non-integer label raises ArtifactError.
+    Records whose query or answer word is out of vocabulary are dropped
+    with one warning that counts them. A file that is not UTF-8, a missing
+    column or a non-integer label raises ArtifactError.
     """
     records = []
     dropped = 0
@@ -401,17 +395,17 @@ def load_testset(path, vocab):
         )
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} out-of-vocabulary records")
-    return AlignmentTestset(records=records), dropped
+    return AlignmentTestset(records=records)
 
 
-def load_labeled_triplets(path, vocab, min_strength=0.35, top_per_section=200):
+def load_labeled_triplets(path, vocab):
     """Load word,label,section,strength rows into LabeledItems.
 
     Applies the ground-truth filters: for each (word, section) only the
-    year of largest strength is kept, rows below the strength threshold
-    are dropped, and each section keeps its top rows by strength. A file
-    that is not UTF-8, a missing column, a non-integer label or a non-float
-    strength raises ArtifactError.
+    year of largest strength is kept, rows below TRIPLET_MIN_STRENGTH are
+    dropped, and each section keeps its TRIPLET_TOP_PER_SECTION strongest
+    rows. A file that is not UTF-8, a missing column, a non-integer label or
+    a non-float strength raises ArtifactError.
     """
     rows = []
     dropped = 0
@@ -431,13 +425,13 @@ def load_labeled_triplets(path, vocab, min_strength=0.35, top_per_section=200):
             best[key] = (word, label, section, strength)
     per_section = {}
     for word, label, section, strength in best.values():
-        if strength < min_strength:
+        if strength < TRIPLET_MIN_STRENGTH:
             continue
         per_section.setdefault(section, []).append((word, label, section, strength))
     items = []
     for section, group in sorted(per_section.items()):
         group.sort(key=lambda r: (-r[3], r[0], r[1]))
-        for word, label, sec, _ in group[:top_per_section]:
+        for word, label, sec, _ in group[:TRIPLET_TOP_PER_SECTION]:
             items.append(LabeledItem(word=word, slice_label=label, section=sec))
     return items
 
@@ -455,9 +449,9 @@ def clustering_report(items, matrices, labels, seed=0):
                 f"skipping K={K}: exceeds number of labeled items {len(items)}"
             )
             continue
-        clustering = spherical_kmeans(vectors, K, seed=seed)
-        report["nmi"][str(K)] = nmi(sections, clustering)
-        report["f_beta"][str(K)] = f_beta(sections, clustering)
+        assign = spherical_kmeans(vectors, K, seed=seed)
+        report["nmi"][str(K)] = nmi(sections, assign)
+        report["f_beta"][str(K)] = f_beta(sections, assign)
     return report
 
 

@@ -42,9 +42,6 @@ class PpmiSequence:
     def labels(self):
         return [m.slice_label for m in self.matrices]
 
-    def __len__(self):
-        return len(self.matrices)
-
 
 def build_ppmi(stats, slice_label=0):
     """Clamp the PMI of every observed pair at zero and keep the positives.

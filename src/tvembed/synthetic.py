@@ -12,10 +12,10 @@ def planted_shift_corpus(
     docs_per_slice=400,
     doc_len=15,
     halo=3,
-    probe_word="probeword",
     seed=0,
 ):
-    """Two word communities with one probe word that switches sides mid-way.
+    """Two word communities with one probe word, "probeword", that switches
+    sides mid-way.
 
     Each community is a ring of `community_size` words. A document picks a
     community and a center on its ring, then draws tokens from positions
@@ -43,14 +43,13 @@ def planted_shift_corpus(
             deltas = rng.integers(-halo, halo + 1, size=doc_len)
             doc = [words[(center + d) % n] for d in deltas]
             if side == probe_side and min(center, n - center) <= halo:
-                doc[int(rng.integers(doc_len))] = probe_word
+                doc[int(rng.integers(doc_len))] = "probeword"
             docs.append(doc)
         slices.append(docs)
     return TimeSlicedCorpus(slices=slices, slice_labels=list(range(n_slices)))
 
 
-def identity_testset(vocab, labels, words=None, min_gap=2, max_records=200,
-                     seed=0):
+def identity_testset(vocab, labels, min_gap=2, max_records=200, seed=0):
     """Cross-time self-equivalence records for words that never shift.
 
     Every record asks: given word w at slice t, find w among slice t',
@@ -58,8 +57,7 @@ def identity_testset(vocab, labels, words=None, min_gap=2, max_records=200,
     per-slice factorizations cannot (each slice has its own rotation).
     """
     rng = np.random.default_rng(seed)
-    if words is None:
-        words = [w for w in vocab.words if not w.startswith("probe")]
+    words = [w for w in vocab.words if not w.startswith("probe")]
     pairs = [
         (a, b)
         for a in labels

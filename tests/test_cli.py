@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import loop_local_linear_map, loop_nearest_neighbors
 from tvembed.cli import (
     COMMANDS,
     derive_seed,
@@ -394,6 +395,34 @@ class TestBuild:
         assert not out.exists()
 
 
+    def test_rebuild_removes_every_method_embeddings(self, tmp_path,
+                                                      capsys):
+        # Embeddings trained on an earlier corpus with the same V and slice
+        # labels must not answer for the new vocabulary.
+        def build(text, out):
+            corpus = tmp_path / "corpus.jsonl"
+            corpus.write_text("".join(
+                json.dumps({"label": label, "text": text}) + "\n"
+                for label in (0, 1)))
+            assert main(["build", "--corpus", str(corpus), "--out",
+                         str(out)]) == 0
+
+        out = tmp_path / "run"
+        build("cat dog fish bird", out)
+        for method in ("dw2v", "sw2v", "tw2v", "aw2v"):
+            assert main(["train", "--out", str(out), "--method", method,
+                         "--dim", "2", "--epochs", "1"]) == 0
+        (out / "notes.txt").write_text("kept")
+        build("ant cow fish bird", out)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "labels.json", "notes.txt", "ppmi_0.tvpm", "ppmi_1.tvpm",
+            "stats_0.tvco", "stats_1.tvco", "vocab.txt"]
+        capsys.readouterr()
+        assert main(["query", "ant", "--out", str(out), "--label", "0"]) == 2
+        assert capsys.readouterr() == ("", f"error: {out}/embeddings_dw2v."
+                                       "tvem: missing; run train first\n")
+
+
 class TestTrain:
     def test_dw2v_epoch_log_non_increasing(self, run_dir, capsys):
         assert main(train_args(run_dir)) == 0
@@ -468,6 +497,37 @@ class TestTrain:
         mats, labels = read_embeddings_binary(run_dir / "embeddings_sw2v.tvem")
         assert labels == [1990, 1995, 2000]
         assert np.array_equal(mats[0], mats[1])
+
+    # SHA-256 of the sw2v embeddings of one fixed planted-shift run, recorded
+    # while `train --method sw2v` still read every .tvpm. It trains on the
+    # counts alone, so the same bytes come back with no .tvpm in --out. The
+    # files hold trained floats, so another BLAS library may change them.
+    SW2V_GOLDEN = {
+        "embeddings_sw2v.tvem":
+            "796ab3dd94ed0b5c3eae2fdc06db5fe352cbb85ddd66d7c99e77a16383d24f44",
+        "embeddings_sw2v.txt":
+            "8b8e0157daad6956241f2a404e29f1bc5b38e72eca9ebff4b29ca759ef1b3b3a",
+    }
+
+    def test_sw2v_golden_digests_without_ppmi(self, tmp_path):
+        corpus = planted_shift_corpus(n_slices=4, community_size=40,
+                                      docs_per_slice=150, doc_len=12, halo=3,
+                                      seed=31)
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(
+            json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
+            for label, docs in zip(corpus.slice_labels, corpus.slices)
+            for doc in docs.documents()))
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(path), "--out", str(out),
+                     "--window", "3"]) == 0
+        for ppmi in out.glob("ppmi_*.tvpm"):
+            ppmi.unlink()
+        assert main(["train", "--out", str(out), "--method", "sw2v",
+                     "--dim", "8", "--epochs", "2", "--seed", "5"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.SW2V_GOLDEN}
+        assert digests == self.SW2V_GOLDEN
 
     def test_unknown_method(self, run_dir, capsys):
         code = main(train_args(run_dir, method="w2v"))
@@ -696,6 +756,53 @@ class TestQuery:
         second = capsys.readouterr().out
         assert second == expected
         assert second != first
+
+    def test_tw2v_cross_slice_query_is_mapped(self, tmp_path, capsys):
+        corpus = planted_shift_corpus(n_slices=3, community_size=20,
+                                      docs_per_slice=80, doc_len=12, halo=3,
+                                      seed=13)
+        path = tmp_path / "planted.jsonl"
+        path.write_text("".join(
+            json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
+            for label, docs in zip(corpus.slice_labels, corpus.slices)
+            for doc in docs.documents()))
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(path), "--out", str(out),
+                     "--window", "3"]) == 0
+        assert main(["train", "--out", str(out), "--method", "tw2v",
+                     "--dim", "5", "--epochs", "2"]) == 0
+        capsys.readouterr()
+        assert main(["query", "alpha005", "--out", str(out), "--label", "1",
+                     "--all-years", "-k", "5", "--method", "tw2v"]) == 0
+        mats, labels = read_embeddings_binary(
+            out / "embeddings_tw2v_perslice.tvem")
+        words = (out / "vocab.txt").read_text().splitlines()
+        w = words.index("alpha005")
+        expected = []
+        for t, target in enumerate(labels):
+            if target == 1:
+                top = loop_nearest_neighbors(mats[1][w], mats[1], 5,
+                                             exclude={w})
+            else:
+                mapped = loop_local_linear_map(w, mats[1], mats[t])
+                top = loop_nearest_neighbors(mapped, mats[t], 5)
+            expected.append(f"alpha005@1 -> {target}: " + ", ".join(
+                f"{words[i]}:{s:.4f}" for i, s in top))
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_tw2v_query_without_map_exit_3(self, run_dir, capsys):
+        # The toy run has fewer than k=30 words besides the query, so no
+        # slice pair has a local map; the same slice needs none.
+        assert main(train_args(run_dir, "tw2v")) == 0
+        capsys.readouterr()
+        assert main(["query", "shifty", "--out", str(run_dir), "--label",
+                     "1990", "--method", "tw2v"]) == 0
+        assert capsys.readouterr().out.startswith("shifty@1990 -> 1990: ")
+        assert main(["query", "shifty", "--out", str(run_dir), "--label",
+                     "1990", "--all-years", "--method", "tw2v"]) == 3
+        assert capsys.readouterr() == (
+            "", "error: word 'shifty' has no local map from slice 1990 into "
+            "slice 1995: too few words are nonzero in both\n")
 
 
 def _parse_outcome(parser, argv):
@@ -1340,10 +1447,10 @@ _MISSING_TVEM = (2, "{run}/embeddings_dw2v.tvem: missing; run train first")
 # still reads vocab.txt, its artifact and labels.json in the same order;
 # only the missing-file lines have changed since, to one form.
 RUN_DIR_ERRORS = {
-    "vocab-short": [_TVPM_SHORT, _TVPM_SHORT, _TVEM_SHORT, _TVEM_SHORT,
+    "vocab-short": [_TVPM_SHORT, _TVCO_SHORT, _TVEM_SHORT, _TVEM_SHORT,
                     _TVCO_SHORT, _TVEM_SHORT],
     "labels-malformed": [_LABELS_ERROR] * 6,
-    "tvpm-stale": [_TVPM_STALE, _TVPM_STALE, None, None, None, None],
+    "tvpm-stale": [_TVPM_STALE, None, None, None, None, None],
     "tvco-stale": [None, _TVCO_STALE, None, None, _TVCO_STALE, None],
     "tvem-stale": [None, None, _TVEM_STALE, _TVEM_STALE, None, _TVEM_STALE],
     "vocab-short+labels-malformed": [_LABELS_ERROR] * 6,
@@ -1351,12 +1458,12 @@ RUN_DIR_ERRORS = {
     "tvem-truncated+labels-malformed": [
         _LABELS_ERROR, _LABELS_ERROR, _TVEM_TRUNCATED, _TVEM_TRUNCATED,
         _LABELS_ERROR, _TVEM_TRUNCATED],
-    "tvpm-stale+tvco-stale": [_TVPM_STALE, _TVPM_STALE, None, None,
+    "tvpm-stale+tvco-stale": [_TVPM_STALE, _TVCO_STALE, None, None,
                               _TVCO_STALE, None],
     "missing-vocab": [(2, "{run}/vocab.txt: missing; run build first")] * 6,
     "missing-labels": [
         (2, "{run}/labels.json: missing; run build first")] * 6,
-    "missing-tvpm": [_MISSING_TVPM, _MISSING_TVPM, None, None, None, None],
+    "missing-tvpm": [_MISSING_TVPM, None, None, None, None, None],
     "missing-tvco": [None, _MISSING_TVCO, None, None, _MISSING_TVCO, None],
     "missing-tvem": [None, None, _MISSING_TVEM, _MISSING_TVEM, None,
                      _MISSING_TVEM],

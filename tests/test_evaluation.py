@@ -12,10 +12,10 @@ from conftest import (
     loop_nearest_neighbors,
     loop_run_alignment_test,
 )
+from tvembed import evaluation
 from tvembed.baselines import local_linear_maps
 from tvembed.evaluation import (
     AlignmentTestset,
-    Clustering,
     CosineRows,
     f_beta,
     load_labeled_triplets,
@@ -76,8 +76,7 @@ def f_beta_oracle(labels, assign, beta):
 
 
 def clustering_of(assign):
-    a = np.asarray(assign)
-    return Clustering(assignment=a, num_clusters=int(a.max()) + 1)
+    return np.asarray(assign)
 
 
 def _tied_matrix(draw, rng, V, d):
@@ -180,7 +179,7 @@ class TestSphericalKMeans:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((6, 3))
         out = spherical_kmeans(X, K=6, seed=1)
-        assert sorted(out.assignment.tolist()) == list(range(6))
+        assert sorted(out.tolist()) == list(range(6))
 
     def test_antipodal_bundles_separate(self):
         rng = np.random.default_rng(2)
@@ -188,7 +187,7 @@ class TestSphericalKMeans:
         a = center + 0.01 * rng.standard_normal((10, 3))
         b = -center + 0.01 * rng.standard_normal((10, 3))
         out = spherical_kmeans(np.vstack([a, b]), K=2, seed=2)
-        first, second = out.assignment[:10], out.assignment[10:]
+        first, second = out[:10], out[10:]
         assert len(set(first.tolist())) == 1
         assert len(set(second.tolist())) == 1
         assert first[0] != second[0]
@@ -198,7 +197,7 @@ class TestSphericalKMeans:
         X = rng.standard_normal((30, 4))
         a = spherical_kmeans(X, K=4, seed=9)
         b = spherical_kmeans(X, K=4, seed=9)
-        assert np.array_equal(a.assignment, b.assignment)
+        assert np.array_equal(a, b)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
@@ -303,8 +302,7 @@ class TestFBeta:
 
     def test_fewer_than_two_items_rejected(self):
         for n in (0, 1):
-            clusters = Clustering(assignment=np.zeros(n, dtype=np.int64),
-                                  num_clusters=1)
+            clusters = np.zeros(n, dtype=np.int64)
             with pytest.raises(ValueError, match="at least 2"):
                 f_beta(["A"] * n, clusters)
 
@@ -516,9 +514,8 @@ class TestLoaders:
             "cat,2000,2001,unicorn\n"
         )
         vocab = Vocabulary(["cat", "dog"])
-        with pytest.warns(UserWarning):
-            ts, dropped = load_testset(p, vocab)
-        assert dropped == 1
+        with pytest.warns(UserWarning, match="dropped 1 out-of-vocabulary"):
+            ts = load_testset(p, vocab)
         assert ts.records == [(0, 2000, 2001, 1)]
 
     def test_triplet_loader_filters(self, tmp_path):
@@ -531,12 +528,12 @@ class TestLoaders:
             "owl,2001,Wild,0.5\n"
         )
         vocab = Vocabulary(["cat", "dog", "owl"])
-        items = load_labeled_triplets(p, vocab, min_strength=0.35)
+        items = load_labeled_triplets(p, vocab)
         assert len(items) == 2
         cat = next(i for i in items if i.word == vocab.index["cat"])
         assert cat.slice_label == 2005
 
-    def test_triplet_top_per_section(self, tmp_path):
+    def test_triplet_top_per_section(self, tmp_path, monkeypatch):
         p = tmp_path / "l.csv"
         rows = ["word,label,section,strength"]
         words = [f"w{i}" for i in range(5)]
@@ -544,7 +541,8 @@ class TestLoaders:
             rows.append(f"{w},2000,S,{0.5 + i * 0.05}")
         p.write_text("\n".join(rows) + "\n")
         vocab = Vocabulary(sorted(words))
-        items = load_labeled_triplets(p, vocab, top_per_section=2)
+        monkeypatch.setattr(evaluation, "TRIPLET_TOP_PER_SECTION", 2)
+        items = load_labeled_triplets(p, vocab)
         assert len(items) == 2
         kept = {i.word for i in items}
         assert kept == {vocab.index["w4"], vocab.index["w3"]}
