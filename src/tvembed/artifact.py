@@ -86,11 +86,19 @@ def write_artifact(path, magic, version, parts):
 
 
 def triplet_parts(matrix, value_dtype):
-    """nnz u64, then the row u4, col u4 and value arrays in (row, col) order."""
+    """nnz u64, then the row u4, col u4 and value arrays in (row, col) order.
+
+    Only triplets out of that order are sorted. The sort is stable, so
+    skipping it on ordered input, duplicates included, gives the same bytes.
+    """
     coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return [("<Q", coo.nnz), coo.row[order].astype("<u4"),
-            coo.col[order].astype("<u4"), coo.data[order].astype(value_dtype)]
+    row, col, data = coo.row, coo.col, coo.data
+    if not np.all((row[1:] > row[:-1])
+                  | ((row[1:] == row[:-1]) & (col[1:] >= col[:-1]))):
+        order = np.lexsort((col, row))
+        row, col, data = row[order], col[order], data[order]
+    return [("<Q", coo.nnz), row.astype("<u4"), col.astype("<u4"),
+            data.astype(value_dtype)]
 
 
 class ArtifactReader:

@@ -11,9 +11,10 @@ Every failure prints one line "error: <reason>" to stderr (after the usage,
 when argparse rejects the command line) and exits with the code
 `_EXIT_CODES` gives its exception, never with a traceback:
 
-- 2: a bad flag, setting or config file, a missing input file, a file of
-  the run directory that is missing ("error: <path>: missing; run <build|
-  train> first"), an input that cannot be read (a directory, "error:
+- 2: a bad flag, setting or config file (`evaluate --method tw2v
+  --triplets` among them), a missing input file, a file of the run
+  directory that is missing ("error: <path>: missing; run <build|train>
+  first"), an input that cannot be read (a directory, "error:
   <path>: <reason>") or an output that cannot be written, no word reaching
   min_count, or a malformed input file, such as a slice label outside the
   signed 64-bit range, or a damaged or stale artifact ("error:
@@ -431,6 +432,11 @@ def _check_slice_labels(source, used, labels):
 def cmd_evaluate(args, cfg, run):
     if not (args.testset or args.triplets):
         raise UsageError("nothing to evaluate: give --testset or --triplets")
+    if args.triplets and cfg.method == "tw2v":
+        raise UsageError(
+            "--triplets cannot be scored for tw2v: its slices are trained "
+            "separately and not aligned, so their vectors cannot be "
+            "clustered together")
     mats, labels = run.embeddings(cfg.method)
     report = _evaluate_report(cfg, mats, labels, run.vocab, args.testset,
                               args.triplets)

@@ -252,10 +252,12 @@ def count_cooccurrences(docs, vocab, window):
     as one vocabulary-index array with `window` gap positions (index -1,
     like an out-of-vocabulary token) after each document, so no window
     reaches from one document into the next. For each offset 1..window the
-    pairs of in-vocabulary indices are packed into keys a*V + b and b*V + a,
-    and one `np.unique` over all keys gives the counts already in CSR order.
-    The keys are the transient peak: 2 * window * N int64 values for a
-    slice of N positions.
+    pairs of in-vocabulary indices are packed into forward keys a*V + b, the
+    earlier token first, and one `np.unique` over all keys counts them in
+    CSR order. The matrix is that forward count plus its transpose, so a
+    self-pair lands on the diagonal twice. The keys are the transient peak:
+    window * N values for a slice of N positions, int32 while V*V fits in
+    it (half the bytes to sort), else int64.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -267,10 +269,11 @@ def count_cooccurrences(docs, vocab, window):
     positions = np.arange(n) + window * np.repeat(
         np.arange(len(lengths)), lengths
     )
-    ids = np.full(n + window * len(lengths), -1, dtype=np.int64)
+    key_dtype = np.int32 if V * V <= np.iinfo(np.int32).max else np.int64
+    ids = np.full(n + window * len(lengths), -1, dtype=key_dtype)
     index = np.fromiter(
         map(vocab.index.get, docs.types, itertools.repeat(-1)),
-        dtype=np.int64,
+        dtype=key_dtype,
         count=len(docs.types),
     )
     ids[positions] = index[docs.ids]
@@ -279,14 +282,14 @@ def count_cooccurrences(docs, vocab, window):
     for off in range(1, window + 1):
         a, b = ids[:-off], ids[off:]
         keep = (a >= 0) & (b >= 0)
-        a, b = a[keep], b[keep]
-        keys += [a * V + b, b * V + a]
+        keys.append(a[keep] * V + b[keep])
     keys, counts = np.unique(np.concatenate(keys), return_counts=True)
     indptr = np.zeros(V + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // V, minlength=V), out=indptr[1:])
-    cooc = sp.csr_matrix(
+    forward = sp.csr_matrix(
         (counts.astype(np.int64), keys % V, indptr), shape=(V, V)
     )
+    cooc = (forward + forward.T).tocsr()
     return SliceStats(
         cooc=cooc,
         unigram=unigram,
@@ -439,8 +442,9 @@ def _read_jsonl(path, enc):
                     f"{path}:{lineno}", "expected a JSON object with an "
                     'integer "label" and a string "text"'
                 ) from None
-            _check_label(f"{path}:{lineno}", label)
-            labels.add(label)
+            if label not in labels:
+                _check_label(f"{path}:{lineno}", label)
+                labels.add(label)
             enc.add(label, _split(text))
     return sorted(labels)
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tvembed.artifact import (ArtifactError, atomic_write, atomic_write_bytes,
-                              read_text)
+                              read_text, triplet_parts)
 from tvembed.corpus import SliceStats, read_stats, write_stats
 from tvembed.ppmi import PpmiMatrix, read_ppmi, write_ppmi
 from tvembed.solver import (read_embeddings_binary, write_embeddings_binary,
@@ -224,6 +224,59 @@ class TestMappedRead:
         for m, old, new in zip(mats, before, after):
             assert np.array_equal(old, m)
             assert np.array_equal(new, -m)
+
+
+def _bytes(parts):
+    return b"".join(struct.pack(p[0], *p[1:]) if isinstance(p, tuple)
+                    else np.ascontiguousarray(p).tobytes() for p in parts)
+
+
+def _lexsorted_parts(matrix, value_dtype):
+    """The triplet block of `matrix` with every triplet sorted by one stable
+    lexsort, ordered or not."""
+    coo = matrix.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return [("<Q", coo.nnz), coo.row[order].astype("<u4"),
+            coo.col[order].astype("<u4"), coo.data[order].astype(value_dtype)]
+
+
+class TestTripletParts:
+    """Writers skip the sort of triplets already in (row, col) order; the
+    bytes must equal those of a full stable lexsort for any input."""
+
+    @given(seed=st.integers(0, 2**32 - 1), V=st.integers(0, 12),
+           nnz=st.integers(0, 60), kind=st.sampled_from(
+               ["canonical", "unsorted_csr", "shuffled_coo", "ordered_coo"]))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_lexsort(self, seed, V, nnz, kind):
+        rng = np.random.default_rng(seed)
+        if V == 0:
+            nnz = 0
+        # Few distinct positions, so duplicates are common.
+        row = rng.integers(0, max(V, 1), size=nnz)
+        col = rng.integers(0, max(V, 1), size=nnz)
+        data = rng.integers(1, 9, size=nnz)
+        matrix = sp.coo_matrix((data, (row, col)), shape=(V, V))
+        if kind == "canonical":
+            matrix = matrix.tocsr()
+            assert matrix.has_canonical_format
+        elif kind == "unsorted_csr":
+            matrix = matrix.tocsr()
+            for r in range(V):
+                lo, hi = matrix.indptr[r], matrix.indptr[r + 1]
+                flip = rng.permutation(hi - lo)
+                matrix.indices[lo:hi] = matrix.indices[lo:hi][flip]
+                matrix.data[lo:hi] = matrix.data[lo:hi][flip]
+            matrix.has_sorted_indices = False
+        elif kind == "ordered_coo":
+            # In order, duplicates included: the skipped sort must keep
+            # each run of equal (row, col) in its order, as lexsort does.
+            order = np.lexsort((col, row))
+            matrix = sp.coo_matrix((data[order], (row[order], col[order])),
+                                   shape=(V, V))
+        for value_dtype in ("<u8", "<f8"):
+            assert (_bytes(triplet_parts(matrix, value_dtype))
+                    == _bytes(_lexsorted_parts(matrix, value_dtype)))
 
 
 class TestReadText:

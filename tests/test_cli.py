@@ -19,6 +19,7 @@ from tvembed.cli import (
     make_parser,
     parse_config_file,
 )
+from tvembed import evaluation
 from tvembed.evaluation import nearest_neighbors
 from tvembed.corpus import SliceStats, read_stats, write_stats
 from tvembed.ppmi import read_ppmi
@@ -994,6 +995,26 @@ class TestEvaluate:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {ts}: unknown slice label 2050"
         ]
+
+    def test_tw2v_triplets_exit_2(self, run_dir, capsys, monkeypatch):
+        # tw2v's slices are trained apart, so clustering their vectors
+        # together would score unrelated coordinate systems.
+        assert main(train_args(run_dir, "tw2v")) == 0
+        monkeypatch.setattr(evaluation, "clustering_report", None)
+        report = run_dir / "report.json"
+        capsys.readouterr()
+        code = main(["evaluate", "--out", str(run_dir), "--method", "tw2v",
+                     "--testset", str(self.make_testset(run_dir)),
+                     "--triplets", str(self.make_triplets(run_dir)),
+                     "--json-out", str(report)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --triplets cannot be scored for tw2v: its slices are "
+            "trained separately and not aligned, so their vectors cannot be "
+            "clustered together"]
+        assert not report.exists()
 
     def test_unknown_triplet_label_exit_3(self, run_dir, capsys):
         main(train_args(run_dir))

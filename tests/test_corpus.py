@@ -39,6 +39,15 @@ def brute_force_cooc(docs, vocab, window):
     return cooc, unigram
 
 
+def assert_same_csr(got, want):
+    """The CSR arrays themselves, dtypes included: the writers store them
+    as they are."""
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
 def make_corpus(slices, labels=None):
     if labels is None:
         labels = list(range(len(slices)))
@@ -175,6 +184,19 @@ class TestCountCooccurrences:
         assert np.array_equal(stats.cooc.toarray(), cooc)
         assert np.array_equal(stats.unigram, unigram)
         stats.validate()
+        want = loop_count_cooccurrences(docs, vocab, window).cooc
+        assert_same_csr(stats.cooc, want)
+
+    def test_int64_keys_past_int32_vocabulary(self):
+        # From V = 46341 on, V*V no longer fits in int32, so the keys of the
+        # last words need int64.
+        words = [f"w{i}" for i in range(46341)]
+        vocab = Vocabulary(words)
+        docs = [words[-3:] + words[:2] + words[-1:], words[-2:]]
+        got = count_cooccurrences(docs, vocab, 3).cooc
+        want = loop_count_cooccurrences(docs, vocab, 3).cooc
+        assert got.nnz == want.nnz > 0
+        assert_same_csr(got, want)
 
     def test_oov_tokens_keep_positions(self):
         # "x" is out of vocabulary but separates a and b beyond window 1.
@@ -240,10 +262,7 @@ class TestCountCooccurrences:
         got = count_cooccurrences(docs, vocab, window)
         want = loop_count_cooccurrences(docs, vocab, window)
         assert got.cooc.shape == want.cooc.shape
-        for name in ("indptr", "indices", "data"):
-            g, w = getattr(got.cooc, name), getattr(want.cooc, name)
-            assert g.dtype == w.dtype
-            assert np.array_equal(g, w)
+        assert_same_csr(got.cooc, want.cooc)
         assert got.unigram.dtype == want.unigram.dtype
         assert np.array_equal(got.unigram, want.unigram)
         assert got.total_tokens == want.total_tokens
