@@ -1,9 +1,11 @@
 """Command-line entry point: build, train, query, evaluate, robustness,
 export-norms.
 
-Runs are reproducible from a single config file (key = value lines);
-command-line flags override file values. A master seed fans out to the
-stochastic components through name-hashed subseeds. `main` resolves the
+Runs are reproducible from a single config file (key = value lines) that
+may name any setting, so one file serves every command. Each command takes
+`--config`, `--out` and a flag only for each other setting it reads
+(`COMMANDS`); those flags override file values. A master seed fans out to
+the stochastic components through name-hashed subseeds. `main` resolves the
 config and the run directory `--out` (`RunDir`) once; every command reads
 and writes `--out` through it.
 
@@ -11,14 +13,14 @@ Every failure prints one line "error: <reason>" to stderr (after the usage,
 when argparse rejects the command line) and exits with the code
 `_EXIT_CODES` gives its exception, never with a traceback:
 
-- 2: a bad flag, setting or config file (`evaluate --method tw2v
-  --triplets` among them), a missing input file, a file of the run
-  directory that is missing ("error: <path>: missing; run <build|train>
-  first"), an input that cannot be read (a directory, "error:
-  <path>: <reason>") or an output that cannot be written, no word reaching
-  min_count, or a malformed input file, such as a slice label outside the
-  signed 64-bit range, or a damaged or stale artifact ("error:
-  <path>[:<line>]: <reason>");
+- 2: a bad flag (one the command does not take among them), setting or
+  config file (`evaluate --method tw2v --triplets` among them), a missing
+  input file, a file of the run directory that is missing ("error: <path>:
+  missing; run <build|train> first"), an input that cannot be read (a
+  directory, "error: <path>: <reason>") or an output that cannot be
+  written, no word reaching min_count, or a malformed input file, such as
+  a slice label outside the signed 64-bit range, or a damaged or stale
+  artifact ("error: <path>[:<line>]: <reason>");
 - 3: an unknown word or slice label, a query word whose vector is zero in
   its slice, or a tw2v query word with no local map into a target slice;
 - 4: an evaluation left with nothing to score.
@@ -127,7 +129,7 @@ def parse_config_file(path):
 
 def build_run_config(args):
     values = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(parse_config_file(args.config))
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
@@ -352,27 +354,20 @@ def cmd_query(args, cfg, run):
         raise LookupFailure(
             f"word {args.word!r} has a zero vector in slice {args.label}")
     targets = labels if args.all_years else [target]
-    queries = dict.fromkeys(targets, query)
+    queries = [query] * len(targets)
     if cfg.method == "tw2v":
-        # tw2v's slices are not aligned: map the query into every other
-        # target slice by its local linear transform, as `evaluate` does.
-        others = [t for t in targets if t != args.label]
-        mapped = baselines.local_linear_maps(
-            [(w, by_label[args.label], by_label[t]) for t in others])
-        for t, q in zip(others, mapped):
+        queries = _tw2v_queries([(w, args.label, t) for t in targets],
+                                by_label)
+        for t, q in zip(targets, queries):
             if q is None:
                 raise LookupFailure(
                     f"word {args.word!r} has no local map from slice "
                     f"{args.label} into slice {t}: too few words are nonzero "
                     f"in both")
-            queries[t] = q
-    for target in targets:
-        exclude = (
-            {w} if (target == args.label and not args.keep_self) else set()
-        )
-        top = evaluation.nearest_neighbors(
-            queries[target], by_label[target], args.k, exclude=exclude
-        )
+    for target, q in zip(targets, queries):
+        exclude = {w} if target == args.label and not args.keep_self else set()
+        top = evaluation.nearest_neighbors(q, by_label[target], args.k,
+                                           exclude=exclude)
         row = ", ".join(f"{vocab.words[i]}:{s:.4f}" for i, s in top)
         print(f"{args.word}@{args.label} -> {target}: {row}")
     return 0
@@ -395,16 +390,24 @@ def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path):
         ts = _load_testset(testset_path, vocab, labels)
         queries = None
         if cfg.method == "tw2v":
-            # Map each query into its target slice by its local linear
-            # transform; records without a map are skipped.
-            by_label = {lab: m for lab, m in zip(labels, mats)}
-            queries = baselines.local_linear_maps(
-                [(w, by_label[a], by_label[b]) for w, a, b, _ in ts.records]
-            )
+            # Records without a map are skipped.
+            queries = _tw2v_queries([(w, a, b) for w, a, b, _ in ts.records],
+                                    dict(zip(labels, mats)))
         align = evaluation.alignment_report(ts, mats, labels, queries=queries)
         report["mrr"] = align["mrr"]
         report["mp"] = align["mp"]
     return report
+
+
+def _tw2v_queries(records, by_label):
+    """The vector that ranks each (word, query label, target label) record
+    for tw2v, whose slices are trained apart and not aligned: the word's own
+    vector when the two slices are one, else its local linear map into the
+    target slice, or None where it has no map."""
+    mapped = iter(baselines.local_linear_maps(
+        [(w, by_label[a], by_label[b]) for w, a, b in records if a != b]))
+    return [by_label[a][w] if a == b else next(mapped)
+            for w, a, b in records]
 
 
 def _load_testset(path, vocab, labels):
@@ -543,19 +546,13 @@ def cmd_export_norms(args, cfg, run):
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(p):
-    p.add_argument("--config", help="config file of key = value lines")
-    for f in fields(RunConfig):
-        p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
-                       default=None)
-
-
 def _query_flags(p):
     p.add_argument("word")
     p.add_argument("--label", type=int, required=True)
-    p.add_argument("--target-label", type=int, default=None)
     p.add_argument("-k", type=int, default=10)
-    p.add_argument("--all-years", action="store_true")
+    targets = p.add_mutually_exclusive_group()
+    targets.add_argument("--target-label", type=int)
+    targets.add_argument("--all-years", action="store_true")
     p.add_argument("--keep-self", action="store_true",
                    help="do not exclude the query word in its own slice")
 
@@ -582,48 +579,50 @@ def _no_flags(p):
     pass
 
 
-# name -> (help, handler, adder of the flags beyond the config flags)
+_SOLVER_SETTINGS = ("dim", "ridge", "smoothing", "coupling", "epochs", "seed")
+
+# name -> (help, the RunConfig settings it reads besides `out`, adder of its
+# flags beyond those settings' flags and --config); `main` runs cmd_<name>.
 COMMANDS = {
-    "build": ("corpus -> stats + PPMI artifacts", cmd_build, _no_flags),
-    "train": ("PPMI artifacts -> embeddings", cmd_train, _no_flags),
-    "query": ("nearest neighbors of a word-year pair", cmd_query,
+    "build": ("corpus -> stats + PPMI artifacts",
+              ("corpus", "stopwords", "min_count", "window"), _no_flags),
+    "train": ("PPMI artifacts -> embeddings",
+              ("method", *_SOLVER_SETTINGS), _no_flags),
+    "query": ("nearest neighbors of a word-year pair", ("method",),
               _query_flags),
-    "evaluate": ("clustering and alignment metrics", cmd_evaluate,
+    "evaluate": ("clustering and alignment metrics", ("method", "seed"),
                  _evaluate_flags),
-    "robustness": ("subsampled-rates comparison table", cmd_robustness,
+    "robustness": ("subsampled-rates comparison table", _SOLVER_SETTINGS,
                    _robustness_flags),
-    "export-norms": ("per-word norm series CSV", cmd_export_norms,
+    "export-norms": ("per-word norm series CSV", ("method",),
                      _export_norms_flags),
 }
 
 
-def make_parser(argv=None):
-    """The command-line parser. Given the `argv` it will parse, only the
-    subcommand named by argv[0] gets its flags, as the others are never
-    consulted; if argv[0] names no subcommand (a help flag, nothing, a
-    typo), every subcommand gets them, so that help and errors list all."""
+def make_parser():
+    """The command-line parser. Each subcommand takes --config, --out, a
+    flag for each other setting it reads, and its own flags."""
     parser = argparse.ArgumentParser(
         prog="tvembed",
         description="Temporally aligned word embeddings from time-sliced corpora",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    running = argv[0] if argv and argv[0] in COMMANDS else None
-    for name, (help_text, func, add_flags) in COMMANDS.items():
+    for name, (help_text, settings, add_flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if running in (None, name):
-            _add_config_flags(p)
-            add_flags(p)
-            p.set_defaults(func=func)
+        p.add_argument("--config", help="config file of key = value lines")
+        for setting in (*settings, "out"):
+            p.add_argument(f"--{setting.replace('_', '-')}", dest=setting)
+        add_flags(p)
     return parser
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    args = make_parser(argv).parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = build_run_config(args)
-        return args.func(args, cfg, RunDir(cfg.out))
+        # Looked up when called, so a wrapper set on the module runs.
+        handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
+        return handler(args, cfg, RunDir(cfg.out))
     except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()

@@ -7,6 +7,7 @@ import os
 import struct
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ import pytest
 from conftest import loop_local_linear_map, loop_nearest_neighbors
 from tvembed.cli import (
     COMMANDS,
+    RunConfig,
     derive_seed,
     main,
     make_parser,
     parse_config_file,
 )
-from tvembed import evaluation
+from tvembed import cli, evaluation
 from tvembed.evaluation import nearest_neighbors
 from tvembed.corpus import SliceStats, read_stats, write_stats
 from tvembed.ppmi import read_ppmi
@@ -791,6 +793,19 @@ class TestQuery:
                 f"{words[i]}:{s:.4f}" for i, s in top))
         assert capsys.readouterr().out.splitlines() == expected
 
+    def test_all_years_with_target_label_exit_2(self, run_dir, capsys):
+        main(train_args(run_dir))
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["query", "shifty", "--out", str(run_dir), "--label", "1990",
+                  "--all-years", "--target-label", "1995"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "tvembed query: error: argument --target-label: not allowed with "
+            "argument --all-years")
+
     def test_tw2v_query_without_map_exit_3(self, run_dir, capsys):
         # The toy run has fewer than k=30 words besides the query, so no
         # slice pair has a local map; the same slice needs none.
@@ -806,43 +821,135 @@ class TestQuery:
             "slice 1995: too few words are nonzero in both\n")
 
 
-def _parse_outcome(parser, argv):
+def _parse_outcome(parse, argv):
     """The stdout, stderr and result (the parsed flags or the exit code) of
-    parsing `argv` with `parser`."""
+    `parse(argv)`, which returns the parsed flags as a dict."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = vars(parser.parse_args(argv))
+            result = parse(argv)
         except SystemExit as e:
             result = e.code
     return out.getvalue(), err.getvalue(), result
 
 
+def _parse(argv):
+    return vars(make_parser().parse_args(argv))
+
+
+# The RunConfig settings each command reads besides `out`, so the config
+# flags it takes besides --out and --config.
+READS = {
+    "build": {"corpus", "stopwords", "min_count", "window"},
+    "train": {"method", "dim", "ridge", "smoothing", "coupling", "epochs",
+              "seed"},
+    "query": {"method"},
+    "evaluate": {"method", "seed"},
+    "robustness": {"dim", "ridge", "smoothing", "coupling", "epochs", "seed"},
+    "export-norms": {"method"},
+}
+
+# The operands and required flags of each command.
+OPERANDS = {"query": ["w", "--label", "1990"],
+            "robustness": ["--testset", "t.csv"],
+            "export-norms": ["--words", "a"]}
+
+_HELP = [["-h"], ["--help"], *([name, "-h"] for name in COMMANDS)]
+
+_REJECTED = [
+    [], ["nope"], ["quer", "w", "--label", "1"], ["query", "w"],
+    ["query", "w", "--label", "1990", "-k", "x"],
+    ["query", "w", "--label", "1990", "--bogus"], ["train", "--bogus"],
+    ["evaluate", "--testset"], ["robustness", "--out", "r"],
+    ["query", "w", "--label", "1990", "--epochs", "3"],
+    ["query", "w", "--label", "1990", "--all-years", "--target-label", "1995"],
+]
+
+# command line -> the flags it parses to
+_ACCEPTED = {
+    ("query", "w", "--label", "1990", "--all-years", "-k", "3"):
+        {"command": "query", "config": None, "method": None, "out": None,
+         "word": "w", "label": 1990, "k": 3, "target_label": None,
+         "all_years": True, "keep_self": False},
+    ("build", "--out", "r", "--window", "3", "--config", "c.cfg"):
+        {"command": "build", "config": "c.cfg", "corpus": None,
+         "stopwords": None, "min_count": None, "window": "3", "out": "r"},
+    ("export-norms", "--words", "a,b", "--csv-out", "n.csv"):
+        {"command": "export-norms", "config": None, "method": None,
+         "out": None, "words": "a,b", "csv_out": "n.csv"},
+}
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "no-arguments"
+
+
 class TestParser:
-    """`main` builds only the running subcommand's flags; whatever the
-    command line, it parses as the parser with every subcommand built."""
+    """Each command takes --config, --out and a flag for each other setting
+    it reads; argparse rejects any other flag with exit 2."""
 
-    @pytest.mark.parametrize("argv", [
-        ["-h"], ["--help"], *([name, "-h"] for name in COMMANDS), [],
-        ["nope"], ["quer", "w", "--label", "1"], ["query", "w"],
-        ["query", "w", "--label", "1990", "-k", "x"],
-        ["query", "w", "--label", "1990", "--bogus"], ["train", "--bogus"],
-        ["evaluate", "--testset"], ["robustness", "--out", "r"],
-        ["query", "w", "--label", "1990", "--all-years", "-k", "3"],
-        ["build", "--out", "r", "--window", "3", "--config", "c.cfg"],
-        ["export-norms", "--words", "a,b", "--csv-out", "n.csv"],
-    ], ids=lambda argv: " ".join(argv) or "no-arguments")
-    def test_same_as_the_full_parser(self, argv):
-        lazy = _parse_outcome(make_parser(argv), argv)
-        assert lazy == _parse_outcome(make_parser(), argv)
+    @pytest.mark.parametrize(
+        "argv", _HELP + _REJECTED + [list(argv) for argv in _ACCEPTED],
+        ids=_argv_id)
+    def test_same_as_the_full_parser(self, argv, tmp_path, monkeypatch):
+        # `main` parses every command line as make_parser() does: the same
+        # help, usage errors and flags reach the command.
+        def parse_in_main(argv):
+            parsed = []
+            for name in COMMANDS:
+                monkeypatch.setattr(
+                    cli, f"cmd_{name.replace('-', '_')}",
+                    lambda args, cfg, run: parsed.append(vars(args)) or 0)
+            assert main(argv) == 0
+            return parsed[0]
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text("")
+        outcome = _parse_outcome(parse_in_main, argv)
+        assert outcome == _parse_outcome(_parse, argv)
         if argv[-1:] in (["-h"], ["--help"]):
-            assert lazy[2] == 0
+            assert outcome[2] == 0 and outcome[1] == ""
+            assert outcome[0].startswith("usage: tvembed")
 
-    def test_other_subcommands_get_no_flags(self):
-        out, err, code = _parse_outcome(make_parser(["query"]),
-                                        ["train", "--out", "r"])
-        assert code == 2
-        assert "unrecognized arguments: --out r" in err
+    @pytest.mark.parametrize("argv", _REJECTED, ids=_argv_id)
+    def test_rejected_command_line_exits_2(self, argv):
+        out, err, code = _parse_outcome(_parse, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: tvembed")
+        assert ": error: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", _ACCEPTED, ids=_argv_id)
+    def test_parsed_flags(self, argv):
+        assert _parse(list(argv)) == _ACCEPTED[argv]
+
+    @pytest.mark.parametrize("command,setting", [
+        (command, f.name) for command in COMMANDS for f in fields(RunConfig)
+    ])
+    def test_config_flag_iff_read(self, command, setting):
+        flag = f"--{setting.replace('_', '-')}"
+        argv = [command, *OPERANDS.get(command, []), flag, "1"]
+        out, err, result = _parse_outcome(_parse, argv)
+        if setting in READS[command] or setting == "out":
+            assert result[setting] == "1"
+        else:
+            assert result == 2
+            assert err.endswith(f"unrecognized arguments: {flag} 1\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_main_calls_the_module_attribute(self, tmp_path, monkeypatch,
+                                             command):
+        # Looked up when `main` runs, so a wrapper set on the module (a
+        # tracer's, a test's) is the one called.
+        calls = []
+
+        def spy(args, cfg, run):
+            calls.append((args.command, cfg.out, run.out))
+            return 7
+
+        monkeypatch.setattr(cli, f"cmd_{command.replace('-', '_')}", spy)
+        argv = [command, *OPERANDS.get(command, []), "--out", str(tmp_path)]
+        assert main(argv) == 7
+        assert calls == [(command, str(tmp_path), tmp_path)]
 
     def test_console_script_reads_sys_argv(self, run_dir, capsys,
                                            monkeypatch):
@@ -859,8 +966,7 @@ class TestParser:
             with pytest.raises(SystemExit) as info:
                 main()
             assert info.value.code == 0
-            assert capsys.readouterr().out == _parse_outcome(
-                make_parser(), argv)[0]
+            assert capsys.readouterr().out == _parse_outcome(_parse, argv)[0]
 
 
 class TestEvaluate:
@@ -901,8 +1007,6 @@ class TestEvaluate:
                         str(tp),
                         "--json-out",
                         str(out),
-                        "--dim",
-                        "5",
                     ]
                 )
             assert code == 0
@@ -1062,6 +1166,43 @@ class TestEvaluate:
             f"error: {path}:{reason}"
         ]
 
+    def test_tw2v_same_slice_scores_what_query_ranks(self, tmp_path,
+                                                     capsys):
+        # At d=40 > k=30 a local map from a slice into itself is a rank-30
+        # projection, not the identity, so a same-slice record must rank the
+        # word's own vector, as `query` does. The answers of each word's
+        # records are the ten neighbours `query` prints, so rank n is scored
+        # for the n-th.
+        words = [f"w{i:03d}" for i in range(100)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"label": label, "text": " ".join(words)}) + "\n"
+            for label in (0, 1)))
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
+        rng = np.random.default_rng(5)
+        write_embeddings_binary([rng.standard_normal((100, 40))
+                                 for _ in range(2)], [0, 1],
+                                out / "embeddings_tw2v_perslice.tvem")
+        rows = ["query_word,query_label,target_label,answer_word"]
+        for word in words:
+            capsys.readouterr()
+            assert main(["query", word, "--out", str(out), "--label", "1",
+                         "--method", "tw2v"]) == 0
+            row = capsys.readouterr().out.split(": ", 1)[1]
+            rows += [f"{word},1,1,{hit.split(':')[0]}"
+                     for hit in row.split(", ")]
+        testset = tmp_path / "t.csv"
+        testset.write_text("\n".join(rows) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--out", str(out), "--method", "tw2v",
+                     "--testset", str(testset), "--json-out",
+                     str(report)]) == 0
+        scores = json.loads(report.read_text())
+        assert scores["mrr"] == pytest.approx(sum(1 / n for n in range(1, 11))
+                                              / 10)
+        assert scores["mp"] == {"1": 0.1, "3": 0.3, "5": 0.5, "10": 1.0}
+
     # SHA-256 of the --json-out report of `evaluate --method tw2v` on one
     # fixed planted-shift run, recorded with the per-call local map (the
     # loop kept as `conftest.loop_local_linear_map`). d=8 fits each map by
@@ -1148,11 +1289,11 @@ class TestEvaluate:
                 rows.append(f"{side}{i:03d},{i % 4},{side}{i // 10},0.9")
         triplets = tmp_path / "triplets.csv"
         triplets.write_text("\n".join(rows) + "\n")
-        common = ["--out", str(out), "--dim", "8", "--epochs", "2",
-                  "--seed", "5"]
+        common = ["--out", str(out), "--seed", "5"]
+        solver = ["--dim", "8", "--epochs", "2"]
         digests = {}
         for method in ("dw2v", "sw2v", "aw2v"):
-            assert main(["train", "--method", method] + common) == 0
+            assert main(["train", "--method", method] + common + solver) == 0
             report = tmp_path / f"report_{method}.json"
             assert main(["evaluate", "--method", method, "--testset",
                          str(testset), "--triplets", str(triplets),
@@ -1160,7 +1301,7 @@ class TestEvaluate:
             digests[method] = hashlib.sha256(report.read_bytes()).hexdigest()
         capsys.readouterr()
         assert main(["robustness", "--testset", str(testset), "--rates",
-                     "1,0.1"] + common) == 0
+                     "1,0.1"] + common + solver) == 0
         digests["robustness"] = hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest()
         assert digests == self.METHOD_GOLDEN
@@ -1285,6 +1426,52 @@ class TestConfigPlumbing:
                      str(run_dir)]) == 2
         assert (f"unknown config key {key!r}"
                 in capsys.readouterr().err)
+
+    def test_one_config_file_serves_every_command(self, toy_corpus,
+                                                  tmp_path, capsys):
+        # A file naming every key runs each command as the flags of the
+        # settings it reads do, and a flag still wins over the file.
+        stop = tmp_path / "stop.txt"
+        stop.write_text("pet7\n")
+        settings = {"corpus": toy_corpus, "stopwords": stop, "min_count": 2,
+                    "window": 3, "dim": 4, "ridge": 1, "smoothing": 5,
+                    "coupling": 5, "epochs": 2, "seed": 3, "method": "dw2v"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(
+            f"{key} = {val}\n" for key, val in
+            {**settings, "out": tmp_path / "by-config"}.items()))
+        ts = TestEvaluate().make_testset(tmp_path)
+        runs = [("build", [], {}), ("train", [], {"epochs": 1}),
+                ("query", ["shifty", "--label", "1990"], {}),
+                ("evaluate", ["--testset", str(ts)], {}),
+                ("robustness", ["--testset", str(ts), "--rates", "0.5"],
+                 {"epochs": 1}),
+                ("export-norms", ["--words", "pet1,shifty"], {})]
+        stdout = {}
+        for how in ("by-config", "by-flags"):
+            out = tmp_path / how
+            for command, operands, wins in runs:
+                if how == "by-config":
+                    given = {**wins, "config": cfg}
+                else:
+                    given = {key: wins.get(key, settings[key])
+                             for key in READS[command]} | {"out": out}
+                argv = [command, *operands] + [
+                    arg for key, val in given.items()
+                    for arg in (f"--{key.replace('_', '-')}", str(val))]
+                capsys.readouterr()
+                assert main(argv) == 0
+                stdout[how, command] = capsys.readouterr().out.replace(
+                    str(out), "OUT")
+        for command, _, _ in runs:
+            assert stdout["by-config", command] == stdout["by-flags", command]
+        assert stdout["by-config", "train"].count("epoch ") == 1
+        by_config, by_flags = tmp_path / "by-config", tmp_path / "by-flags"
+        names = sorted(p.name for p in by_config.iterdir())
+        assert names == sorted(p.name for p in by_flags.iterdir())
+        for name in names:
+            assert ((by_config / name).read_bytes()
+                    == (by_flags / name).read_bytes())
 
     def test_config_file_and_flag_override(self, tmp_path):
         cfg = tmp_path / "c.cfg"
