@@ -23,6 +23,14 @@ class ArtifactError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
+class ArtifactVersionError(ArtifactError):
+    """An artifact of another format version than this program reads."""
+
+    def __init__(self, path, found, expected):
+        super().__init__(path, f"version {found}, expected {expected}")
+        self.found, self.expected = found, expected
+
+
 @contextmanager
 def reading(path):
     """Turn an OSError other than FileNotFoundError raised in the block (a
@@ -121,7 +129,7 @@ class ArtifactReader:
             raise ArtifactError(path, f"bad magic {self.raw[:4]!r}, expected {magic!r}")
         (found,) = self.fields("<I")
         if found != version:
-            raise ArtifactError(path, f"version {found}, expected {version}")
+            raise ArtifactVersionError(path, found, version)
 
     def _take(self, size):
         left = len(self.raw) - self.off

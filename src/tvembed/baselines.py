@@ -91,7 +91,7 @@ def align_sequence(per_slice):
     return aligned
 
 
-def local_linear_maps(records, k=30):
+def local_linear_maps(records, k=30, norms=None):
     """Map query vectors between slices via their local linear transforms.
 
     `records` holds (query_word, source_t, target_t) tuples. For each, the k
@@ -105,11 +105,20 @@ def local_linear_maps(records, k=30):
 
     Records are grouped by (source, target) pair, and each pair's candidate
     rows are prepared once as one `evaluation.CosineRows` of the source slice;
-    only one pair's are held at a time. When k < d the k neighbor rows cannot
-    have rank d, so the rank test is skipped and the ridge form is used.
+    only one pair's are held at a time. `norms`, if given, maps `id(m)` of
+    a slice matrix `m` of the records to its row norms, `np.linalg.norm(m,
+    axis=1)`; a matrix without an entry has them computed. When k < d the k
+    neighbor rows cannot have rank d, so the rank test is skipped and the
+    ridge form is used.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    norms = norms or {}
+
+    def row_norms(m):
+        n = norms.get(id(m))
+        return np.linalg.norm(m, axis=1) if n is None else n
+
     pairs = {}
     for i, (_, source_t, target_t) in enumerate(records):
         pairs.setdefault((id(source_t), id(target_t)), []).append(i)
@@ -117,14 +126,17 @@ def local_linear_maps(records, k=30):
     for members in pairs.values():
         _, source_t, target_t = records[members[0]]
         words = [records[i][0] for i in members]
-        for i, m in zip(members, _pair_maps(source_t, target_t, words, k)):
+        for i, m in zip(members, _pair_maps(
+                source_t, target_t, words, k,
+                row_norms(source_t), row_norms(target_t))):
             mapped[i] = m
     return mapped
 
 
-def _pair_maps(source_t, target_t, query_words, k):
+def _pair_maps(source_t, target_t, query_words, k, source_norms,
+               target_norms):
     """`local_linear_maps` for the queries of one slice pair, in order."""
-    rows = CosineRows(source_t, keep=np.linalg.norm(target_t, axis=1) > 0)
+    rows = CosineRows(source_t, keep=target_norms > 0, norms=source_norms)
     d = source_t.shape[1]
     ridge = 1e-8 * np.eye(d)
     mapped = [None] * len(query_words)

@@ -32,11 +32,12 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from tvembed import baselines, evaluation
-from tvembed.artifact import ArtifactError, atomic_write_bytes, read_text
+from tvembed.artifact import (ArtifactError, ArtifactVersionError,
+                              atomic_write_bytes, read_text)
 from tvembed.corpus import (
     EmptyVocabularyError,
     Vocabulary,
@@ -196,6 +197,9 @@ class RunDir:
             return reader(path, **kwargs)
         except FileNotFoundError:
             raise ArtifactError(path, f"missing; run {writer} first") from None
+        except ArtifactVersionError as e:
+            raise ArtifactError(path, f"version {e.found}, expected "
+                                f"{e.expected}; rerun {writer}") from None
 
     @cached_property
     def vocab(self):
@@ -263,13 +267,15 @@ class RunDir:
         return PpmiSequence(matrices=mats, vocab_size=len(self.vocab))
 
     def embeddings(self, method):
-        """The per-slice embedding matrices of `method` and their labels."""
+        """The per-slice embedding matrices of `method`, their labels and
+        their row norms (one array per slice, as the .tvem stores them)."""
         self.vocab  # read before any other file
         path = self._emb_path(method, "tvem")
-        mats, labels = self._read(read_embeddings_binary, path, "train")
+        mats, labels, norms = self._read(read_embeddings_binary, path,
+                                         "train", with_norms=True)
         self._check_fresh(path, mats[0].shape[0] if mats else 0, "train",
                           labels, self.labels)
-        return mats, labels
+        return mats, labels, norms
 
     def write_embeddings(self, method, matrices, labels):
         write_embeddings_binary(matrices, labels,
@@ -338,14 +344,15 @@ def cmd_query(args, cfg, run):
     if args.k < 1:
         raise UsageError("-k must be >= 1")
     vocab = run.vocab
-    mats, labels = run.embeddings(cfg.method)
+    mats, labels, norms = run.embeddings(cfg.method)
     if args.word not in vocab:
         close = difflib.get_close_matches(args.word, vocab.words, n=5)
         raise LookupFailure(
             f"word {args.word!r} not in vocabulary; closest: {', '.join(close)}"
         )
     w = vocab.index[args.word]
-    by_label = {lab: m for lab, m in zip(labels, mats)}
+    by_label = dict(zip(labels, mats))
+    norms_of = dict(zip(labels, norms))
     target = args.label if args.target_label is None else args.target_label
     for flag, label in (("--label", args.label), ("--target-label", target)):
         _check_slice_labels(flag, [label], labels)
@@ -357,7 +364,7 @@ def cmd_query(args, cfg, run):
     queries = [query] * len(targets)
     if cfg.method == "tw2v":
         queries = _tw2v_queries([(w, args.label, t) for t in targets],
-                                by_label)
+                                by_label, norms_of)
         for t, q in zip(targets, queries):
             if q is None:
                 raise LookupFailure(
@@ -367,13 +374,15 @@ def cmd_query(args, cfg, run):
     for target, q in zip(targets, queries):
         exclude = {w} if target == args.label and not args.keep_self else set()
         top = evaluation.nearest_neighbors(q, by_label[target], args.k,
-                                           exclude=exclude)
+                                           exclude=exclude,
+                                           norms=norms_of[target])
         row = ", ".join(f"{vocab.words[i]}:{s:.4f}" for i, s in top)
         print(f"{args.word}@{args.label} -> {target}: {row}")
     return 0
 
 
-def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path):
+def _evaluate_report(cfg, mats, labels, norms, vocab, testset_path,
+                     triplet_path):
     report = {}
     if triplet_path:
         items = evaluation.load_labeled_triplets(triplet_path, vocab)
@@ -392,20 +401,24 @@ def _evaluate_report(cfg, mats, labels, vocab, testset_path, triplet_path):
         if cfg.method == "tw2v":
             # Records without a map are skipped.
             queries = _tw2v_queries([(w, a, b) for w, a, b, _ in ts.records],
-                                    dict(zip(labels, mats)))
-        align = evaluation.alignment_report(ts, mats, labels, queries=queries)
+                                    dict(zip(labels, mats)),
+                                    dict(zip(labels, norms)))
+        align = evaluation.alignment_report(ts, mats, labels, queries=queries,
+                                            norms=norms)
         report["mrr"] = align["mrr"]
         report["mp"] = align["mp"]
     return report
 
 
-def _tw2v_queries(records, by_label):
+def _tw2v_queries(records, by_label, norms_of):
     """The vector that ranks each (word, query label, target label) record
     for tw2v, whose slices are trained apart and not aligned: the word's own
     vector when the two slices are one, else its local linear map into the
-    target slice, or None where it has no map."""
+    target slice, or None where it has no map. `norms_of` holds each slice's
+    row norms by label."""
     mapped = iter(baselines.local_linear_maps(
-        [(w, by_label[a], by_label[b]) for w, a, b in records if a != b]))
+        [(w, by_label[a], by_label[b]) for w, a, b in records if a != b],
+        norms={id(by_label[lab]): n for lab, n in norms_of.items()}))
     return [by_label[a][w] if a == b else next(mapped)
             for w, a, b in records]
 
@@ -440,9 +453,9 @@ def cmd_evaluate(args, cfg, run):
             "--triplets cannot be scored for tw2v: its slices are trained "
             "separately and not aligned, so their vectors cannot be "
             "clustered together")
-    mats, labels = run.embeddings(cfg.method)
-    report = _evaluate_report(cfg, mats, labels, run.vocab, args.testset,
-                              args.triplets)
+    mats, labels, norms = run.embeddings(cfg.method)
+    report = _evaluate_report(cfg, mats, labels, norms, run.vocab,
+                              args.testset, args.triplets)
     payload = json.dumps(report, sort_keys=True, indent=2)
     if args.json_out:
         atomic_write_bytes(args.json_out, payload.encode())
@@ -527,7 +540,7 @@ def cmd_export_norms(args, cfg, run):
         raise UsageError(f"--words: word {words.index('') + 1} of "
                          f"{args.words!r} is empty")
     vocab = run.vocab
-    mats, labels = run.embeddings(cfg.method)
+    mats, labels, _ = run.embeddings(cfg.method)
     missing = [w for w in words if w not in vocab]
     if missing:
         raise LookupFailure(f"words not in vocabulary: {', '.join(missing)}")
@@ -599,10 +612,25 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that rejects a flag its subcommand does not take
+    with that subcommand's usage and `<prog> <command>: error:` line, not
+    the top-level ones argparse prints."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.commands[args.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
+        return args
+
+
+@cache
 def make_parser():
     """The command-line parser. Each subcommand takes --config, --out, a
-    flag for each other setting it reads, and its own flags."""
-    parser = argparse.ArgumentParser(
+    flag for each other setting it reads, and its own flags. It is built
+    once per process: parsing leaves it as it was."""
+    parser = _Parser(
         prog="tvembed",
         description="Temporally aligned word embeddings from time-sliced corpora",
     )
@@ -613,6 +641,7 @@ def make_parser():
         for setting in (*settings, "out"):
             p.add_argument(f"--{setting.replace('_', '-')}", dest=setting)
         add_flags(p)
+    parser.commands = sub.choices
     return parser
 
 

@@ -44,26 +44,34 @@ class CosineRows:
     """The candidate rows of one matrix for cosine ranking, prepared once.
 
     The candidates are the nonzero rows of `matrix` (only those marked in the
-    boolean mask `keep`, if given), with their norms computed over the full
-    matrix and their word indices. Each query is scored against all of them
-    but one optional `drop` word, and candidates are ordered by (-similarity,
-    word index).
+    boolean mask `keep`, if given), with their norms and their word indices.
+    `norms` are the row norms of the full matrix, `np.linalg.norm(matrix,
+    axis=1)`, such as a .tvem file stores; they are computed when not given.
+    Each query is scored against all candidates but one optional `drop`
+    word, and candidates are ordered by (-similarity, word index).
 
-    The dropped word's row is left out of the product itself, not of its
-    result, because BLAS may round a row's dot product differently at another
-    position in the matrix. The rows without it live in one buffer, and
-    moving to another dropped word copies only the rows in between; callers
-    visit queries by ascending `position` of their dropped word, so all
-    moves together copy each row at most once.
+    When every row is a candidate, the product runs over `matrix` itself;
+    otherwise over a copy of the candidate rows. The dropped word's row is
+    left out of the product itself, not of its result, because BLAS may
+    round a row's dot product differently at another position in the
+    matrix. The rows without it live in one buffer, and moving to another
+    dropped word copies only the rows in between; callers visit queries by
+    ascending `position` of their dropped word, so all moves together copy
+    each row at most once.
     """
 
-    def __init__(self, matrix, keep=None):
-        norms = np.linalg.norm(matrix, axis=1)
+    def __init__(self, matrix, keep=None, norms=None):
+        if norms is None:
+            norms = np.linalg.norm(matrix, axis=1)
         valid = norms > 0 if keep is None else (norms > 0) & keep
-        words = np.flatnonzero(valid)
-        self.position = np.full(len(matrix), -1, dtype=np.int64)
-        self.position[words] = np.arange(len(words))
-        self._full = (matrix[words], norms[words], words)
+        if valid.all():
+            words = self.position = np.arange(len(matrix))
+            self._full = (matrix, norms, words)
+        else:
+            words = np.flatnonzero(valid)
+            self.position = np.full(len(matrix), -1, dtype=np.int64)
+            self.position[words] = np.arange(len(words))
+            self._full = (matrix[words], norms[words], words)
         self._rest, self._dropped = None, -1
 
     def _gap(self, drop):
@@ -119,15 +127,18 @@ class CosineRows:
                    + np.count_nonzero((sims == s) & (words < answer)))
 
 
-def nearest_neighbors(query, matrix, K, exclude=frozenset()):
+def nearest_neighbors(query, matrix, K, exclude=frozenset(), norms=None):
     """Top-K rows of `matrix` by cosine similarity with `query`.
 
     Zero rows and excluded word indices are skipped; ties break by
-    ascending word index. Returns a list of (word_index, similarity).
+    ascending word index. `norms`, if given, are the matrix's row norms
+    (see CosineRows). Returns a list of (word_index, similarity).
     """
-    keep = np.ones(len(matrix), dtype=bool)
-    keep[list(exclude)] = False
-    words, sims = CosineRows(matrix, keep).top(query, K)
+    keep = None
+    if exclude:
+        keep = np.ones(len(matrix), dtype=bool)
+        keep[list(exclude)] = False
+    words, sims = CosineRows(matrix, keep, norms).top(query, K)
     return list(zip(words.tolist(), sims.tolist()))
 
 
@@ -263,7 +274,7 @@ def f_beta(labels, assign, beta=5.0):
 
 
 def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
-                       queries=None):
+                       queries=None, norms=None):
     """Rank each record's answer word in the target slice by cosine.
 
     For every (query_word, query_label, target_label, answer_word) record
@@ -278,12 +289,14 @@ def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
     local map (`queries[i]` is None while the word's own vector is
     nonzero), are skipped with one warning that counts each cause.
 
-    Records are ranked one target slice at a time against its CosineRows.
+    Records are ranked one target slice at a time against its CosineRows,
+    given that slice's row norms when `norms` holds one array per slice.
     Returns (ranks, skipped_count).
     """
     if K_max < 1:
         raise ValueError("K must be >= 1")
     by_label = {lab: m for lab, m in zip(labels, matrices)}
+    norms_of = dict(zip(labels, norms or [None] * len(labels)))
     by_target = {}
     zero = unmapped = 0
     for i, (word, query_label, target_label, _) in enumerate(testset.records):
@@ -300,7 +313,8 @@ def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
         by_target.setdefault(target_label, []).append((i, q, drop))
     ranks = {}
     for target_label, group in by_target.items():
-        rows = CosineRows(by_label[target_label])
+        rows = CosineRows(by_label[target_label],
+                          norms=norms_of[target_label])
         group.sort(key=lambda m: -1 if m[2] is None else rows.position[m[2]])
         for i, q, drop in group:
             rank = rows.rank(q, testset.records[i][3], drop)
@@ -455,12 +469,12 @@ def clustering_report(items, matrices, labels, seed=0):
     return report
 
 
-def alignment_report(testset, matrices, labels, queries=None):
+def alignment_report(testset, matrices, labels, queries=None, norms=None):
     """MRR and MP@K (K in PRECISIONS) for one testset against one embedding
-    sequence; `queries` is passed to `run_alignment_test`. Raises
-    EmptyEvaluation when no record can be ranked."""
+    sequence; `queries` and `norms` are passed to `run_alignment_test`.
+    Raises EmptyEvaluation when no record can be ranked."""
     ranks, skipped = run_alignment_test(testset, matrices, labels,
-                                        queries=queries)
+                                        queries=queries, norms=norms)
     if not ranks:
         raise EmptyEvaluation(
             "no testset record could be ranked: every query vector is zero "

@@ -38,10 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from tvembed.artifact import ArtifactReader, atomic_write, write_artifact
+from tvembed.artifact import (ArtifactError, ArtifactReader, atomic_write,
+                              write_artifact)
 
 EMB_MAGIC = b"TVEM"
-EMB_VERSION = 1
+EMB_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -359,26 +360,44 @@ def final_embedding(seq):
 
 
 def write_embeddings_binary(matrices, labels, path):
+    """Write the per-slice V x d matrices and their slice labels as a .tvem
+    file. It ends in each slice's row norms, `np.linalg.norm(m, axis=1)` of
+    the C-ordered f64 matrix `m` as written, so the same call on the read
+    slice gives the same bits."""
     V, d = matrices[0].shape
     if any(m.shape != (V, d) for m in matrices):
         raise ValueError("inconsistent matrix shapes")
+    norms = [np.linalg.norm(np.ascontiguousarray(m, dtype="<f8"), axis=1)
+             for m in matrices]
     write_artifact(path, EMB_MAGIC, EMB_VERSION, [
         ("<QQQ", V, len(matrices), d),
         np.asarray(labels, dtype="<i8"),
         *(np.asarray(m, dtype="<f8") for m in matrices),
+        *(np.asarray(n, dtype="<f8") for n in norms),
     ])
 
 
-def read_embeddings_binary(path):
-    """The per-slice V x d matrices of a .tvem file and its slice labels.
+def read_embeddings_binary(path, with_norms=False):
+    """The per-slice V x d matrices of a .tvem file and its slice labels,
+    and with `with_norms` each slice's length-V row norms as a third item.
 
-    The matrices are read-only views into the mapped file, so a slice that
-    is never used is never read from disk."""
+    The arrays are read-only views into the mapped file, so a slice that
+    is never used is never read from disk. A row norm that is negative or
+    not finite raises ArtifactError."""
     r = ArtifactReader(path, EMB_MAGIC, EMB_VERSION)
     V, T, d = r.fields("<QQQ")
     labels = r.array("<i8", T).tolist()
     matrices = [r.array("<f8", V * d).reshape(V, d) for _ in range(T)]
+    norms = r.array("<f8", T * V).reshape(T, V)
     r.end()
+    valid = (norms >= 0) & (norms < np.inf)
+    if not valid.all():
+        t, row = divmod(int(np.argmin(valid)), V)
+        raise ArtifactError(
+            path, f"row norm {float(norms[t, row])} of row {row} in slice "
+            f"{labels[t]} is negative or not finite")
+    if with_norms:
+        return matrices, labels, list(norms)
     return matrices, labels
 
 

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from tvembed.artifact import (ArtifactError, atomic_write, atomic_write_bytes,
                               read_text, triplet_parts)
-from tvembed.corpus import SliceStats, read_stats, write_stats
-from tvembed.ppmi import PpmiMatrix, read_ppmi, write_ppmi
-from tvembed.solver import (read_embeddings_binary, write_embeddings_binary,
-                            write_embeddings_text)
+from tvembed.corpus import STATS_VERSION, SliceStats, read_stats, write_stats
+from tvembed.ppmi import PPMI_VERSION, PpmiMatrix, read_ppmi, write_ppmi
+from tvembed.solver import (EMB_VERSION, read_embeddings_binary,
+                            write_embeddings_binary, write_embeddings_text)
 
 
 def _symmetric(rng, V, values):
@@ -51,6 +51,8 @@ FORMATS = {
     "tvpm": (_write_tvpm, read_ppmi, b"TVPM", lambda V: 32),
     "tvem": (_write_tvem, read_embeddings_binary, b"TVEM", None),
 }
+
+VERSIONS = {"tvco": STATS_VERSION, "tvpm": PPMI_VERSION, "tvem": EMB_VERSION}
 
 # name -> (offset, struct format) of each header field after the version
 HEADERS = {
@@ -118,14 +120,55 @@ class TestDamagedArtifacts:
             _raises_naming(name, magic + _valid(name, V, seed, d)[4:], d)
 
     @each_format
-    @given(cases, st.integers(0, 2**32 - 1).filter(lambda v: v != 1))
+    @given(cases, st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_wrong_version_raises(self, name, case, version):
         V, seed = case
+        assume(version != VERSIONS[name])
         with tempfile.TemporaryDirectory() as d:
             blob = _valid(name, V, seed, d)
             blob = blob[:4] + struct.pack("<I", version) + blob[8:]
             _raises_naming(name, blob, d)
+
+    @given(cases)
+    @settings(max_examples=8, deadline=None)
+    def test_prefix_ending_in_the_norms_block_names_its_size(self, case):
+        # The T x V row norms are the last array of a .tvem.
+        V, seed = case
+        with tempfile.TemporaryDirectory() as d:
+            blob = _valid("tvem", V, seed, d)
+            (T,) = struct.unpack_from("<Q", blob, 16)
+            start = len(blob) - 8 * T * V
+            path = Path(d) / "cut.tvem"
+            for n in range(start, len(blob)):
+                path.write_bytes(blob[:n])
+                with pytest.raises(ArtifactError) as info:
+                    read_embeddings_binary(path)
+                assert str(info.value) == (
+                    f"{path}: truncated: needs {8 * T * V} bytes, has "
+                    f"{n - start}")
+
+    @given(cases, st.data(), st.one_of(
+        st.floats(max_value=-5e-324), st.sampled_from(
+            [float("nan"), float("inf"), float("-inf")])))
+    @settings(max_examples=30, deadline=None)
+    def test_bad_row_norm_raises(self, case, data, value):
+        V, seed = case
+        with tempfile.TemporaryDirectory() as d:
+            blob = bytearray(_valid("tvem", V, seed, d))
+            (T,) = struct.unpack_from("<Q", blob, 16)
+            labels = struct.unpack_from(f"<{T}q", blob, 32)
+            t, row = data.draw(st.integers(0, T - 1)), data.draw(
+                st.integers(0, V - 1))
+            struct.pack_into("<d", blob, len(blob) - 8 * (T - t) * V
+                             + 8 * row, value)
+            path = Path(d) / "bad.tvem"
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ArtifactError) as info:
+                read_embeddings_binary(path)
+            assert str(info.value) == (
+                f"{path}: row norm {value} of row {row} in slice "
+                f"{labels[t]} is negative or not finite")
 
     @pytest.mark.parametrize("name", ["tvco", "tvpm"])
     @given(cases, st.data())
@@ -224,6 +267,50 @@ class TestMappedRead:
         for m, old, new in zip(mats, before, after):
             assert np.array_equal(old, m)
             assert np.array_equal(new, -m)
+
+
+class TestRowNorms:
+    """A .tvem stores each slice's row norms with the bits that
+    `np.linalg.norm(view, axis=1)` gives on the read slice, wherever the
+    slice starts in the file."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 30),
+           st.integers(1, 60), st.floats(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_the_norms_of_the_read_slices(self, seed, T, V, d,
+                                                       zero_frac):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(T):
+            m = rng.standard_normal((V, d)) * 10.0 ** rng.integers(-3, 4)
+            m[rng.random(V) < zero_frac] = 0.0
+            mats.append(m)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.tvem"
+            write_embeddings_binary(mats, list(range(T)), path)
+            read, _, norms = read_embeddings_binary(path, with_norms=True)
+            for m, view, stored in zip(mats, read, norms):
+                assert stored.shape == (V,)
+                assert (stored.tobytes()
+                        == np.linalg.norm(view, axis=1).tobytes()
+                        == np.linalg.norm(m, axis=1).tobytes())
+
+    @pytest.mark.parametrize("T", range(1, 9))
+    def test_slices_at_every_offset_of_a_cache_line(self, tmp_path, T):
+        # Slice t starts at byte 32 + 8 T + 14800 t of the page-aligned
+        # mapping, so over T = 1..8 slices start at every multiple of 8
+        # modulo 64, as pipeline-sized slices (d = 50) do.
+        rng = np.random.default_rng(T)
+        mats = [rng.standard_normal((37, 50)) for _ in range(T)]
+        mats[0][3] = 0.0
+        write_embeddings_binary(mats, list(range(T)), tmp_path / "e.tvem")
+        read, _, norms = read_embeddings_binary(tmp_path / "e.tvem",
+                                                with_norms=True)
+        starts = [view.__array_interface__["data"][0] % 64 for view in read]
+        assert starts == [(32 + 8 * T + 14800 * t) % 64 for t in range(T)]
+        for view, stored in zip(read, norms):
+            assert (stored.tobytes()
+                    == np.linalg.norm(view, axis=1).tobytes())
 
 
 def _bytes(parts):

@@ -505,9 +505,11 @@ class TestTrain:
     # while `train --method sw2v` still read every .tvpm. It trains on the
     # counts alone, so the same bytes come back with no .tvpm in --out. The
     # files hold trained floats, so another BLAS library may change them.
+    # The .tvem digest was recorded again for format version 2, whose bytes
+    # up to the end of the matrices equal version 1's but for the version.
     SW2V_GOLDEN = {
         "embeddings_sw2v.tvem":
-            "796ab3dd94ed0b5c3eae2fdc06db5fe352cbb85ddd66d7c99e77a16383d24f44",
+            "c3ddfb9e55cff04ce90e68cabf75adcd51844126abebbfc300e0d2c8a3a49376",
         "embeddings_sw2v.txt":
             "8b8e0157daad6956241f2a404e29f1bc5b38e72eca9ebff4b29ca759ef1b3b3a",
     }
@@ -806,6 +808,44 @@ class TestQuery:
             "tvembed query: error: argument --target-label: not allowed with "
             "argument --all-years")
 
+    # Recorded before .tvem files stored their row norms and before a
+    # ranking over every row of a slice stopped copying them; the lines
+    # must come back byte for byte. The toy run holds trained floats, so
+    # another BLAS library may change them.
+    RECORDED_QUERIES = {
+        ("shifty", "--label", "1995", "--all-years", "-k", "3"): [
+            "shifty@1995 -> 1990: tech3:0.9899, tech0:0.9890, tech1:0.9847",
+            "shifty@1995 -> 1995: tech4:0.9737, tech0:0.9715, tech5:0.9679",
+            "shifty@1995 -> 2000: shifty:0.9683, tech4:0.9521, tech0:0.9474",
+        ],
+        ("shifty", "--label", "1990", "--keep-self", "-k", "4"): [
+            "shifty@1990 -> 1990: shifty:1.0000, pet3:0.9802, pet2:0.9802, "
+            "pet0:0.9792",
+        ],
+        ("pet0", "--label", "2000", "--target-label", "1990", "-k", "5"): [
+            "pet0@2000 -> 1990: pet1:0.8300, pet7:0.8293, pet2:0.8290, "
+            "pet5:0.8186, pet0:0.8116",
+        ],
+        ("tech3", "--label", "1995", "--all-years", "--keep-self"): [
+            "tech3@1995 -> 1990: tech3:0.9874, tech0:0.9758, tech2:0.9690, "
+            "tech1:0.9673, tech4:0.9653, tech5:0.9647, tech7:0.9451, "
+            "tech6:0.9449, shifty:0.0047, pet2:-0.0676",
+            "tech3@1995 -> 1995: tech3:1.0000, tech0:0.9981, tech4:0.9954, "
+            "tech1:0.9941, tech2:0.9936, tech5:0.9902, tech6:0.9829, "
+            "tech7:0.9820, shifty:0.9653, pet3:0.0042",
+            "tech3@1995 -> 2000: shifty:0.9973, tech4:0.9971, tech0:0.9968, "
+            "tech3:0.9967, tech2:0.9925, tech1:0.9923, tech5:0.9914, "
+            "tech6:0.9858, tech7:0.9827, pet3:0.0801",
+        ],
+    }
+
+    def test_stdout_as_recorded(self, run_dir, capsys):
+        assert main(train_args(run_dir)) == 0
+        for argv, lines in self.RECORDED_QUERIES.items():
+            capsys.readouterr()
+            assert main(["query", *argv, "--out", str(run_dir)]) == 0
+            assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
     def test_tw2v_query_without_map_exit_3(self, run_dir, capsys):
         # The toy run has fewer than k=30 words besides the query, so no
         # slice pair has a local map; the same slice needs none.
@@ -917,6 +957,21 @@ class TestParser:
         assert code == 2 and out == ""
         assert err.startswith("usage: tvembed")
         assert ": error: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command,operands,extra", [
+        ("query", ["w", "--label", "1990"], ["--epochs", "3"]),
+        ("export-norms", ["--words", "a"], ["--dim", "4", "--seed", "1"]),
+    ])
+    def test_unknown_flag_shows_the_command_usage(self, command, operands,
+                                                  extra):
+        # argparse hands a subcommand's unknown flags up to the top-level
+        # parser, whose usage lists only the commands.
+        out, err, code = _parse_outcome(main, [command, *operands, *extra])
+        lines = err.splitlines()
+        assert code == 2 and out == ""
+        assert lines[0].startswith(f"usage: tvembed {command} [-h] ")
+        assert lines[-1] == (f"tvembed {command}: error: unrecognized "
+                             f"arguments: {' '.join(extra)}")
 
     @pytest.mark.parametrize("argv", _ACCEPTED, ids=_argv_id)
     def test_parsed_flags(self, argv):
@@ -1641,8 +1696,8 @@ _TVEM_SHORT = (2, "{run}/embeddings_dw2v.tvem: V=17 but vocab.txt has 16 "
                   "words; rerun train")
 _TVEM_STALE = (2, "{run}/embeddings_dw2v.tvem: V=18 but vocab.txt has 17 "
                   "words; rerun train")
-_TVEM_TRUNCATED = (2, "{run}/embeddings_dw2v.tvem: truncated: needs 680 "
-                      "bytes, has 672")
+_TVEM_TRUNCATED = (2, "{run}/embeddings_dw2v.tvem: truncated: needs 408 "
+                      "bytes, has 400")
 _VOCAB_TWICE = (2, "{run}/vocab.txt: duplicate words in vocabulary; rerun "
                    "build")
 _MISSING_TVPM = (2, "{run}/ppmi_1995.tvpm: missing; run build first")
@@ -1707,3 +1762,24 @@ class TestRunDirErrors:
         err = capsys.readouterr().err.splitlines()
         assert err == ([] if line is None
                        else ["error: " + line.format(run=run_dir)])
+
+    @pytest.mark.parametrize("command", ["query", "evaluate", "export-norms"])
+    def test_version_1_embeddings(self, run_dir, capsys, command):
+        # A .tvem of a run trained before the file stored its row norms:
+        # format version 1, the same bytes without the norms block.
+        assert main(train_args(run_dir)) == 0
+        path = run_dir / "embeddings_dw2v.tvem"
+        blob = path.read_bytes()
+        V, T, _ = struct.unpack_from("<QQQ", blob, 8)
+        path.write_bytes(blob[:4] + struct.pack("<I", 1)
+                         + blob[8:-8 * T * V])
+        argv = {
+            "query": ["query", "shifty", "--label", "1990"],
+            "evaluate": ["evaluate", "--testset",
+                         str(TestEvaluate().make_testset(run_dir))],
+            "export-norms": ["export-norms", "--words", "pet0"],
+        }[command] + ["--out", str(run_dir)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: version 1, expected 2; rerun train\n")

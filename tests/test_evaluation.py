@@ -1,6 +1,8 @@
 import math
+import tempfile
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from tvembed.evaluation import (
 )
 from tvembed.artifact import ArtifactError
 from tvembed.corpus import Vocabulary
+from tvembed.solver import read_embeddings_binary, write_embeddings_binary
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,54 @@ class TestCosineRows:
             want = (m[idx[keep]] @ q) / (norms[keep] * np.linalg.norm(q))
             assert np.array_equal(words, idx[keep])
             assert np.array_equal(sims, want)
+
+
+    @pytest.mark.parametrize("branch", ["every-row", "zero-row", "excluded"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stored_norms_rank_as_computed_norms(self, branch, seed):
+        # A slice read from a .tvem ranks the same, bit for bit, with the
+        # row norms the file stores as with norms computed from the slice:
+        # over the slice itself when every row is a candidate, over the
+        # gathered candidate rows when a zero row or an excluded word is
+        # left out. Slices before it move where it starts in the file.
+        rng = np.random.default_rng(seed)
+        V, d = int(rng.integers(2, 60)), int(rng.integers(1, 51))
+        mats = [rng.standard_normal((V, d))
+                for _ in range(int(rng.integers(1, 5)))]
+        if branch == "zero-row":
+            mats[-1][rng.integers(V)] = 0.0
+        exclude = {int(rng.integers(V))} if branch == "excluded" else set()
+        keep = None
+        if exclude:
+            keep = np.ones(V, dtype=bool)
+            keep[list(exclude)] = False
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.tvem"
+            write_embeddings_binary(mats, list(range(len(mats))), path)
+            read, _, norms = read_embeddings_binary(path, with_norms=True)
+            m, stored = read[-1], norms[-1]
+            rows = CosineRows(m, keep, norms=stored)
+            fresh = CosineRows(m, keep)
+            assert np.array_equal(rows.position, fresh.position)
+            for q in (m[int(rng.integers(V))], rng.standard_normal(d)):
+                if not q.any():
+                    continue
+                for drop in (None, *rng.integers(V, size=3).tolist()):
+                    for a, b in zip(rows.scores(q, drop),
+                                    fresh.scores(q, drop)):
+                        assert a.tobytes() == b.tobytes()
+                    k = int(rng.integers(1, V + 2))
+                    for a, b in zip(rows.top(q, k, drop),
+                                    fresh.top(q, k, drop)):
+                        assert a.tobytes() == b.tobytes()
+                    for answer in rng.integers(V, size=4).tolist():
+                        assert (rows.rank(q, answer, drop)
+                                == fresh.rank(q, answer, drop))
+                k = int(rng.integers(1, V + 2))
+                want = loop_nearest_neighbors(q, m, k, exclude=exclude)
+                assert nearest_neighbors(q, m, k, exclude, norms=stored) == want
+                assert nearest_neighbors(q, m, k, exclude) == want
 
 
 class TestSphericalKMeans:
