@@ -40,7 +40,7 @@ emb = final_embedding(seq)
 probe = vocab.index["probeword"]
 print("nearest neighbors of the probe word per slice:")
 for t, lab in enumerate(labels):
-    hits = nearest_neighbors(emb[t][probe], emb[t], K=3, exclude={probe})
+    hits = nearest_neighbors(emb[t][probe], emb[t], K=3, drop=probe)
     names = ", ".join(vocab.words[i] for i, _ in hits)
     print(f"  t={lab}: {names}")
 
@@ -48,11 +48,11 @@ for t, lab in enumerate(labels):
 stable = vocab.index["alpha050"]
 print("nearest neighbors of a stable word per slice:")
 for t, lab in enumerate(labels):
-    hits = nearest_neighbors(emb[t][stable], emb[t], K=3, exclude={stable})
+    hits = nearest_neighbors(emb[t][stable], emb[t], K=3, drop=stable)
     names = ", ".join(vocab.words[i] for i, _ in hits)
     print(f"  t={lab}: {names}")
 
 # Vector norms track how much a word is used in each slice.
-norms = norm_series(probe, list(emb), labels)
+norms = norm_series(probe, dict(zip(labels, emb)))
 print("probe norm per slice:",
       " ".join(f"{lab}:{n:.2f}" for lab, n in norms))

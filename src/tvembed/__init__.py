@@ -31,7 +31,6 @@ from tvembed.solver import (
     update_factor,
 )
 from tvembed.baselines import (
-    OrthogonalMap,
     align_sequence,
     factorize_single,
     local_linear_maps,

@@ -1,7 +1,7 @@
 """Comparison systems: static pooling, Procrustes chaining, local linear maps."""
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -10,18 +10,6 @@ from tvembed.corpus import pool_stats
 from tvembed.evaluation import CosineRows
 from tvembed.ppmi import PpmiSequence, build_ppmi
 from tvembed.solver import final_embedding, train
-
-
-@dataclass
-class OrthogonalMap:
-    """Orthogonal d x d matrix mapping one embedding space onto another."""
-
-    R: np.ndarray
-
-    def __post_init__(self):
-        d = self.R.shape[0]
-        if np.linalg.norm(self.R.T @ self.R - np.eye(d)) > 1e-8:
-            raise ValueError("map is not orthogonal")
 
 
 def factorize_single(Y, config):
@@ -45,19 +33,21 @@ def train_static(stats_list, config):
     return factorize_single(build_ppmi(pooled), config)
 
 
-def train_per_slice(Y, config):
-    """Train every slice independently (the unaligned two-step front end);
-    returns one embedding matrix per slice.
+def train_slice(Y_t, t, config):
+    """Train slice t (0-based) of a sequence on its own PPMI matrix `Y_t`.
 
     Each slice gets a distinct seed so the runs are genuinely independent;
     sharing a seed would leave near-identical initializations that fake
     alignment.
     """
-    mats = []
-    for t, m in enumerate(Y.matrices):
-        cfg = replace(config, seed=config.seed + 1000003 * (t + 1))
-        mats.append(factorize_single(m, cfg))
-    return mats
+    return factorize_single(
+        Y_t, replace(config, seed=config.seed + 1000003 * (t + 1)))
+
+
+def train_per_slice(Y, config):
+    """Train every slice independently (the unaligned two-step front end);
+    returns one embedding matrix per slice."""
+    return [train_slice(m, t, config) for t, m in enumerate(Y.matrices)]
 
 
 def procrustes_align(source, target):
@@ -65,16 +55,18 @@ def procrustes_align(source, target):
 
     Solved by the SVD of source^T @ target: with P S Q^T = source^T target,
     R = P Q^T. The full orthogonal group is allowed (det may be -1). On
-    rank deficiency the SVD-canonical choice is kept with a warning.
+    rank deficiency the SVD-canonical choice is kept with a warning; the
+    rank counts the singular values above `np.linalg.matrix_rank`'s
+    tolerance, s.max() * d * eps.
     """
     if source.shape != target.shape:
         raise ValueError("source and target must have equal shapes")
     M = source.T @ target
     P, s, Qt = scipy.linalg.svd(M)
     d = source.shape[1]
-    if np.linalg.matrix_rank(M) < d:
+    if np.count_nonzero(s > s.max() * d * np.finfo(s.dtype).eps) < d:
         warnings.warn("rank-deficient Procrustes system; map is not unique")
-    return OrthogonalMap(R=P @ Qt)
+    return P @ Qt
 
 
 def align_sequence(per_slice):
@@ -86,49 +78,48 @@ def align_sequence(per_slice):
     """
     aligned = [per_slice[0].copy()]
     for t in range(1, len(per_slice)):
-        R = procrustes_align(per_slice[t], aligned[t - 1]).R
+        R = procrustes_align(per_slice[t], aligned[t - 1])
         aligned.append(per_slice[t] @ R)
     return aligned
 
 
-def local_linear_maps(records, k=30, norms=None):
+def local_linear_maps(records, slices, k=30, norms=None):
     """Map query vectors between slices via their local linear transforms.
 
-    `records` holds (query_word, source_t, target_t) tuples. For each, the k
-    nearest neighbors of the query word in the source slice by cosine (query
-    excluded, ties broken by ascending word index) are taken among the words
-    nonzero in both slices; the least-squares d x d map from their source rows
-    to their target rows (ridge 1e-8 when those rows have rank below d) is
-    applied to the query vector. Returns the mapped vectors in record order,
-    with None where the query's source vector is zero or fewer than k other
-    words are nonzero in both slices.
+    `records` holds (query_word, source_label, target_label) tuples over
+    `slices`, which maps each slice label to its embedding matrix. For each,
+    the k nearest neighbors of the query word in the source slice by cosine
+    (query excluded, ties broken by ascending word index) are taken among
+    the words nonzero in both slices; the least-squares d x d map from their
+    source rows to their target rows (ridge 1e-8 when those rows have rank
+    below d) is applied to the query vector. Returns the mapped vectors in
+    record order, with None where the query's source vector is zero or fewer
+    than k other words are nonzero in both slices.
 
     Records are grouped by (source, target) pair, and each pair's candidate
     rows are prepared once as one `evaluation.CosineRows` of the source slice;
-    only one pair's are held at a time. `norms`, if given, maps `id(m)` of
-    a slice matrix `m` of the records to its row norms, `np.linalg.norm(m,
-    axis=1)`; a matrix without an entry has them computed. When k < d the k
-    neighbor rows cannot have rank d, so the rank test is skipped and the
-    ridge form is used.
+    only one pair's are held at a time. `norms`, if given, maps a slice label
+    to the slice's row norms, `np.linalg.norm(m, axis=1)`; a label without an
+    entry has them computed. When k < d the k neighbor rows cannot have rank
+    d, so the rank test is skipped and the ridge form is used.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     norms = norms or {}
 
-    def row_norms(m):
-        n = norms.get(id(m))
-        return np.linalg.norm(m, axis=1) if n is None else n
+    def row_norms(label):
+        n = norms.get(label)
+        return np.linalg.norm(slices[label], axis=1) if n is None else n
 
     pairs = {}
-    for i, (_, source_t, target_t) in enumerate(records):
-        pairs.setdefault((id(source_t), id(target_t)), []).append(i)
+    for i, (_, source, target) in enumerate(records):
+        pairs.setdefault((source, target), []).append(i)
     mapped = [None] * len(records)
-    for members in pairs.values():
-        _, source_t, target_t = records[members[0]]
+    for (source, target), members in pairs.items():
         words = [records[i][0] for i in members]
         for i, m in zip(members, _pair_maps(
-                source_t, target_t, words, k,
-                row_norms(source_t), row_norms(target_t))):
+                slices[source], slices[target], words, k,
+                row_norms(source), row_norms(target))):
             mapped[i] = m
     return mapped
 

@@ -267,15 +267,16 @@ class RunDir:
         return PpmiSequence(matrices=mats, vocab_size=len(self.vocab))
 
     def embeddings(self, method):
-        """The per-slice embedding matrices of `method`, their labels and
-        their row norms (one array per slice, as the .tvem stores them)."""
+        """The embedding matrix of each slice of `method` and its row norms,
+        as the .tvem stores them: two mappings from slice label, in label
+        order."""
         self.vocab  # read before any other file
         path = self._emb_path(method, "tvem")
         mats, labels, norms = self._read(read_embeddings_binary, path,
                                          "train", with_norms=True)
         self._check_fresh(path, mats[0].shape[0] if mats else 0, "train",
                           labels, self.labels)
-        return mats, labels, norms
+        return dict(zip(labels, mats)), dict(zip(labels, norms))
 
     def write_embeddings(self, method, matrices, labels):
         write_embeddings_binary(matrices, labels,
@@ -344,27 +345,25 @@ def cmd_query(args, cfg, run):
     if args.k < 1:
         raise UsageError("-k must be >= 1")
     vocab = run.vocab
-    mats, labels, norms = run.embeddings(cfg.method)
+    slices, norms = run.embeddings(cfg.method)
     if args.word not in vocab:
         close = difflib.get_close_matches(args.word, vocab.words, n=5)
         raise LookupFailure(
             f"word {args.word!r} not in vocabulary; closest: {', '.join(close)}"
         )
     w = vocab.index[args.word]
-    by_label = dict(zip(labels, mats))
-    norms_of = dict(zip(labels, norms))
     target = args.label if args.target_label is None else args.target_label
     for flag, label in (("--label", args.label), ("--target-label", target)):
-        _check_slice_labels(flag, [label], labels)
-    query = by_label[args.label][w]
+        _check_slice_labels(flag, [label], slices)
+    query = slices[args.label][w]
     if not query.any():
         raise LookupFailure(
             f"word {args.word!r} has a zero vector in slice {args.label}")
-    targets = labels if args.all_years else [target]
+    targets = list(slices) if args.all_years else [target]
     queries = [query] * len(targets)
     if cfg.method == "tw2v":
         queries = _tw2v_queries([(w, args.label, t) for t in targets],
-                                by_label, norms_of)
+                                slices, norms)
         for t, q in zip(targets, queries):
             if q is None:
                 raise LookupFailure(
@@ -372,17 +371,15 @@ def cmd_query(args, cfg, run):
                     f"{args.label} into slice {t}: too few words are nonzero "
                     f"in both")
     for target, q in zip(targets, queries):
-        exclude = {w} if target == args.label and not args.keep_self else set()
-        top = evaluation.nearest_neighbors(q, by_label[target], args.k,
-                                           exclude=exclude,
-                                           norms=norms_of[target])
+        drop = w if target == args.label and not args.keep_self else None
+        top = evaluation.nearest_neighbors(q, slices[target], args.k, drop,
+                                           norms[target])
         row = ", ".join(f"{vocab.words[i]}:{s:.4f}" for i, s in top)
         print(f"{args.word}@{args.label} -> {target}: {row}")
     return 0
 
 
-def _evaluate_report(cfg, mats, labels, norms, vocab, testset_path,
-                     triplet_path):
+def _evaluate_report(cfg, slices, norms, vocab, testset_path, triplet_path):
     report = {}
     if triplet_path:
         items = evaluation.load_labeled_triplets(triplet_path, vocab)
@@ -390,37 +387,33 @@ def _evaluate_report(cfg, mats, labels, norms, vocab, testset_path,
             raise evaluation.EmptyEvaluation(
                 "no labeled triplets survive filtering")
         _check_slice_labels(triplet_path,
-                            [it.slice_label for it in items], labels)
+                            [it.slice_label for it in items], slices)
         clus = evaluation.clustering_report(
-            items, mats, labels, seed=derive_seed(cfg.seed, "clustering")
+            items, slices, seed=derive_seed(cfg.seed, "clustering")
         )
         report.update(clus)
     if testset_path:
-        ts = _load_testset(testset_path, vocab, labels)
+        ts = _load_testset(testset_path, vocab, slices)
         queries = None
         if cfg.method == "tw2v":
             # Records without a map are skipped.
             queries = _tw2v_queries([(w, a, b) for w, a, b, _ in ts.records],
-                                    dict(zip(labels, mats)),
-                                    dict(zip(labels, norms)))
-        align = evaluation.alignment_report(ts, mats, labels, queries=queries,
+                                    slices, norms)
+        align = evaluation.alignment_report(ts, slices, queries=queries,
                                             norms=norms)
         report["mrr"] = align["mrr"]
         report["mp"] = align["mp"]
     return report
 
 
-def _tw2v_queries(records, by_label, norms_of):
+def _tw2v_queries(records, slices, norms):
     """The vector that ranks each (word, query label, target label) record
     for tw2v, whose slices are trained apart and not aligned: the word's own
     vector when the two slices are one, else its local linear map into the
-    target slice, or None where it has no map. `norms_of` holds each slice's
-    row norms by label."""
+    target slice, or None where it has no map."""
     mapped = iter(baselines.local_linear_maps(
-        [(w, by_label[a], by_label[b]) for w, a, b in records if a != b],
-        norms={id(by_label[lab]): n for lab, n in norms_of.items()}))
-    return [by_label[a][w] if a == b else next(mapped)
-            for w, a, b in records]
+        [(w, a, b) for w, a, b in records if a != b], slices, norms=norms))
+    return [slices[a][w] if a == b else next(mapped) for w, a, b in records]
 
 
 def _load_testset(path, vocab, labels):
@@ -453,9 +446,9 @@ def cmd_evaluate(args, cfg, run):
             "--triplets cannot be scored for tw2v: its slices are trained "
             "separately and not aligned, so their vectors cannot be "
             "clustered together")
-    mats, labels, norms = run.embeddings(cfg.method)
-    report = _evaluate_report(cfg, mats, labels, norms, run.vocab,
-                              args.testset, args.triplets)
+    slices, norms = run.embeddings(cfg.method)
+    report = _evaluate_report(cfg, slices, norms, run.vocab, args.testset,
+                              args.triplets)
     payload = json.dumps(report, sort_keys=True, indent=2)
     if args.json_out:
         atomic_write_bytes(args.json_out, payload.encode())
@@ -503,24 +496,31 @@ def cmd_robustness(args, cfg, run):
         selected = set(chosen)
     stats = run.stats()
     ts = _load_testset(args.testset, vocab, labels)
+    config = cfg.solver_config("aw2v")
+
+    def fit_slice(t, rate):
+        """Slice t's PPMI with its counts subsampled at `rate`, and its aw2v
+        slice model."""
+        st = stats[t]
+        if rate < 1.0:
+            st = subsample_counts(
+                st, rate, derive_seed(cfg.seed, f"subsample:{labels[t]}:{rate}")
+            )
+        Y_t = build_ppmi(st, slice_label=labels[t])
+        return Y_t, baselines.train_slice(Y_t, t, config)
+
+    # A slice left whole is the same at every rate: built and trained once.
+    whole = cache(lambda t: fit_slice(t, 1.0))
     rows = []
     for rate in rates:
-        sub = []
-        for lab, st in zip(labels, stats):
-            if lab in selected and rate < 1.0:
-                st = subsample_counts(
-                    st, rate, derive_seed(cfg.seed, f"subsample:{lab}:{rate}")
-                )
-            sub.append(st)
-        Y = PpmiSequence(
-            matrices=[
-                build_ppmi(st, slice_label=lab)
-                for st, lab in zip(sub, labels)
-            ],
-            vocab_size=len(vocab),
-        )
-        for method in ("dw2v", "aw2v"):
-            rep = evaluation.alignment_report(ts, _fit(cfg, method, Y), labels)
+        fits = [fit_slice(t, rate) if lab in selected and rate < 1.0
+                else whole(t) for t, lab in enumerate(labels)]
+        Y = PpmiSequence(matrices=[Y_t for Y_t, _ in fits],
+                         vocab_size=len(vocab))
+        for method, mats in (
+                ("dw2v", _fit(cfg, "dw2v", Y)),
+                ("aw2v", baselines.align_sequence([m for _, m in fits]))):
+            rep = evaluation.alignment_report(ts, dict(zip(labels, mats)))
             rows.append(
                 {"method": method, "rate": rate, "mrr": rep["mrr"],
                  "mp": rep["mp"]}
@@ -540,13 +540,13 @@ def cmd_export_norms(args, cfg, run):
         raise UsageError(f"--words: word {words.index('') + 1} of "
                          f"{args.words!r} is empty")
     vocab = run.vocab
-    mats, labels, _ = run.embeddings(cfg.method)
+    slices, _ = run.embeddings(cfg.method)
     missing = [w for w in words if w not in vocab]
     if missing:
         raise LookupFailure(f"words not in vocabulary: {', '.join(missing)}")
     lines = ["word,label,norm"]
     for w in words:
-        for lab, norm in evaluation.norm_series(vocab.index[w], mats, labels):
+        for lab, norm in evaluation.norm_series(vocab.index[w], slices):
             lines.append(f"{w},{lab},{norm:.9g}")
     payload = "\n".join(lines) + "\n"
     if args.csv_out:

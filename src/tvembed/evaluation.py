@@ -127,18 +127,14 @@ class CosineRows:
                    + np.count_nonzero((sims == s) & (words < answer)))
 
 
-def nearest_neighbors(query, matrix, K, exclude=frozenset(), norms=None):
+def nearest_neighbors(query, matrix, K, drop=None, norms=None):
     """Top-K rows of `matrix` by cosine similarity with `query`.
 
-    Zero rows and excluded word indices are skipped; ties break by
+    Zero rows and the word index `drop` are skipped; ties break by
     ascending word index. `norms`, if given, are the matrix's row norms
     (see CosineRows). Returns a list of (word_index, similarity).
     """
-    keep = None
-    if exclude:
-        keep = np.ones(len(matrix), dtype=bool)
-        keep[list(exclude)] = False
-    words, sims = CosineRows(matrix, keep, norms).top(query, K)
+    words, sims = CosineRows(matrix, norms=norms).top(query, K, drop)
     return list(zip(words.tolist(), sims.tolist()))
 
 
@@ -273,16 +269,17 @@ def f_beta(labels, assign, beta=5.0):
     return float((b2 + 1) * P * R / (b2 * P + R))
 
 
-def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
-                       queries=None, norms=None):
+def run_alignment_test(testset, slices, K_max=TOP_RANK_CUTOFF, queries=None,
+                       norms=None):
     """Rank each record's answer word in the target slice by cosine.
 
-    For every (query_word, query_label, target_label, answer_word) record
-    the query word's vector at its slice is compared against all nonzero
-    words of the target slice. `queries`, if given, holds one vector per
-    record that replaces the query word's own (tw2v's mapped queries). The
-    query word itself is excluded only when querying its own slice
-    (otherwise same-slice queries are degenerate). The answer's rank is its
+    `slices` maps each slice label to its embedding matrix. For every
+    (query_word, query_label, target_label, answer_word) record the query
+    word's vector at its slice is compared against all nonzero words of the
+    target slice. `queries`, if given, holds one vector per record that
+    replaces the query word's own (tw2v's mapped queries). The query word
+    itself is excluded only when querying its own slice (otherwise
+    same-slice queries are degenerate). The answer's rank is its
     position in `nearest_neighbors`' order. A rank beyond K_max, an excluded
     answer and a zero answer vector are recorded as None ("not found").
     Records whose query vector is zero, and records whose query has no
@@ -290,17 +287,16 @@ def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
     nonzero), are skipped with one warning that counts each cause.
 
     Records are ranked one target slice at a time against its CosineRows,
-    given that slice's row norms when `norms` holds one array per slice.
+    given that slice's row norms when `norms` maps its label to them.
     Returns (ranks, skipped_count).
     """
     if K_max < 1:
         raise ValueError("K must be >= 1")
-    by_label = {lab: m for lab, m in zip(labels, matrices)}
-    norms_of = dict(zip(labels, norms or [None] * len(labels)))
+    norms = norms or {}
     by_target = {}
     zero = unmapped = 0
     for i, (word, query_label, target_label, _) in enumerate(testset.records):
-        q = by_label[query_label][word]
+        q = slices[query_label][word]
         if queries is not None and np.linalg.norm(q) > 0:
             q = queries[i]
         if q is None:
@@ -313,8 +309,8 @@ def run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF,
         by_target.setdefault(target_label, []).append((i, q, drop))
     ranks = {}
     for target_label, group in by_target.items():
-        rows = CosineRows(by_label[target_label],
-                          norms=norms_of[target_label])
+        rows = CosineRows(slices[target_label],
+                          norms=norms.get(target_label))
         group.sort(key=lambda m: -1 if m[2] is None else rows.position[m[2]])
         for i, q, drop in group:
             rank = rows.rank(q, testset.records[i][3], drop)
@@ -350,9 +346,10 @@ def mp_at_k(ranks, K):
     return hits / len(ranks)
 
 
-def norm_series(word, matrices, labels):
-    """Euclidean norm of one word's vector per slice, in label order."""
-    return [(lab, float(np.linalg.norm(m[word]))) for lab, m in zip(labels, matrices)]
+def norm_series(word, slices):
+    """Euclidean norm of one word's vector in each slice of `slices` (slice
+    label -> matrix), as (label, norm) in the mapping's order."""
+    return [(lab, float(np.linalg.norm(m[word]))) for lab, m in slices.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -450,11 +447,11 @@ def load_labeled_triplets(path, vocab):
     return items
 
 
-def clustering_report(items, matrices, labels, seed=0):
+def clustering_report(items, slices, seed=0):
     """NMI and F-beta of spherical k-means with each of CLUSTER_SIZES clusters
-    over the labeled (word, slice) vectors."""
-    by_label = {lab: m for lab, m in zip(labels, matrices)}
-    vectors = np.stack([by_label[it.slice_label][it.word] for it in items])
+    over the labeled (word, slice) vectors of `slices` (slice label ->
+    matrix)."""
+    vectors = np.stack([slices[it.slice_label][it.word] for it in items])
     sections = [it.section for it in items]
     report = {"nmi": {}, "f_beta": {}}
     for K in CLUSTER_SIZES:
@@ -469,12 +466,13 @@ def clustering_report(items, matrices, labels, seed=0):
     return report
 
 
-def alignment_report(testset, matrices, labels, queries=None, norms=None):
+def alignment_report(testset, slices, queries=None, norms=None):
     """MRR and MP@K (K in PRECISIONS) for one testset against one embedding
-    sequence; `queries` and `norms` are passed to `run_alignment_test`.
-    Raises EmptyEvaluation when no record can be ranked."""
-    ranks, skipped = run_alignment_test(testset, matrices, labels,
-                                        queries=queries, norms=norms)
+    sequence, `slices` (slice label -> matrix); `queries` and `norms` are
+    passed to `run_alignment_test`. Raises EmptyEvaluation when no record
+    can be ranked."""
+    ranks, skipped = run_alignment_test(testset, slices, queries=queries,
+                                        norms=norms)
     if not ranks:
         raise EmptyEvaluation(
             "no testset record could be ranked: every query vector is zero "

@@ -174,7 +174,7 @@ def test_06_procrustes_recovers_planted_map(capsys):
         source = rng.standard_normal((V, d))
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         target = source @ Q
-        R = procrustes_align(source, target).R
+        R = procrustes_align(source, target)
         worst = max(worst, np.linalg.norm(R - Q))
     report(capsys, 6, "planted orthogonal map recovery", worst <= 1e-8,
            f"max Frobenius err {worst:.2e} over 50 trials")
@@ -283,7 +283,8 @@ def planted_results():
             }
             scores = {}
             for name, mats in variants.items():
-                ranks, _ = run_alignment_test(testset, mats, labels)
+                ranks, _ = run_alignment_test(testset,
+                                              dict(zip(labels, mats)))
                 scores[name] = {"mp1": mp_at_k(ranks, 1), "mrr": mrr(ranks)}
             by_rate[rate] = scores
         results.append(by_rate)

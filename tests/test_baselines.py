@@ -1,4 +1,6 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from conftest import loop_local_linear_map, random_ppmi_sequence
 from tvembed.baselines import (
-    OrthogonalMap,
     align_sequence,
     factorize_single,
     local_linear_maps,
@@ -19,7 +20,8 @@ from tvembed.baselines import (
 )
 from tvembed.corpus import Vocabulary, count_cooccurrences, pool_stats
 from tvembed.ppmi import PpmiMatrix, build_ppmi
-from tvembed.solver import SolverConfig
+from tvembed.solver import (SolverConfig, read_embeddings_binary,
+                            write_embeddings_binary)
 
 
 def random_orthogonal(d, rng):
@@ -91,13 +93,13 @@ class TestProcrustes:
         rng = np.random.default_rng(seed)
         source = rng.standard_normal((40, 5))
         R0 = random_orthogonal(5, rng)
-        R = procrustes_align(source, source @ R0).R
+        R = procrustes_align(source, source @ R0)
         assert np.linalg.norm(R - R0) <= 1e-8
 
     def test_identity(self):
         rng = np.random.default_rng(9)
         source = rng.standard_normal((20, 4))
-        R = procrustes_align(source, source).R
+        R = procrustes_align(source, source)
         assert np.linalg.norm(R - np.eye(4)) <= 1e-10
 
     def test_always_orthogonal(self):
@@ -105,7 +107,7 @@ class TestProcrustes:
         for _ in range(10):
             A = rng.standard_normal((15, 3))
             B = rng.standard_normal((15, 3))
-            R = procrustes_align(A, B).R
+            R = procrustes_align(A, B)
             assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-8
 
     def test_residual_never_worse_than_identity(self):
@@ -113,14 +115,14 @@ class TestProcrustes:
         for _ in range(10):
             A = rng.standard_normal((12, 3))
             B = rng.standard_normal((12, 3))
-            R = procrustes_align(A, B).R
+            R = procrustes_align(A, B)
             assert np.linalg.norm(A @ R - B) <= np.linalg.norm(A - B) + 1e-12
 
     def test_reflection_allowed(self):
         rng = np.random.default_rng(12)
         source = rng.standard_normal((30, 3))
         R0 = np.diag([1.0, 1.0, -1.0])  # det -1
-        R = procrustes_align(source, source @ R0).R
+        R = procrustes_align(source, source @ R0)
         assert np.linalg.norm(R - R0) <= 1e-8
 
     def test_shape_mismatch(self):
@@ -133,9 +135,28 @@ class TestProcrustes:
         with pytest.warns(UserWarning):
             procrustes_align(A, A)
 
-    def test_orthogonal_map_validation(self):
-        with pytest.raises(ValueError):
-            OrthogonalMap(R=np.array([[2.0, 0.0], [0.0, 1.0]]))
+    def test_returns_the_matrix(self):
+        rng = np.random.default_rng(13)
+        R = procrustes_align(rng.standard_normal((9, 4)),
+                             rng.standard_normal((9, 4)))
+        assert type(R) is np.ndarray and R.shape == (4, 4)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warns_exactly_when_rank_deficient(self, seed):
+        # The rank comes from the singular values of the one SVD, with
+        # np.linalg.matrix_rank's tolerance: an exactly rank-deficient
+        # system warns, a full-rank one does not.
+        rng = np.random.default_rng(seed)
+        d = (3, 8, 50)[seed % 3]
+        A = rng.standard_normal((2 * d, d))
+        B = rng.standard_normal((2 * d, d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            procrustes_align(A, B)
+        A[:, -1] = A[:, 0]
+        assert np.linalg.matrix_rank(A.T @ B) < d
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            procrustes_align(A, B)
 
 
 class TestAlignSequence:
@@ -194,7 +215,7 @@ def local_map_cases(draw):
         st.tuples(st.integers(0, V - 1), slices, slices), max_size=20,
     ))
     k = draw(st.integers(1, V + 1))
-    return [(w, mats[a], mats[b]) for w, a, b in records], k
+    return records, dict(enumerate(mats)), k
 
 
 def _tied_pair():
@@ -210,27 +231,28 @@ def _tied_pair():
 
 
 _SOURCE, _TARGET = _tied_pair()
+_PAIR = {"s": _SOURCE, "t": _TARGET}
 
 
 class TestLocalLinearMaps:
     @given(local_map_cases())
-    @example(([(w, _SOURCE, _TARGET) for w in (0, 2, 5, 7)], 2))
-    @example(([(w, _SOURCE, _TARGET) for w in (0, 2, 5, 7)], 3))
-    @example(([(w, _SOURCE, _SOURCE) for w in (0, 2, 5, 7)], 9))
-    @example(([(w, _SOURCE, _TARGET) for w in (1, 2)], 9))
-    @example(([(w, _SOURCE, _TARGET) for w in (1, 2)], 10))
-    @example(([(4, _SOURCE, _TARGET), (4, _TARGET, _SOURCE),
-               (4, _SOURCE, _TARGET)], 1))
+    @example(([(w, "s", "t") for w in (0, 2, 5, 7)], _PAIR, 2))
+    @example(([(w, "s", "t") for w in (0, 2, 5, 7)], _PAIR, 3))
+    @example(([(w, "s", "s") for w in (0, 2, 5, 7)], _PAIR, 9))
+    @example(([(w, "s", "t") for w in (1, 2)], _PAIR, 9))
+    @example(([(w, "s", "t") for w in (1, 2)], _PAIR, 10))
+    @example(([(4, "s", "t"), (4, "t", "s"), (4, "s", "t")], _PAIR, 1))
     @settings(max_examples=300, deadline=None)
     def test_matches_loop_oracle(self, case):
-        records, k = case
+        records, slices, k = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = local_linear_maps(records, k=k)
+            got = local_linear_maps(records, slices, k=k)
             assert len(got) == len(records)
             for (w, source, target), mapped in zip(records, got):
                 try:
-                    want = loop_local_linear_map(w, source, target, k=k)
+                    want = loop_local_linear_map(w, slices[source],
+                                                 slices[target], k=k)
                 except ValueError:
                     assert mapped is None
                 else:
@@ -247,12 +269,11 @@ class TestLocalLinearMaps:
         mats[1][rng.integers(3000, size=40)] = 0.0
         mats[1][100:110] = mats[1][200:210]
         words = rng.integers(3000, size=40).tolist() + [2999, 0, 2999, 0]
-        records = [(w, mats[t % 2], mats[(t // 2) % 2])
-                   for t, w in enumerate(words)]
-        got = local_linear_maps(records)
+        records = [(w, t % 2, (t // 2) % 2) for t, w in enumerate(words)]
+        got = local_linear_maps(records, dict(enumerate(mats)))
         for (w, source, target), mapped in zip(records, got):
             try:
-                want = loop_local_linear_map(w, source, target)
+                want = loop_local_linear_map(w, mats[source], mats[target])
             except ValueError:
                 assert mapped is None
             else:
@@ -261,20 +282,42 @@ class TestLocalLinearMaps:
     def test_none_for_zero_query_or_too_few_neighbors(self):
         # Row 5 is zero in the source; 8 rows other than row 0 are nonzero
         # in both slices.
-        assert local_linear_maps([(5, _SOURCE, _TARGET)], k=2) == [None]
-        assert local_linear_maps([(0, _SOURCE, _TARGET)], k=9) == [None]
-        assert local_linear_maps([(0, _SOURCE, _TARGET)], k=8)[0] is not None
+        assert local_linear_maps([(5, "s", "t")], _PAIR, k=2) == [None]
+        assert local_linear_maps([(0, "s", "t")], _PAIR, k=9) == [None]
+        assert local_linear_maps([(0, "s", "t")], _PAIR, k=8)[0] is not None
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValueError, match="k must be"):
-            local_linear_maps([(0, _SOURCE, _TARGET)], k=0)
+            local_linear_maps([(0, "s", "t")], _PAIR, k=0)
+
+    @given(local_map_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_stored_norms_map_as_computed_norms(self, case):
+        # Row norms given by slice label (as a .tvem stores them) give maps
+        # bit-equal to norms computed from the slices; a label missing from
+        # `norms` has its norms computed.
+        records, slices, k = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "e.tvem"
+            write_embeddings_binary(list(slices.values()), list(slices), path)
+            _, labels, norms = read_embeddings_binary(path, with_norms=True)
+            stored = {lab: n.copy() for lab, n in zip(labels, norms)}
+        some = dict(list(stored.items())[:1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = local_linear_maps(records, slices, k=k)
+            for norms in (stored, some):
+                got = local_linear_maps(records, slices, k=k, norms=norms)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert (a is None and b is None) or np.array_equal(a, b)
 
 
 class TestLocalLinearMap:
     def test_identity_map(self):
         rng = np.random.default_rng(17)
         source = rng.standard_normal((40, 4))
-        (mapped,) = local_linear_maps([(0, source, source)], k=10)
+        (mapped,) = local_linear_maps([(0, 0, 0)], {0: source}, k=10)
         assert np.linalg.norm(mapped - source[0]) <= 1e-8
 
     def test_planted_linear_map(self):
@@ -282,19 +325,20 @@ class TestLocalLinearMap:
         source = rng.standard_normal((40, 4))
         M0 = rng.standard_normal((4, 4)) + 2 * np.eye(4)
         target = source @ M0
-        (mapped,) = local_linear_maps([(3, source, target)], k=10)
+        (mapped,) = local_linear_maps([(3, 0, 1)], {0: source, 1: target},
+                                      k=10)
         assert np.linalg.norm(mapped - source[3] @ M0) <= 1e-6
 
     def test_too_few_valid_neighbors(self):
         source = np.zeros((5, 3))
         source[0] = [1.0, 0.0, 0.0]
         source[1] = [0.0, 1.0, 0.0]
-        assert local_linear_maps([(0, source, source)], k=4) == [None]
+        assert local_linear_maps([(0, 0, 0)], {0: source}, k=4) == [None]
 
     def test_zero_query_vector(self):
         source = np.ones((5, 3))
         source[2] = 0.0
-        assert local_linear_maps([(2, source, source)], k=2) == [None]
+        assert local_linear_maps([(2, 0, 0)], {0: source}, k=2) == [None]
 
 
 class TestTrainPerSlice:

@@ -21,7 +21,7 @@ from tvembed.cli import (
     make_parser,
     parse_config_file,
 )
-from tvembed import cli, evaluation
+from tvembed import baselines, cli, evaluation
 from tvembed.evaluation import nearest_neighbors
 from tvembed.corpus import SliceStats, read_stats, write_stats
 from tvembed.ppmi import read_ppmi
@@ -754,7 +754,7 @@ class TestQuery:
         write_embeddings_binary(new, labels, path)  # atomic_write_bytes
         words = (run_dir / "vocab.txt").read_text().splitlines()
         w = words.index("shifty")
-        top = nearest_neighbors(new[1][w], new[1], 4, exclude={w})
+        top = nearest_neighbors(new[1][w], new[1], 4, drop=w)
         expected = "shifty@1995 -> 1995: " + ", ".join(
             f"{words[i]}:{s:.4f}" for i, s in top) + "\n"
         assert main(argv) == 0
@@ -1440,6 +1440,27 @@ class TestRobustness:
         )
         clean = json.loads(outj.read_text())
         assert clean_dw2v["mrr"] == pytest.approx(clean["mrr"], abs=1e-12)
+
+    def test_whole_slices_trained_once(self, run_dir, monkeypatch):
+        # A slice that is not subsampled at a rate (every slice at rate 1,
+        # the slices --slices leaves out at 0.5) has the same PPMI and seed
+        # at each rate, so its aw2v slice model is trained once.
+        inputs = []
+        factorize = baselines.factorize_single
+
+        def spy(Y, config):
+            m = Y.values
+            inputs.append((config.seed, m.data.tobytes(),
+                           m.indices.tobytes(), m.indptr.tobytes()))
+            return factorize(Y, config)
+
+        monkeypatch.setattr(baselines, "factorize_single", spy)
+        ts = TestEvaluate().make_testset(run_dir)
+        assert main(["robustness", "--out", str(run_dir), "--testset",
+                     str(ts), "--rates", "1,0.5", "--dim", "3", "--epochs",
+                     "1"]) == 0
+        # The 3 slices at rate 1, then 1990 and 2000 subsampled at 0.5.
+        assert len(inputs) == len(set(inputs)) == 5
 
 
 class TestExportNorms:

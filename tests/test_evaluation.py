@@ -97,16 +97,16 @@ def _tied_matrix(draw, rng, V, d):
 
 @st.composite
 def neighbor_cases(draw):
-    """A query (a row of the matrix or a fresh vector), exclude sets of 0-3
-    words and K from 1 to past the candidate count."""
+    """A query (a row of the matrix or a fresh vector), no dropped word or
+    one, and K from 1 to past the candidate count."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     V = draw(st.integers(1, 40))
     d = draw(st.integers(1, 60))
     m = _tied_matrix(draw, rng, V, d)
     q = m[draw(st.integers(0, V - 1))] if draw(st.booleans()) else (
         rng.integers(-2, 3, size=d).astype(np.float64))
-    exclude = draw(st.sets(st.integers(0, V - 1), max_size=3))
-    return q, m, draw(st.integers(1, V + 2)), exclude
+    drop = draw(st.none() | st.integers(0, V - 1))
+    return q, m, draw(st.integers(1, V + 2)), drop
 
 
 class TestNearestNeighbors:
@@ -115,13 +115,13 @@ class TestNearestNeighbors:
 
     def test_toy_ranking(self):
         out = nearest_neighbors(np.array([1.0, 0.0]), self.toy(), K=2,
-                                exclude={0})
+                                drop=0)
         assert [w for w, _ in out] == [2, 1]
         assert out[0][1] == pytest.approx(2**-0.5)
         assert out[1][1] == pytest.approx(0.0, abs=1e-15)
 
     def test_exclusion(self):
-        out = nearest_neighbors(self.toy()[0], self.toy(), K=1, exclude={0})
+        out = nearest_neighbors(self.toy()[0], self.toy(), K=1, drop=0)
         assert out[0][0] == 2
 
     def test_tie_break_by_index(self):
@@ -145,14 +145,15 @@ class TestNearestNeighbors:
     @given(neighbor_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_loop_oracle(self, case):
-        q, m, K, exclude = case
+        q, m, K, drop = case
+        exclude = () if drop is None else {drop}
         try:
             want = loop_nearest_neighbors(q, m, K, exclude=exclude)
         except ValueError as e:
             with pytest.raises(ValueError, match=str(e)):
-                nearest_neighbors(q, m, K, exclude=exclude)
+                nearest_neighbors(q, m, K, drop=drop)
         else:
-            assert nearest_neighbors(q, m, K, exclude=exclude) == want
+            assert nearest_neighbors(q, m, K, drop=drop) == want
 
 
 class TestCosineRows:
@@ -221,8 +222,9 @@ class TestCosineRows:
                                 == fresh.rank(q, answer, drop))
                 k = int(rng.integers(1, V + 2))
                 want = loop_nearest_neighbors(q, m, k, exclude=exclude)
-                assert nearest_neighbors(q, m, k, exclude, norms=stored) == want
-                assert nearest_neighbors(q, m, k, exclude) == want
+                drop = next(iter(exclude), None)
+                assert nearest_neighbors(q, m, k, drop, norms=stored) == want
+                assert nearest_neighbors(q, m, k, drop) == want
 
 
 class TestSphericalKMeans:
@@ -443,44 +445,43 @@ class TestRunAlignmentTest:
         rng = np.random.default_rng(8)
         m0 = rng.standard_normal((5, 3))
         m1 = m0.copy()  # perfectly aligned
-        return [m0, m1], [2000, 2001]
+        return {2000: m0, 2001: m1}
 
     def test_identical_vector_ranks_first(self):
-        mats, labels = self.embeddings()
+        slices = self.embeddings()
         ts = AlignmentTestset(records=[(2, 2000, 2001, 2)])
-        ranks, skipped = run_alignment_test(ts, mats, labels)
+        ranks, skipped = run_alignment_test(ts, slices)
         assert ranks == [1]
         assert skipped == 0
 
     def test_self_query_excluded(self):
-        mats, labels = self.embeddings()
+        slices = self.embeddings()
         ts = AlignmentTestset(records=[(2, 2000, 2000, 2)])
-        ranks, _ = run_alignment_test(ts, mats, labels)
+        ranks, _ = run_alignment_test(ts, slices)
         assert ranks[0] != 1 or ranks[0] is None
 
     def test_zero_query_skipped(self):
-        mats, labels = self.embeddings()
-        mats[0][1] = 0.0
+        slices = self.embeddings()
+        slices[2000][1] = 0.0
         ts = AlignmentTestset(records=[(1, 2000, 2001, 1)])
         with pytest.warns(UserWarning):
-            ranks, skipped = run_alignment_test(ts, mats, labels)
+            ranks, skipped = run_alignment_test(ts, slices)
         assert ranks == []
         assert skipped == 1
 
     def test_skip_warning_names_each_cause(self):
         # A zero own vector is a zero query even when a map is given; a
         # nonzero word without a map is unmapped.
-        mats, labels = self.embeddings()
-        mats[0][1] = 0.0
+        slices = self.embeddings()
+        slices[2000][1] = 0.0
         ts = AlignmentTestset(records=[(1, 2000, 2001, 1), (2, 2000, 2001, 2),
                                        (3, 2000, 2001, 3)])
-        queries = [None, None, mats[1][3]]
+        queries = [None, None, slices[2001][3]]
         with pytest.warns(UserWarning, match=(
                 r"^skipped 2 records: 1 with a zero query vector, 1 with no "
                 r"local map \(fewer than k neighbours nonzero in both "
                 r"slices\)$")):
-            ranks, skipped = run_alignment_test(ts, mats, labels,
-                                                queries=queries)
+            ranks, skipped = run_alignment_test(ts, slices, queries=queries)
         assert ranks == [1]
         assert skipped == 2
 
@@ -490,7 +491,7 @@ class TestRunAlignmentTest:
         q = -m[0]  # antipodal: worst similarity to answer 0
         mats = [np.vstack([q, m[1:]]), m]
         ts = AlignmentTestset(records=[(0, 0, 1, 0)])
-        ranks, _ = run_alignment_test(ts, mats, [0, 1])
+        ranks, _ = run_alignment_test(ts, dict(enumerate(mats)))
         assert ranks == [None]
 
 
@@ -500,7 +501,7 @@ class TestRunAlignmentTest:
         ts, mats, labels, K_max = case
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            got = run_alignment_test(ts, mats, labels, K_max=K_max)
+            got = run_alignment_test(ts, dict(zip(labels, mats)), K_max=K_max)
             want = loop_run_alignment_test(ts, mats, labels, K_max=K_max)
         assert got == want
 
@@ -530,9 +531,8 @@ class TestRunAlignmentTest:
                                   enumerate(top, start=1) if word == answer),
                                  None))
             queries = local_linear_maps(
-                [(w, by_label[a], by_label[b]) for w, a, b, _ in ts.records],
-                k=k)
-            got = run_alignment_test(ts, mats, labels, K_max=K_max,
+                [(w, a, b) for w, a, b, _ in ts.records], by_label, k=k)
+            got = run_alignment_test(ts, by_label, K_max=K_max,
                                      queries=queries)
         assert got == (want, skipped)
 
@@ -540,20 +540,20 @@ class TestRunAlignmentTest:
 class TestNormSeries:
     def test_zero_vector(self):
         mats = [np.zeros((3, 2)), np.ones((3, 2))]
-        out = norm_series(1, mats, [1990, 1991])
+        out = norm_series(1, dict(zip([1990, 1991], mats)))
         assert out[0] == (1990, 0.0)
         assert out[1] == (1991, pytest.approx(2**0.5))
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(10)
         mats = [rng.standard_normal((4, 3))]
-        base = norm_series(2, mats, [0])[0][1]
-        doubled = norm_series(2, [2 * mats[0]], [0])[0][1]
+        base = norm_series(2, {0: mats[0]})[0][1]
+        doubled = norm_series(2, {0: 2 * mats[0]})[0][1]
         assert doubled == pytest.approx(2 * base)
 
     def test_length(self):
         mats = [np.ones((2, 2))] * 4
-        assert len(norm_series(0, mats, [1, 2, 3, 4])) == 4
+        assert len(norm_series(0, dict(zip([1, 2, 3, 4], mats)))) == 4
 
 
 class TestLoaders:
