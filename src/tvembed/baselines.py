@@ -97,8 +97,9 @@ def local_linear_maps(records, slices, k=30, norms=None):
     than k other words are nonzero in both slices.
 
     Records are grouped by (source, target) pair, and each pair's candidate
-    rows are prepared once as one `evaluation.CosineRows` of the source slice;
-    only one pair's are held at a time. `norms`, if given, maps a slice label
+    rows are prepared once as one `evaluation.CosineRows` of the source slice,
+    which finds a block of records' neighbours per matrix product; only one
+    pair's are held at a time. `norms`, if given, maps a slice label
     to the slice's row norms, `np.linalg.norm(m, axis=1)`; a label without an
     entry has them computed. When k < d the k neighbor rows cannot have rank
     d, so the rank test is skipped and the ridge form is used.
@@ -131,15 +132,15 @@ def _pair_maps(source_t, target_t, query_words, k, source_norms,
     d = source_t.shape[1]
     ridge = 1e-8 * np.eye(d)
     mapped = [None] * len(query_words)
-    for i in sorted(range(len(query_words)),
-                    key=lambda j: rows.position[query_words[j]]):
-        w = query_words[i]
-        q = source_t[w]
-        if np.linalg.norm(q) == 0:
-            continue
-        nbrs, _ = rows.top(q, k, drop=w)
+    queries = {}
+    for i, w in enumerate(query_words):
+        qn = np.linalg.norm(source_t[w])
+        if qn > 0:
+            queries[i] = (source_t[w], qn, w)
+    for i, nbrs in zip(queries, rows._tops(list(queries.values()), k)):
         if len(nbrs) < k:
             continue
+        q = queries[i][0]
         S = source_t[nbrs]
         Tm = target_t[nbrs]
         if k < d or np.linalg.matrix_rank(S) < d:

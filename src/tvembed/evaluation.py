@@ -8,6 +8,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from tvembed.artifact import ArtifactError, read_text
 
@@ -18,6 +19,22 @@ TRIPLET_MIN_STRENGTH = 0.35  # labeled triplets below this are dropped
 TRIPLET_TOP_PER_SECTION = 200  # the strongest triplets kept per section
 KMEANS_MAX_ITERS = 100  # Lloyd iterations per restart, at most
 KMEANS_RESTARTS = 10
+# Queries scored by one matrix product: a block is _BLOCK x V float64, 2.6 MB
+# at V=5001.
+_BLOCK = 64
+
+
+def _near_tie_margin(d):
+    """A cosine gap past which a block product and a per-query product over
+    d columns are sure to order two candidates alike.
+
+    Both divide their dot product by the same product of norms. A d-term
+    dot product, summed in any order, is within d*eps*|row|*|q| of the exact
+    one, so each path's cosine is within (d + 2)*eps of the exact value and
+    the two paths' differences of two cosines within 4*(d + 2)*eps of each
+    other; the margin is four times that.
+    """
+    return 16 * (d + 2) * np.finfo(np.float64).eps
 
 
 class EmptyEvaluation(ValueError):
@@ -58,6 +75,10 @@ class CosineRows:
     dropped word copies only the rows in between; callers visit queries by
     ascending `position` of their dropped word, so all moves together copy
     each row at most once.
+
+    `_ranks` and `_tops` serve many queries: they score a block of queries
+    with one matrix product over the candidate rows and send back to `rank`
+    and `top` only a query whose order that product may round differently.
     """
 
     def __init__(self, matrix, keep=None, norms=None):
@@ -125,6 +146,101 @@ class CosineRows:
         s = sims[at]
         return int(1 + np.count_nonzero(sims > s)
                    + np.count_nonzero((sims == s) & (words < answer)))
+
+    def _block(self, queries):
+        """Cosines of each (q, |q|, drop, ...) in `queries` with every
+        candidate, one row per query, from one matrix product; a row's
+        `drop` candidate reads -inf."""
+        rows, norms, _ = self._full
+        Q = np.stack([m[0] for m in queries])
+        # rows.T is F-ordered, so BLAS reads the candidate rows in place.
+        # numpy and scipy each load their own OpenBLAS; scipy's is the one
+        # the local maps' solves use, so no second thread pool wakes
+        # between a block and the solves that follow it.
+        sims = dgemm(1.0, rows.T, Q.T, trans_a=True).T
+        np.divide(sims, np.multiply.outer([m[1] for m in queries], norms),
+                  out=sims)
+        gaps = [self._gap(m[2]) for m in queries]
+        hit = [i for i, at in enumerate(gaps) if at >= 0]
+        sims[hit, [gaps[i] for i in hit]] = -np.inf
+        return sims
+
+    def _by_drop(self, queries, todo):
+        """The indices `todo` of `queries` (q, |q|, drop, ...) by ascending
+        dropped position, the order in which `scores` copies least."""
+        return sorted(todo, key=lambda i: self._gap(queries[i][2]))
+
+    def _ranks(self, queries):
+        """`rank(q, answer, drop)` for each (q, |q|, drop, answer) in
+        `queries`, where |q| is `np.linalg.norm(q)` and is not 0.
+
+        A block of queries is ranked from one matrix product; a query with
+        another candidate within `_near_tie_margin` of its answer's cosine
+        is ranked again by `rank`, whose order the block product may not
+        reproduce.
+        """
+        ranks = [None] * len(queries)
+        todo = [i for i, (_, _, drop, answer) in enumerate(queries)
+                if self.position[answer] >= 0 and answer != drop]
+        margin = _near_tie_margin(self._full[0].shape[1])
+        near = []
+        for start in range(0, len(todo), _BLOCK):
+            block = todo[start:start + _BLOCK]
+            sims = self._block([queries[i] for i in block])
+            s = sims[np.arange(len(block)),
+                     self.position[[queries[i][3] for i in block]]][:, None]
+            above = np.count_nonzero(sims > s + margin, axis=1)
+            # Only the answer itself lies within the margin (none does for
+            # a NaN answer), so no other candidate lies in (s, s + margin].
+            alone = np.count_nonzero(sims >= s - margin, axis=1) == above + 1
+            for i, a, ok in zip(block, above.tolist(), alone.tolist()):
+                if ok:
+                    ranks[i] = 1 + a
+                else:
+                    near.append(i)
+        for i in self._by_drop(queries, near):
+            q, _, drop, answer = queries[i]
+            ranks[i] = self.rank(q, answer, drop)
+        return ranks
+
+    def _tops(self, queries, k):
+        """The word indices of `top(q, k, drop)` for each (q, |q|, drop) in
+        `queries`, where |q| is `np.linalg.norm(q)` and is not 0.
+
+        A block of queries is searched from one matrix product: its first
+        k + 1 candidates in order, and the first k of them are a query's
+        top when every two neighbouring cosines among them differ by more
+        than `_near_tie_margin`. A query with a closer pair, and every query
+        when fewer than k + 1 candidates but the dropped one remain, is
+        searched again by `top`.
+        """
+        tops = [None] * len(queries)
+        words = self._full[2]
+        if len(words) < k + 2:
+            near = range(len(queries))
+        else:
+            margin = _near_tie_margin(self._full[0].shape[1])
+            near = []
+            for start in range(0, len(queries), _BLOCK):
+                block = range(start, min(start + _BLOCK, len(queries)))
+                neg = np.negative(self._block([queries[i] for i in block]))
+                first = np.argpartition(neg, k, axis=1)[:, :k + 1]
+                vals = np.take_along_axis(neg, first, axis=1)
+                # With no gap at or below the margin the order is strict,
+                # so sorting by value alone is the (-sim, word) order.
+                order = np.argsort(vals, axis=1)
+                first = np.take_along_axis(first, order, axis=1)
+                vals = np.take_along_axis(vals, order, axis=1)
+                clear = (np.diff(vals, axis=1) > margin).all(axis=1)
+                for i, ok, best in zip(block, clear.tolist(), first):
+                    if ok:
+                        tops[i] = words[best[:k]]
+                    else:
+                        near.append(i)
+        for i in self._by_drop(queries, near):
+            q, _, drop = queries[i]
+            tops[i] = self.top(q, k, drop)[0]
+        return tops
 
 
 def nearest_neighbors(query, matrix, K, drop=None, norms=None):
@@ -287,7 +403,8 @@ def run_alignment_test(testset, slices, K_max=TOP_RANK_CUTOFF, queries=None,
     nonzero), are skipped with one warning that counts each cause.
 
     Records are ranked one target slice at a time against its CosineRows,
-    given that slice's row norms when `norms` maps its label to them.
+    given that slice's row norms when `norms` maps its label to them, a
+    block of records per matrix product (see `CosineRows._ranks`).
     Returns (ranks, skipped_count).
     """
     if K_max < 1:
@@ -295,25 +412,26 @@ def run_alignment_test(testset, slices, K_max=TOP_RANK_CUTOFF, queries=None,
     norms = norms or {}
     by_target = {}
     zero = unmapped = 0
-    for i, (word, query_label, target_label, _) in enumerate(testset.records):
+    for i, record in enumerate(testset.records):
+        word, query_label, target_label, answer = record
         q = slices[query_label][word]
-        if queries is not None and np.linalg.norm(q) > 0:
+        qn = np.linalg.norm(q)
+        if queries is not None and qn > 0:
             q = queries[i]
-        if q is None:
-            unmapped += 1
-            continue
-        if np.linalg.norm(q) == 0:
+            if q is None:
+                unmapped += 1
+                continue
+            qn = np.linalg.norm(q)
+        if qn == 0:
             zero += 1
             continue
         drop = word if query_label == target_label else None
-        by_target.setdefault(target_label, []).append((i, q, drop))
+        by_target.setdefault(target_label, {})[i] = (q, qn, drop, answer)
     ranks = {}
     for target_label, group in by_target.items():
         rows = CosineRows(slices[target_label],
                           norms=norms.get(target_label))
-        group.sort(key=lambda m: -1 if m[2] is None else rows.position[m[2]])
-        for i, q, drop in group:
-            rank = rows.rank(q, testset.records[i][3], drop)
+        for i, rank in zip(group, rows._ranks(list(group.values()))):
             ranks[i] = rank if rank is not None and rank <= K_max else None
     skipped = zero + unmapped
     if skipped:
@@ -450,8 +568,21 @@ def load_labeled_triplets(path, vocab):
 def clustering_report(items, slices, seed=0):
     """NMI and F-beta of spherical k-means with each of CLUSTER_SIZES clusters
     over the labeled (word, slice) vectors of `slices` (slice label ->
-    matrix)."""
-    vectors = np.stack([slices[it.slice_label][it.word] for it in items])
+    matrix).
+
+    Items whose vector is zero have no direction to cluster by; they are
+    skipped with one warning that counts them, and EmptyEvaluation is raised
+    when no item is left.
+    """
+    vectors = [slices[it.slice_label][it.word] for it in items]
+    kept = [i for i, v in enumerate(vectors) if np.linalg.norm(v) > 0]
+    if len(kept) < len(items):
+        warnings.warn(f"skipped {len(items) - len(kept)} labeled items with "
+                      "a zero vector")
+    if not kept:
+        raise EmptyEvaluation("no labeled item has a nonzero vector")
+    items = [items[i] for i in kept]
+    vectors = np.stack([vectors[i] for i in kept])
     sections = [it.section for it in items]
     report = {"nmi": {}, "f_beta": {}}
     for K in CLUSTER_SIZES:

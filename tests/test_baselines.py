@@ -19,6 +19,7 @@ from tvembed.baselines import (
     train_static,
 )
 from tvembed.corpus import Vocabulary, count_cooccurrences, pool_stats
+from tvembed.evaluation import _BLOCK, CosineRows
 from tvembed.ppmi import PpmiMatrix, build_ppmi
 from tvembed.solver import (SolverConfig, read_embeddings_binary,
                             write_embeddings_binary)
@@ -278,6 +279,42 @@ class TestLocalLinearMaps:
                 assert mapped is None
             else:
                 assert np.array_equal(mapped, want)
+
+    def test_pair_past_one_block_matches_loop_oracle(self, monkeypatch):
+        # One slice pair with more records than a block, zero rows in both
+        # slices and no duplicated row: every neighbour search takes the
+        # block path, and only the record whose two nearest neighbours are
+        # duplicated rows is searched again by CosineRows.top.
+        again = []
+        top = CosineRows.top
+        monkeypatch.setattr(CosineRows, "top", lambda self, q, k, drop:
+                            again.append(drop) or top(self, q, k, drop))
+        rng = np.random.default_rng(22)
+        source, target = rng.standard_normal((2, 600, 10))
+        source[20:30] = 0.0
+        target[30:40] = 0.0  # no RuntimeWarning from either
+        words = rng.integers(20, 600, size=2 * _BLOCK + 3).tolist()
+        records = [(w, "s", "t") for w in words]
+        slices = {"s": source, "t": target}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = local_linear_maps(records, slices)
+        assert again == []
+        for w, mapped in zip(words, got):
+            if w < 30:
+                assert mapped is None
+            else:
+                assert np.array_equal(
+                    mapped, loop_local_linear_map(w, source, target))
+        # Words with a negative cosine with row 3 do not have rows 7 and 8,
+        # both along row 3, among their 31 nearest; word 3 has them first.
+        source[[7, 8]] = source[3] * [[2.0], [3.0]]
+        far = [w for w in words if w >= 30 and source[w] @ source[3] < 0]
+        tied = local_linear_maps([(w, "s", "t") for w in far + [3]], slices)
+        assert again == [3]
+        for w, mapped in zip(far + [3], tied):
+            assert np.array_equal(
+                mapped, loop_local_linear_map(w, source, target))
 
     def test_none_for_zero_query_or_too_few_neighbors(self):
         # Row 5 is zero in the source; 8 rows other than row 0 are nonzero

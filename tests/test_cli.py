@@ -1188,6 +1188,55 @@ class TestEvaluate:
             f"error: {tp}: unknown slice label 2050"
         ]
 
+    def zeroed_triplet_run(self, tmp_path, n_zero):
+        """A 2-slice, 14-word dw2v run whose first n_zero of 12 labeled
+        (word, slice 0) vectors are zeroed, and its triplet file."""
+        words = [f"w{i:02d}" for i in range(14)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"label": label,
+                        "text": " ".join(words[i:] + words[:i])}) + "\n"
+            for label in (0, 1) for i in range(4)))
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert main(["train", "--out", str(out), "--dim", "3",
+                     "--epochs", "1"]) == 0
+        path = out / "embeddings_dw2v.tvem"
+        mats, labels = read_embeddings_binary(path)
+        mats = [np.array(m) for m in mats]
+        vocab = cli.read_vocab(out / "vocab.txt")
+        mats[0][[vocab.index[w] for w in words[:n_zero]]] = 0.0
+        write_embeddings_binary(mats, labels, path)
+        triplets = tmp_path / "triplets.csv"
+        triplets.write_text("word,label,section,strength\n" + "".join(
+            f"{w},0,{'AB'[i % 2]},0.9\n" for i, w in enumerate(words[:12])))
+        return out, triplets
+
+    def test_zero_triplet_vector_skipped(self, tmp_path):
+        # 11 items are left: K=10 is scored, K=15 and K=20 are skipped.
+        out, triplets = self.zeroed_triplet_run(tmp_path, 1)
+        report = tmp_path / "report.json"
+        with pytest.warns(UserWarning) as caught:
+            code = main(["evaluate", "--out", str(out), "--triplets",
+                         str(triplets), "--json-out", str(report)])
+        assert code == 0
+        assert [str(w.message) for w in caught
+                if "zero vector" in str(w.message)] == [
+            "skipped 1 labeled items with a zero vector"]
+        assert set(json.loads(report.read_text())["nmi"]) == {"10"}
+
+    def test_every_triplet_vector_zero_exit_4(self, tmp_path, capsys):
+        out, triplets = self.zeroed_triplet_run(tmp_path, 12)
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="skipped 12 labeled items"):
+            code = main(["evaluate", "--out", str(out), "--triplets",
+                         str(triplets)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: no labeled item has a nonzero vector"]
+
     @pytest.mark.parametrize("kind,text,reason", [
         ("triplets", "word,label,section,strength\npet0,1990,Pets,0.9\n"
          "pet1,abc,Pets,0.9\n", "3: label 'abc' is not an integer"),

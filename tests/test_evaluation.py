@@ -494,6 +494,65 @@ class TestRunAlignmentTest:
         ranks, _ = run_alignment_test(ts, dict(enumerate(mats)))
         assert ranks == [None]
 
+    @pytest.mark.parametrize("n", [evaluation._BLOCK - 1, evaluation._BLOCK,
+                                   evaluation._BLOCK + 1,
+                                   2 * evaluation._BLOCK + 1])
+    def test_block_boundaries_match_loop_oracle(self, n):
+        # n records per target slice, ranked a block at a time: same-slice
+        # and cross-slice queries, answers on zero rows, answers that are
+        # the dropped query word, and duplicated rows that tie exactly.
+        rng = np.random.default_rng(n)
+        V, labels = 300, [10, 20, 30]
+        mats = []
+        for _ in labels:
+            m = rng.standard_normal((V, 6))
+            m[10:20] = m[40:50]
+            m[rng.integers(V, size=5)] = 0.0
+            mats.append(m)
+        records = []
+        for t, target in enumerate(labels):
+            zero = np.flatnonzero(~mats[t].any(axis=1))
+            for j in range(n):
+                word = int(rng.integers(V))
+                answer = (word, int(zero[j % len(zero)]),
+                          int(rng.integers(V)))[j % 3]
+                source = target if j % 2 else labels[(t + 1) % 3]
+                records.append((word, source, target, answer))
+        ts = AlignmentTestset(records=records)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = run_alignment_test(ts, dict(zip(labels, mats)), K_max=V)
+            want = loop_run_alignment_test(ts, mats, labels, K_max=V)
+        assert got == want
+        assert any(a == b and w == answer for w, a, b, answer in records)
+
+    def test_block_path_taken_unless_answer_near_tie(self, monkeypatch):
+        # Only a record whose answer has another candidate within the
+        # near-tie margin is ranked again by CosineRows.rank.
+        again = []
+        rank = CosineRows.rank
+        monkeypatch.setattr(CosineRows, "rank", lambda self, q, answer, drop:
+                            again.append(answer) or rank(self, q, answer,
+                                                         drop))
+        rng = np.random.default_rng(21)
+        source, target = rng.standard_normal((2, 500, 10))
+        target[20:40:2] = 0.0  # answers there; and no RuntimeWarning
+        records = [(int(w), s, t, int(a)) for w, a, (s, t) in zip(
+            rng.integers(40, 500, size=150), rng.integers(20, 500, size=150),
+            [(0, 1), (1, 1), (0, 0)] * 50)]
+        slices = {0: source, 1: target}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_alignment_test(AlignmentTestset(records), slices, K_max=500)
+            assert again == []
+            target[8] = target[7]
+            records.append((3, 0, 1, 7))
+            ranks, _ = run_alignment_test(AlignmentTestset(records), slices,
+                                          K_max=500)
+        assert again == [7]
+        assert ranks == loop_run_alignment_test(
+            AlignmentTestset(records), [source, target], [0, 1], K_max=500)[0]
+
 
     @given(alignment_cases())
     @settings(max_examples=300, deadline=None)
