@@ -137,8 +137,8 @@ def _pair_maps(source_t, target_t, query_words, k, source_norms,
         qn = np.linalg.norm(source_t[w])
         if qn > 0:
             queries[i] = (source_t[w], qn, w)
-    for i, nbrs in zip(queries, rows._tops(list(queries.values()), k)):
-        if len(nbrs) < k:
+    for i, nbrs in zip(queries, rows.tops(list(queries.values()), k)):
+        if nbrs[-1] < 0:
             continue
         q = queries[i][0]
         S = source_t[nbrs]

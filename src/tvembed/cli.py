@@ -24,6 +24,8 @@ when argparse rejects the command line) and exits with the code
 - 3: an unknown word or slice label, a query word whose vector is zero in
   its slice, or a tw2v query word with no local map into a target slice;
 - 4: an evaluation left with nothing to score.
+
+A warning prints one line "warning: <message>" to stderr.
 """
 
 import argparse
@@ -31,6 +33,7 @@ import difflib
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
@@ -645,8 +648,14 @@ def make_parser():
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None):
+    return f"warning: {message}\n"
+
+
 def main(argv=None):
     args = make_parser().parse_args(argv)
+    formatwarning, warnings.formatwarning = (warnings.formatwarning,
+                                             _warning_line)
     try:
         cfg = build_run_config(args)
         # Looked up when called, so a wrapper set on the module runs.
@@ -656,6 +665,8 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(e, kind))
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

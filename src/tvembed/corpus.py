@@ -446,6 +446,8 @@ def _read_jsonl(path, enc):
                 _check_label(f"{path}:{lineno}", label)
                 labels.add(label)
             enc.add(label, _split(text))
+    if not labels:
+        raise ArtifactError(path, "no record")
     return sorted(labels)
 
 

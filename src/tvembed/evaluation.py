@@ -68,17 +68,12 @@ class CosineRows:
     word, and candidates are ordered by (-similarity, word index).
 
     When every row is a candidate, the product runs over `matrix` itself;
-    otherwise over a copy of the candidate rows. The dropped word's row is
-    left out of the product itself, not of its result, because BLAS may
-    round a row's dot product differently at another position in the
-    matrix. The rows without it live in one buffer, and moving to another
-    dropped word copies only the rows in between; callers visit queries by
-    ascending `position` of their dropped word, so all moves together copy
-    each row at most once.
-
-    `_ranks` and `_tops` serve many queries: they score a block of queries
-    with one matrix product over the candidate rows and send back to `rank`
-    and `top` only a query whose order that product may round differently.
+    otherwise over a copy of the candidate rows. `scores` and `top` serve one
+    query: the dropped word's row is left out of the product itself, not of
+    its result, because BLAS may round a row's dot product differently at
+    another position in the matrix. `tops` serves many: it scores a block of
+    queries with one matrix product over the candidate rows and sends back
+    to `top` only a query whose order that product may round differently.
     """
 
     def __init__(self, matrix, keep=None, norms=None):
@@ -93,31 +88,19 @@ class CosineRows:
             self.position = np.full(len(matrix), -1, dtype=np.int64)
             self.position[words] = np.arange(len(words))
             self._full = (matrix[words], norms[words], words)
-        self._rest, self._dropped = None, -1
 
     def _gap(self, drop):
         return -1 if drop is None else self.position[drop]
 
     def scores(self, q, drop=None):
-        """(similarities, word indices) of every candidate but `drop`; the
-        arrays are valid until the next call."""
+        """(similarities, word indices) of every candidate but `drop`."""
         qn = np.linalg.norm(q)
         if qn == 0:
             raise ValueError("query vector is zero")
+        rows, norms, words = self._full
         at = self._gap(drop)
-        if at < 0:
-            rows, norms, words = self._full
-        else:
-            if self._rest is None:
-                self._rest = [np.delete(a, at, axis=0) for a in self._full]
-                self._dropped = at
-            # Rows between the old and the new gap shift by one place.
-            lo, hi = sorted((self._dropped, at))
-            up = int(at < self._dropped)
-            for part, whole in zip(self._rest, self._full):
-                part[lo:hi] = whole[lo + up:hi + up]
-            self._dropped = at
-            rows, norms, words = self._rest
+        if at >= 0:
+            rows, norms, words = [np.delete(a, at, axis=0) for a in self._full]
         return (rows @ q) / (norms * qn), words
 
     def top(self, q, k, drop=None):
@@ -135,77 +118,10 @@ class CosineRows:
         best = near[np.lexsort((words[near], neg[near]))[:k]]
         return words[best], sims[best]
 
-    def rank(self, q, answer, drop=None):
-        """1-based position of `answer` in `top`'s order, or None when it is
-        not a candidate or is `drop`."""
-        at = self.position[answer]
-        if at < 0 or answer == drop:
-            return None
-        sims, words = self.scores(q, drop)
-        at -= 0 <= self._gap(drop) < at
-        s = sims[at]
-        return int(1 + np.count_nonzero(sims > s)
-                   + np.count_nonzero((sims == s) & (words < answer)))
-
-    def _block(self, queries):
-        """Cosines of each (q, |q|, drop, ...) in `queries` with every
-        candidate, one row per query, from one matrix product; a row's
-        `drop` candidate reads -inf."""
-        rows, norms, _ = self._full
-        Q = np.stack([m[0] for m in queries])
-        # rows.T is F-ordered, so BLAS reads the candidate rows in place.
-        # numpy and scipy each load their own OpenBLAS; scipy's is the one
-        # the local maps' solves use, so no second thread pool wakes
-        # between a block and the solves that follow it.
-        sims = dgemm(1.0, rows.T, Q.T, trans_a=True).T
-        np.divide(sims, np.multiply.outer([m[1] for m in queries], norms),
-                  out=sims)
-        gaps = [self._gap(m[2]) for m in queries]
-        hit = [i for i, at in enumerate(gaps) if at >= 0]
-        sims[hit, [gaps[i] for i in hit]] = -np.inf
-        return sims
-
-    def _by_drop(self, queries, todo):
-        """The indices `todo` of `queries` (q, |q|, drop, ...) by ascending
-        dropped position, the order in which `scores` copies least."""
-        return sorted(todo, key=lambda i: self._gap(queries[i][2]))
-
-    def _ranks(self, queries):
-        """`rank(q, answer, drop)` for each (q, |q|, drop, answer) in
-        `queries`, where |q| is `np.linalg.norm(q)` and is not 0.
-
-        A block of queries is ranked from one matrix product; a query with
-        another candidate within `_near_tie_margin` of its answer's cosine
-        is ranked again by `rank`, whose order the block product may not
-        reproduce.
-        """
-        ranks = [None] * len(queries)
-        todo = [i for i, (_, _, drop, answer) in enumerate(queries)
-                if self.position[answer] >= 0 and answer != drop]
-        margin = _near_tie_margin(self._full[0].shape[1])
-        near = []
-        for start in range(0, len(todo), _BLOCK):
-            block = todo[start:start + _BLOCK]
-            sims = self._block([queries[i] for i in block])
-            s = sims[np.arange(len(block)),
-                     self.position[[queries[i][3] for i in block]]][:, None]
-            above = np.count_nonzero(sims > s + margin, axis=1)
-            # Only the answer itself lies within the margin (none does for
-            # a NaN answer), so no other candidate lies in (s, s + margin].
-            alone = np.count_nonzero(sims >= s - margin, axis=1) == above + 1
-            for i, a, ok in zip(block, above.tolist(), alone.tolist()):
-                if ok:
-                    ranks[i] = 1 + a
-                else:
-                    near.append(i)
-        for i in self._by_drop(queries, near):
-            q, _, drop, answer = queries[i]
-            ranks[i] = self.rank(q, answer, drop)
-        return ranks
-
-    def _tops(self, queries, k):
-        """The word indices of `top(q, k, drop)` for each (q, |q|, drop) in
-        `queries`, where |q| is `np.linalg.norm(q)` and is not 0.
+    def tops(self, queries, k):
+        """The word indices of `top(q, k, drop)` for each (q, |q|, drop, ...)
+        in `queries`, where |q| is `np.linalg.norm(q)` and is not 0: one
+        row per query, padded with -1 past the candidates that remain.
 
         A block of queries is searched from one matrix product: its first
         k + 1 candidates in order, and the first k of them are a query's
@@ -214,16 +130,26 @@ class CosineRows:
         when fewer than k + 1 candidates but the dropped one remain, is
         searched again by `top`.
         """
-        tops = [None] * len(queries)
-        words = self._full[2]
-        if len(words) < k + 2:
-            near = range(len(queries))
-        else:
-            margin = _near_tie_margin(self._full[0].shape[1])
+        rows, norms, words = self._full
+        tops = np.full((len(queries), k), -1, dtype=np.int64)
+        near = range(len(queries))
+        if len(words) >= k + 2:
+            margin = _near_tie_margin(rows.shape[1])
             near = []
             for start in range(0, len(queries), _BLOCK):
-                block = range(start, min(start + _BLOCK, len(queries)))
-                neg = np.negative(self._block([queries[i] for i in block]))
+                block = queries[start:start + _BLOCK]
+                Q = np.stack([m[0] for m in block])
+                # Negated dot products (negation is exact). rows.T is
+                # F-ordered, so BLAS reads the candidate rows in place.
+                # numpy and scipy each load their own OpenBLAS; scipy's is
+                # the one the local maps' solves use, so no second thread
+                # pool wakes between a block and the solves that follow it.
+                neg = dgemm(-1.0, rows.T, Q.T, trans_a=True).T
+                np.divide(neg, np.multiply.outer([m[1] for m in block], norms),
+                          out=neg)
+                gaps = np.array([self._gap(m[2]) for m in block])
+                hit = np.flatnonzero(gaps >= 0)
+                neg[hit, gaps[hit]] = np.inf
                 first = np.argpartition(neg, k, axis=1)[:, :k + 1]
                 vals = np.take_along_axis(neg, first, axis=1)
                 # With no gap at or below the margin the order is strict,
@@ -231,15 +157,13 @@ class CosineRows:
                 order = np.argsort(vals, axis=1)
                 first = np.take_along_axis(first, order, axis=1)
                 vals = np.take_along_axis(vals, order, axis=1)
+                tops[start:start + len(block)] = words[first[:, :k]]
                 clear = (np.diff(vals, axis=1) > margin).all(axis=1)
-                for i, ok, best in zip(block, clear.tolist(), first):
-                    if ok:
-                        tops[i] = words[best[:k]]
-                    else:
-                        near.append(i)
-        for i in self._by_drop(queries, near):
-            q, _, drop = queries[i]
-            tops[i] = self.top(q, k, drop)[0]
+                near.extend(start + np.flatnonzero(~clear))
+        for i in near:
+            q, _, drop = queries[i][:3]
+            best = self.top(q, k, drop)[0]
+            tops[i, :len(best)] = best
         return tops
 
 
@@ -396,15 +320,16 @@ def run_alignment_test(testset, slices, K_max=TOP_RANK_CUTOFF, queries=None,
     replaces the query word's own (tw2v's mapped queries). The query word
     itself is excluded only when querying its own slice (otherwise
     same-slice queries are degenerate). The answer's rank is its
-    position in `nearest_neighbors`' order. A rank beyond K_max, an excluded
-    answer and a zero answer vector are recorded as None ("not found").
+    position among the first K_max of `nearest_neighbors`' order; an answer
+    not among them, an excluded answer and a zero answer vector are
+    recorded as None ("not found").
     Records whose query vector is zero, and records whose query has no
     local map (`queries[i]` is None while the word's own vector is
     nonzero), are skipped with one warning that counts each cause.
 
     Records are ranked one target slice at a time against its CosineRows,
     given that slice's row norms when `norms` maps its label to them, a
-    block of records per matrix product (see `CosineRows._ranks`).
+    block of records per matrix product (see `CosineRows.tops`).
     Returns (ranks, skipped_count).
     """
     if K_max < 1:
@@ -431,8 +356,12 @@ def run_alignment_test(testset, slices, K_max=TOP_RANK_CUTOFF, queries=None,
     for target_label, group in by_target.items():
         rows = CosineRows(slices[target_label],
                           norms=norms.get(target_label))
-        for i, rank in zip(group, rows._ranks(list(group.values()))):
-            ranks[i] = rank if rank is not None and rank <= K_max else None
+        group_queries = list(group.values())
+        answers = np.array([m[3] for m in group_queries])
+        found = rows.tops(group_queries, K_max) == answers[:, None]
+        for i, hit, at in zip(group, found.any(axis=1).tolist(),
+                              found.argmax(axis=1).tolist()):
+            ranks[i] = at + 1 if hit else None
     skipped = zero + unmapped
     if skipped:
         causes = [f"{zero} with a zero query vector"] if zero else []
@@ -478,7 +407,8 @@ def _csv_rows(path, columns):
     """(line number, row dict) for each data row of a UTF-8 CSV file with a
     header; every name in `columns` must be in the header and in the row."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    header = reader.fieldnames or columns
+    # No header at all is an empty file, which has no rows to check.
+    header = columns if reader.fieldnames is None else reader.fieldnames
     missing = [c for c in columns if c not in header]
     if missing:
         raise ArtifactError(f"{path}:1",

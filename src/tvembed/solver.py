@@ -335,8 +335,9 @@ def final_embedding(seq):
 
 # ---------------------------------------------------------------------------
 # Persistence.
-# Binary, in the artifact container: magic "TVEM", version 1, then V u64,
-# T u64, d u64, T labels i64 and T row-major f64 V x d matrices.
+# Binary, in the artifact container: magic "TVEM", version EMB_VERSION (2),
+# then V u64, T u64, d u64, T labels i64, T row-major f64 V x d matrices and
+# a row-major f64 T x V block of row norms.
 # Text: header "V T d", then one "word label v1 ... vd" line per (slice,
 # word), slices in order, each value as "%.9g" prints it.
 #

@@ -5,9 +5,12 @@ import io
 import json
 import os
 import struct
+import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,13 @@ from tvembed.corpus import SliceStats, read_stats, write_stats
 from tvembed.ppmi import read_ppmi
 from tvembed.solver import read_embeddings_binary, write_embeddings_binary
 from tvembed.synthetic import planted_shift_corpus
+
+
+# The environment of a `python -m tvembed.cli` child: this checkout's
+# package first on its path.
+_SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(Path(cli.__file__).parents[1]),
+                  os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -196,6 +206,18 @@ class TestBuild:
         assert read_stats(out / "stats_1997.tvco").total_tokens == 0
         ppmi = read_ppmi(out / "ppmi_1997.tvpm")
         assert ppmi.slice_label == 1997 and ppmi.values.nnz == 0
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\r\n"],
+                             ids=["empty", "blank-lines"])
+    def test_jsonl_without_records(self, tmp_path, capsys, text):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(text.encode())
+        code = main(["build", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {corpus}: no record"]
+        assert not (tmp_path / "run").exists()
 
     def test_all_slice_directories_without_files(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -1255,9 +1277,14 @@ class TestEvaluate:
          "3: missing column 'target_label'"),
         ("testset", "query_word,query_label,target_label,answer_word\n"
          "caf\xe9,1990,2000,pet0\n", " not valid UTF-8"),
+        # A blank first line is a header that names no column.
+        ("triplets", "\nword,label,section,strength\npet0,1990,Pets,0.9\n",
+         "1: no 'word' column in the header"),
+        ("testset", "\nquery_word,query_label,target_label,answer_word\n"
+         "pet0,1990,2000,pet0\n", "1: no 'query_word' column in the header"),
     ], ids=["triplet-label", "triplet-strength", "triplet-short-row",
             "triplet-header", "testset-label", "testset-short-row",
-            "testset-latin-1"])
+            "testset-latin-1", "triplet-blank-header", "testset-blank-header"])
     def test_malformed_csv_exit_2(self, run_dir, capsys, kind, text, reason):
         main(train_args(run_dir))
         path = run_dir / f"{kind}.csv"
@@ -1269,6 +1296,35 @@ class TestEvaluate:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}:{reason}"
         ]
+
+    @pytest.mark.parametrize("kind", ["testset", "triplets"])
+    def test_empty_csv_exit_4(self, run_dir, capsys, kind):
+        # A file with no line has no header to check and no row to score.
+        main(train_args(run_dir))
+        path = run_dir / f"{kind}.csv"
+        path.write_text("")
+        assert main(["evaluate", "--out", str(run_dir), f"--{kind}",
+                     str(path)]) == 4
+
+    def test_warning_is_one_stderr_line(self, run_dir, capsys):
+        main(train_args(run_dir))
+        ts = self.make_testset(run_dir)
+        with ts.open("a") as fh:
+            fh.write("unicorn,1990,2000,pet0\n")
+        capsys.readouterr()
+        before = warnings.formatwarning
+        with pytest.warns(UserWarning, match="dropped 1 out-of-vocabulary"):
+            assert main(["evaluate", "--out", str(run_dir), "--testset",
+                         str(ts)]) == 0
+        assert warnings.formatwarning is before
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvembed.cli", "evaluate", "--out",
+             str(run_dir), "--testset", str(ts)],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV)
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            f"warning: {ts}: dropped 1 out-of-vocabulary records"]
+        assert proc.stdout == capsys.readouterr().out
 
     def test_tw2v_same_slice_scores_what_query_ranks(self, tmp_path,
                                                      capsys):
@@ -1441,6 +1497,15 @@ class TestRobustness:
             f"error: {ts}: unknown slice label 2050"
         ]
 
+    def test_blank_testset_header_line_exit_2(self, run_dir, capsys):
+        ts = TestEvaluate().make_testset(run_dir)
+        ts.write_text("\n" + ts.read_text())
+        code = main(["robustness", "--out", str(run_dir), "--testset",
+                     str(ts), "--rates", "0.5", "--dim", "3", "--epochs", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ts}:1: no 'query_word' column in the header"]
+
     def test_table_shape_and_r1_matches_clean(self, run_dir, capsys):
         main(train_args(run_dir))
         capsys.readouterr()
@@ -1510,6 +1575,28 @@ class TestRobustness:
                      "1"]) == 0
         # The 3 slices at rate 1, then 1990 and 2000 subsampled at 0.5.
         assert len(inputs) == len(set(inputs)) == 5
+
+
+class TestConsoleScript:
+    def test_ci_step_passes(self, tmp_path):
+        # The CI workflow's console-script step runs tests/console_script.sh;
+        # here it runs through a `tvembed` shim for `python -m tvembed.cli`.
+        here = Path(__file__).parent
+        workflow = here.parent / ".github" / "workflows" / "tests.yml"
+        assert "bash tests/console_script.sh" in workflow.read_text()
+        bin_dir, work = tmp_path / "bin", tmp_path / "work"
+        bin_dir.mkdir()
+        work.mkdir()
+        shim = bin_dir / "tvembed"
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m tvembed.cli '
+                        '"$@"\n')
+        shim.chmod(0o755)
+        env = dict(_SUBPROCESS_ENV,
+                   PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+        proc = subprocess.run(
+            ["bash", str(here / "console_script.sh"), str(work)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestExportNorms:

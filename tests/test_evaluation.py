@@ -161,8 +161,8 @@ class TestCosineRows:
                                                  max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_any_drop_order_matches_a_fresh_product(self, seed, drops):
-        # The left-out row's buffer moves both ways: every score equals the
-        # product over the candidate rows with that row deleted.
+        # Whatever word the call before left out, every score equals the
+        # product over the candidate rows with this call's row deleted.
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((25, 7))
         m[rng.integers(25, size=3)] = 0.0
@@ -217,9 +217,9 @@ class TestCosineRows:
                     for a, b in zip(rows.top(q, k, drop),
                                     fresh.top(q, k, drop)):
                         assert a.tobytes() == b.tobytes()
-                    for answer in rng.integers(V, size=4).tolist():
-                        assert (rows.rank(q, answer, drop)
-                                == fresh.rank(q, answer, drop))
+                    block = [(q, np.linalg.norm(q), drop)]
+                    assert np.array_equal(rows.tops(block, k),
+                                          fresh.tops(block, k))
                 k = int(rng.integers(1, V + 2))
                 want = loop_nearest_neighbors(q, m, k, exclude=exclude)
                 drop = next(iter(exclude), None)
@@ -527,32 +527,71 @@ class TestRunAlignmentTest:
         assert any(a == b and w == answer for w, a, b, answer in records)
 
     def test_block_path_taken_unless_answer_near_tie(self, monkeypatch):
-        # Only a record whose answer has another candidate within the
-        # near-tie margin is ranked again by CosineRows.rank.
-        again = []
-        rank = CosineRows.rank
-        monkeypatch.setattr(CosineRows, "rank", lambda self, q, answer, drop:
-                            again.append(answer) or rank(self, q, answer,
-                                                         drop))
+        # Only a record with two cosines within the near-tie margin among
+        # its first K_max + 1 candidates is searched again by
+        # CosineRows.top.
         rng = np.random.default_rng(21)
         source, target = rng.standard_normal((2, 500, 10))
         target[20:40:2] = 0.0  # answers there; and no RuntimeWarning
         records = [(int(w), s, t, int(a)) for w, a, (s, t) in zip(
             rng.integers(40, 500, size=150), rng.integers(20, 500, size=150),
             [(0, 1), (1, 1), (0, 0)] * 50)]
+        # Answers among each query's first ten, so ranks are not all None.
+        records += [(w, s, t, int(nearest_neighbors(
+            (source, target)[s][w], (source, target)[t], 10,
+            w if s == t else None)[j][0])) for j, (w, s, t, _) in zip(
+                range(10), records)]
         slices = {0: source, 1: target}
+        again = []
+        top = CosineRows.top
+        monkeypatch.setattr(CosineRows, "top", lambda self, q, k, drop:
+                            again.append(drop) or top(self, q, k, drop))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_alignment_test(AlignmentTestset(records), slices, K_max=500)
+            ranks, _ = run_alignment_test(AlignmentTestset(records), slices)
             assert again == []
-            target[8] = target[7]
-            records.append((3, 0, 1, 7))
-            ranks, _ = run_alignment_test(AlignmentTestset(records), slices,
-                                          K_max=500)
-        assert again == [7]
+            assert ranks[-10:] == list(range(1, 11))
+            # Rows 7 and 8 of the target, both along source row 3, are
+            # the first two of query (3, 0) and tie exactly; queries into
+            # the target with a negative cosine with them lack them among
+            # their first eleven.
+            target[[7, 8]] = source[3]
+            far = [r for r in records if r[2] == 0
+                   or slices[r[1]][r[0]] @ source[3] < 0]
+            far += [(3, 0, 1, 7), (3, 0, 1, 8)]
+            ranks, _ = run_alignment_test(AlignmentTestset(far), slices)
+        assert again == [None, None]
+        assert ranks[-2:] == [1, 2]
         assert ranks == loop_run_alignment_test(
-            AlignmentTestset(records), [source, target], [0, 1], K_max=500)[0]
+            AlignmentTestset(far), [source, target], [0, 1])[0]
 
+    @pytest.mark.parametrize("K_max", [1, 3, 10])
+    @pytest.mark.parametrize("later", [False, True])
+    def test_answer_tied_at_the_cutoff(self, monkeypatch, K_max, later):
+        # The answer's row duplicates another candidate's exactly, the two
+        # at positions K_max and K_max + 1: the block product cannot order
+        # them, so `top` does, by word index, and the answer with the
+        # larger index falls past the cutoff.
+        again = []
+        top = CosineRows.top
+        monkeypatch.setattr(CosineRows, "top", lambda self, q, k, drop:
+                            again.append(k) or top(self, q, k, drop))
+        rng = np.random.default_rng(K_max)
+        source, target = rng.standard_normal((2, 300, 8))
+        q = source[0]
+        order = [w for w, _ in loop_nearest_neighbors(q, target, 300)]
+        at, low = order[K_max - 1], min(order[K_max - 1], order[-1])
+        target[order[-1]] = target[at]
+        pair = [w for w, _ in
+                loop_nearest_neighbors(q, target, K_max + 1)[K_max - 1:]]
+        assert pair == [low, max(at, order[-1])]
+        record = (0, 0, 1, pair[1] if later else pair[0])
+        ts = AlignmentTestset([record])
+        ranks, _ = run_alignment_test(ts, {0: source, 1: target}, K_max)
+        assert again == [K_max]
+        assert ranks == loop_run_alignment_test(ts, [source, target], [0, 1],
+                                                K_max)[0]
+        assert ranks == [None if later else K_max]
 
     @given(alignment_cases())
     @settings(max_examples=300, deadline=None)
