@@ -26,7 +26,6 @@ from tvembed.solver import (
     final_embedding,
     init_embeddings,
     objective,
-    residual_gradient,
     train,
     update_factor,
 )

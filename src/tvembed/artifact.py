@@ -45,11 +45,12 @@ def reading(path):
 
 
 def read_text(path):
-    """The whole UTF-8 text of `path`, its line endings untranslated."""
+    """The whole UTF-8 text of `path`, its line endings untranslated and one
+    leading byte-order mark dropped."""
     with reading(path):
         raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise ArtifactError(path, "not valid UTF-8") from None
 

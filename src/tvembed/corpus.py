@@ -106,7 +106,9 @@ class _Encoder:
         """TokenIds of each of `labels` (empty for a label never added).
 
         Tokens whose type fails `keep` are dropped from the id stream, so they
-        occupy no position; the test runs once per distinct type."""
+        occupy no position; the test runs once per distinct type. Single use:
+        each slice's collected ids are handed over, not copied, so the encoder
+        keeps no slice once this returns."""
         types = list(self._table)
         new_id = None
         if keep is not None:
@@ -116,9 +118,9 @@ class _Encoder:
                 types = list(itertools.compress(types, kept.tolist()))
         out = []
         for label in labels:
-            ids, lengths = self._slices.get(label, (array("i"), array("q")))
-            ids = np.array(ids, dtype=np.int32)
-            lengths = np.array(lengths, dtype=np.int64)
+            ids, lengths = self._slices.pop(label, (array("i"), array("q")))
+            ids = np.frombuffer(ids, dtype=np.int32)
+            lengths = np.frombuffer(lengths, dtype=np.int64)
             if new_id is not None:
                 mask = kept[ids]
                 before = np.concatenate(([0], np.cumsum(mask)))
@@ -253,10 +255,11 @@ def count_cooccurrences(docs, vocab, window):
     like an out-of-vocabulary token) after each document, so no window
     reaches from one document into the next. For each offset 1..window the
     pairs of in-vocabulary indices are packed into forward keys a*V + b, the
-    earlier token first, and one `np.unique` over all keys counts them in
-    CSR order. The matrix is that forward count plus its transpose, so a
-    self-pair lands on the diagonal twice. The keys are the transient peak:
-    window * N values for a slice of N positions, int32 while V*V fits in
+    earlier token first, straight into one key array. That array is sorted
+    in place, and its runs of equal keys count the pairs in CSR order. The
+    matrix is that forward count plus its transpose, so a self-pair lands on
+    the diagonal twice. The keys are the transient peak: up to window * N
+    values for a slice of N positions, held once, int32 while V*V fits in
     it (half the bytes to sort), else int64.
     """
     if window < 1:
@@ -266,9 +269,6 @@ def count_cooccurrences(docs, vocab, window):
     V = len(vocab)
     lengths = docs.lengths
     n = len(docs.ids)
-    positions = np.arange(n) + window * np.repeat(
-        np.arange(len(lengths)), lengths
-    )
     key_dtype = np.int32 if V * V <= np.iinfo(np.int32).max else np.int64
     ids = np.full(n + window * len(lengths), -1, dtype=key_dtype)
     index = np.fromiter(
@@ -276,14 +276,27 @@ def count_cooccurrences(docs, vocab, window):
         dtype=key_dtype,
         count=len(docs.types),
     )
-    ids[positions] = index[docs.ids]
-    unigram = np.bincount(ids[ids >= 0], minlength=V).astype(np.int64)
-    keys = []
-    for off in range(1, window + 1):
-        a, b = ids[:-off], ids[off:]
-        keep = (a >= 0) & (b >= 0)
-        keys.append(a[keep] * V + b[keep])
-    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    ids[np.arange(n) + window * np.repeat(np.arange(len(lengths)),
+                                          lengths)] = index[docs.ids]
+    valid = ids >= 0
+    unigram = np.bincount(ids[valid], minlength=V).astype(np.int64)
+    keeps = [valid[:-off] & valid[off:] for off in range(1, window + 1)]
+    keys = np.empty(sum(map(np.count_nonzero, keeps)), dtype=key_dtype)
+    end = 0
+    for off, keep in enumerate(keeps, 1):
+        part = keys[end:end + np.count_nonzero(keep)]
+        end += len(part)
+        np.multiply(ids[:-off][keep], V, out=part)
+        part += ids[off:][keep]
+    del valid, keeps
+    keys.sort()
+    # The runs of equal keys are the distinct pairs; their lengths the counts.
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(keys))
+    keys = keys[starts]
     indptr = np.zeros(V + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // V, minlength=V), out=indptr[1:])
     forward = sp.csr_matrix(
@@ -419,8 +432,8 @@ def _read_jsonl(path, enc):
     labels = set()
     decode = json.JSONDecoder().raw_decode
     # Undecodable bytes become lone surrogates, so the line that holds them
-    # can be named.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    # can be named. One leading byte-order mark is dropped.
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 line.encode("utf-8")

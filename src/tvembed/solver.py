@@ -175,18 +175,6 @@ def objective(seq, Y):
     return total
 
 
-def residual_gradient(U_t, Y_t):
-    """Gradient of f(U) = 1/2 ||Y - U U^T||_F^2 for symmetric sparse Y.
-
-    Equals -2 Y U + 2 U (U^T U). Verification path for the symmetric
-    formulation; the BCD updates do not use it.
-    """
-    Y = Y_t.values
-    if Y.shape[0] != U_t.shape[0]:
-        raise ValueError("shape mismatch between Y and U")
-    return -2.0 * (Y @ U_t) + 2.0 * (U_t @ (U_t.T @ U_t))
-
-
 def _neighbor_weight(t, T):
     return (1 if t > 0 else 0) + (1 if t < T - 1 else 0)
 
@@ -314,23 +302,33 @@ def train(Y, config, progress_sink=None):
                 except FloatingPointError as e:
                     raise FloatingPointError(f"epoch {epoch}: {e}") from None
                 (state.U if factor == "U" else state.W)[t] = new
-                if not streamed:
-                    continue
-                epoch_objective = None
-                if slice_done:
-                    terms.append(_slice_terms(t, state, ynorm2[t], gram,
-                                              cross, config))
-                    if t == T - 1:
-                        epoch_objective = ObjectiveTerms(
-                            *map(math.fsum, zip(*terms)))
-                progress_sink(ProgressEvent(epoch, t, factor, new, A, B,
-                                            state, epoch_objective))
+                if streamed:
+                    epoch_objective = None
+                    if slice_done:
+                        terms.append(_slice_terms(t, state, ynorm2[t], gram,
+                                                  cross, config))
+                        if t == T - 1:
+                            epoch_objective = ObjectiveTerms(
+                                *map(math.fsum, zip(*terms)))
+                    progress_sink(ProgressEvent(epoch, t, factor, new, A, B,
+                                                state, epoch_objective))
+                # B is V x d; it is not held while the next update is solved.
+                del B
     return state
 
 
 def final_embedding(seq):
-    """One embedding matrix per slice: the average of its two factors."""
-    return [(u + w) / 2.0 for u, w in zip(seq.U, seq.W)]
+    """One embedding matrix per slice: the average of its two factors.
+
+    The average is taken in U(t)'s storage, `u += w; u /= 2.0` (the same two
+    IEEE operations as `(u + w) / 2.0`), and each W(t) is released, so the
+    result holds U's arrays and `seq` is used up: seq.U holds the averages
+    and seq.W only None."""
+    for t, u in enumerate(seq.U):
+        w, seq.W[t] = seq.W[t], None
+        u += w
+        u /= 2.0
+    return list(seq.U)
 
 
 # ---------------------------------------------------------------------------

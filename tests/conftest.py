@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -7,6 +9,7 @@ import scipy.sparse as sp
 from tvembed.corpus import SliceStats
 from tvembed.evaluation import TOP_RANK_CUTOFF
 from tvembed.ppmi import PpmiMatrix, PpmiSequence
+from tvembed.synthetic import planted_shift_corpus
 
 
 def random_ppmi_sequence(V, T, density=0.3, seed=0):
@@ -21,6 +24,18 @@ def random_ppmi_sequence(V, T, density=0.3, seed=0):
             PpmiMatrix(values=sp.csr_matrix(dense), slice_label=t)
         )
     return PpmiSequence(matrices=mats, vocab_size=V)
+
+
+def write_planted_jsonl(path):
+    """Write a planted-shift corpus of 8 slices x 2000 documents x 20 tokens
+    (V=2001) to `path` as JSON lines."""
+    corpus = planted_shift_corpus(n_slices=8, community_size=1000,
+                                  docs_per_slice=2000, doc_len=20, halo=5,
+                                  seed=3)
+    Path(path).write_text("".join(
+        json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
+        for label, ids in zip(corpus.slice_labels, corpus.slices)
+        for doc in ids.documents()))
 
 
 def dense_objective_terms(seq, Y):
@@ -44,6 +59,18 @@ def dense_objective_terms(seq, Y):
 def dense_objective_oracle(seq, Y):
     """Brute-force dense evaluation of the full training objective."""
     return sum(dense_objective_terms(seq, Y))
+
+
+def residual_gradient(U_t, Y_t):
+    """Gradient of f(U) = 1/2 ||Y - U U^T||_F^2 for symmetric sparse Y.
+
+    Equals -2 Y U + 2 U (U^T U). Verification path for the symmetric
+    formulation; the BCD updates do not use it.
+    """
+    Y = Y_t.values
+    if Y.shape[0] != U_t.shape[0]:
+        raise ValueError("shape mismatch between Y and U")
+    return -2.0 * (Y @ U_t) + 2.0 * (U_t @ (U_t.T @ U_t))
 
 
 def dense_ridge_system(factor, t, seq, Y, config):

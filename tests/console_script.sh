@@ -9,7 +9,8 @@
 # Then a tiny end-to-end pass: build, train and query a 2-slice JSONL corpus
 # (one output line); the same query given a flag it does not take
 # (--epochs) must exit 2 and print query's usage, not the top-level one.
-# `evaluate` scores a one-record testset (an `mrr` line) and `robustness`
+# `evaluate` scores a one-record testset (an `mrr` line), and the same
+# testset behind a UTF-8 byte-order mark gives the same report; `robustness`
 # runs at rate 1. Then rebuild the same run directory from a copy with a
 # word renamed, after which query must fail the same way, as the rebuild
 # removed the embeddings of the earlier corpus. Then the same corpus is
@@ -49,6 +50,9 @@ printf 'query_word,query_label,target_label,answer_word\ncat,0,1,cat\n' > "$e2e/
 tvembed evaluate --out "$e2e/run" --testset "$e2e/t.csv" > "$e2e/eval.txt"
 cat "$e2e/eval.txt"
 grep -q '^mrr ' "$e2e/eval.txt"
+printf '\xef\xbb\xbf' | cat - "$e2e/t.csv" > "$e2e/bom.csv"
+tvembed evaluate --out "$e2e/run" --testset "$e2e/bom.csv" > "$e2e/eval_bom.txt"
+diff "$e2e/eval.txt" "$e2e/eval_bom.txt"
 tvembed robustness --out "$e2e/run" --testset "$e2e/t.csv" --rates 1 --dim 4 --epochs 1
 sed 's/cat/ant/g' "$e2e/corpus.jsonl" > "$e2e/renamed.jsonl"
 tvembed build --corpus "$e2e/renamed.jsonl" --out "$e2e/run"

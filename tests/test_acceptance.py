@@ -15,7 +15,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dense_objective_oracle, random_ppmi_sequence
+from conftest import (
+    dense_objective_oracle,
+    random_ppmi_sequence,
+    residual_gradient,
+)
 from tvembed.baselines import procrustes_align, train_per_slice, align_sequence
 from tvembed.corpus import (
     build_vocabulary,
@@ -45,7 +49,6 @@ from tvembed.solver import (
     init_embeddings,
     objective,
     read_embeddings_binary,
-    residual_gradient,
     train,
     write_embeddings_binary,
 )

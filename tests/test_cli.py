@@ -15,7 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import loop_local_linear_map, loop_nearest_neighbors
+from conftest import (
+    loop_local_linear_map,
+    loop_nearest_neighbors,
+    write_planted_jsonl,
+)
 from tvembed.cli import (
     COMMANDS,
     RunConfig,
@@ -379,6 +383,33 @@ class TestBuild:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {corpus}:3: not valid UTF-8"]
 
+    def test_jsonl_byte_order_mark(self, tmp_path, capsys):
+        # Some editors start a UTF-8 file with a byte-order mark.
+        records = (b'{"label": 1990, "text": "cat dog fish cat"}\n'
+                   b'{"label": 1991, "text": "dog cat bird"}\n')
+        runs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            corpus = tmp_path / f"{name}.jsonl"
+            corpus.write_bytes(prefix + records)
+            runs.append(tmp_path / name)
+            assert main(["build", "--corpus", str(corpus),
+                         "--out", str(runs[-1])]) == 0
+        plain, bom = runs
+        assert sorted(p.name for p in bom.iterdir()) == sorted(
+            p.name for p in plain.iterdir())
+        for path in plain.iterdir():
+            assert (bom / path.name).read_bytes() == path.read_bytes()
+        # Only a leading mark is dropped; one that starts line 2 is part of
+        # the record.
+        corpus = tmp_path / "late.jsonl"
+        corpus.write_bytes(records.replace(b"\n{", b"\n\xef\xbb\xbf{"))
+        capsys.readouterr()
+        assert main(["build", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "late")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {corpus}:2: expected a JSON object with an integer "
+            '"label" and a string "text"']
+
     @pytest.mark.parametrize("label", [2**63, -2**63 - 1,
                                        99999999999999999999])
     def test_slice_label_outside_int64(self, tmp_path, capsys, label):
@@ -461,6 +492,35 @@ class TestTrain:
         assert objs == sorted(objs, reverse=True)
         assert (run_dir / "embeddings_dw2v.tvem").exists()
         assert (run_dir / "embeddings_dw2v.txt").exists()
+
+    def test_dw2v_peak_memory(self, tmp_path):
+        # Training holds the PPMI, U and W, plus an update's V x d
+        # temporaries: Y(t) F, B and the solved factor before it replaces
+        # the old one. Averaging U and W and writing the embeddings add no
+        # model copy. SLACK covers what is not V x d: the vocabulary, the
+        # parser, the d x d systems and the writers' blocks.
+        TEMPORARIES, SLACK = 3, 2**20
+        path = tmp_path / "corpus.jsonl"
+        write_planted_jsonl(path)
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(path), "--out", str(out)]) == 0
+        labels = json.loads((out / "labels.json").read_text())
+        ppmi = (read_ppmi(out / f"ppmi_{label}.tvpm").values
+                for label in labels)
+        ppmi_bytes = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                         for m in ppmi)
+        V, T, d = len(cli.read_vocab(out / "vocab.txt")), len(labels), 50
+        tracemalloc.start()
+        try:
+            code = main(["train", "--out", str(out), "--dim", str(d),
+                         "--epochs", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        model = T * V * d * 8
+        assert peak <= (ppmi_bytes + 2 * model + TEMPORARIES * V * d * 8
+                        + SLACK)
 
     def test_dw2v_never_calls_objective(self, run_dir, capsys, monkeypatch):
         import tvembed.solver as solver
@@ -1064,6 +1124,21 @@ class TestEvaluate:
             rows.append(f"tech{i},1990,Tech,0.9")
         p.write_text("\n".join(rows) + "\n")
         return p
+
+    def test_testset_byte_order_mark(self, run_dir, capsys):
+        # Spreadsheet exports often start the file with a byte-order mark.
+        main(train_args(run_dir))
+        ts = self.make_testset(run_dir)
+        bom = run_dir / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + ts.read_bytes())
+        reports = []
+        for path in (ts, bom):
+            capsys.readouterr()
+            assert main(["evaluate", "--out", str(run_dir), "--testset",
+                         str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert "mrr" in reports[0]
 
     def test_report_schema_and_determinism(self, run_dir, capsys):
         main(train_args(run_dir))

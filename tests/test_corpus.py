@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_count_cooccurrences
+from conftest import loop_count_cooccurrences, write_planted_jsonl
 from tvembed.corpus import (
     _TOKEN_RE,
     EmptyVocabularyError,
@@ -403,6 +405,22 @@ class TestLoadCorpus:
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope")
+
+    def test_peak_memory_one_copy_of_the_ids(self, tmp_path):
+        # The token ids are collected once and handed to the slices without
+        # a copy. SLACK_FRACTION covers the id arrays' growth as they fill;
+        # SLACK the type table and the record being read.
+        SLACK_FRACTION, SLACK = 1 / 8, 2**19
+        path = tmp_path / "corpus.jsonl"
+        write_planted_jsonl(path)
+        tracemalloc.start()
+        try:
+            loaded = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ids = sum(s.ids.nbytes + s.lengths.nbytes for s in loaded.slices)
+        assert peak <= (1 + SLACK_FRACTION) * ids + SLACK
 
     def test_stopword_line_endings(self, tmp_path):
         # Lines end at "\n", "\r\n" or "\r"; other Unicode line breaks

@@ -13,6 +13,7 @@ from conftest import (
     dense_objective_terms,
     dense_ridge_system,
     random_ppmi_sequence,
+    residual_gradient,
 )
 from tvembed.corpus import build_vocabulary, count_cooccurrences
 from tvembed.ppmi import PpmiMatrix, PpmiSequence, build_ppmi
@@ -24,7 +25,6 @@ from tvembed.solver import (
     normal_residual,
     objective,
     read_embeddings_binary,
-    residual_gradient,
     train,
     update_factor,
     write_embeddings_binary,
@@ -484,8 +484,31 @@ class TestFinalEmbedding:
     def test_equal_factors(self):
         seq = self.make_seq()
         seq.W = [seq.U[0].copy()]
+        before = seq.U[0].copy()
         out = final_embedding(seq)
-        assert np.array_equal(out[0], seq.U[0])
+        assert np.array_equal(out[0], before)
+
+    def test_in_place_average_is_bit_exact(self):
+        # Signed zeros, subnormals and values near the float64 limits, in a
+        # C- and an F-ordered factor (the solver's factors are F-ordered).
+        tiny = np.finfo(float).smallest_subnormal
+        big = np.finfo(float).max
+        special = np.array([-0.0, 0.0, tiny, -tiny, 3 * tiny, 1e-310,
+                            big, -big, 1.0, -1.0, 0.1, 1 / 3])
+        rng = np.random.default_rng(4)
+        U = [rng.choice(special, size=(12, 12)),
+             np.asfortranarray(rng.standard_normal((12, 12)))]
+        W = [rng.choice(special, size=(12, 12)),
+             rng.choice(special, size=(12, 12))]
+        seq = EmbeddingSequence(U=list(U), W=list(W),
+                                config=SolverConfig(dim=12), labels=[0, 1])
+        with np.errstate(over="ignore"):  # big + big is inf on both sides
+            want = [(u.copy() + w.copy()) / 2.0 for u, w in zip(U, W)]
+            out = final_embedding(seq)
+        for t in range(2):
+            assert out[t] is U[t]
+            assert out[t].tobytes() == want[t].tobytes()
+        assert seq.W == [None, None]
 
 
 class TestEmbeddingIO:
