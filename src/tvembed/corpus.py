@@ -84,6 +84,18 @@ class TokenIds:
                 for end, n in zip(ends, self.lengths.tolist())]
 
 
+# Raw documents are tokenized in batches of about _BATCH_CHARS characters,
+# joined by _SEPARATOR. Its NUL comes out of `split` as a piece of its own,
+# which the type table maps to the reserved id -1.
+_SEPARATOR = " \x00 "
+_BATCH_CHARS = 2**14
+# The bytes a lowercased ASCII batch may hold when each of its
+# whitespace-separated pieces is a token or a separator: letters, digits,
+# the whitespace `str.split` splits at, and NUL.
+_ASCII_TOKEN_BYTES = bytes(
+    c for c in range(128) if chr(c).isalnum() or chr(c).isspace()) + b"\x00"
+
+
 class _Encoder:
     """Maps tokens to ids of a type table that grows as tokens are seen, and
     collects each slice's ids and document lengths. It is the one place
@@ -91,16 +103,61 @@ class _Encoder:
 
     def __init__(self):
         self._table = defaultdict(itertools.count().__next__)
+        self._table["\x00"] = -1
         self._slices = {}
+        self._queued = defaultdict(list)
+        self._queued_chars = 0
+
+    def _arrays(self, label):
+        """The id and length arrays of slice `label`."""
+        try:
+            arrays = self._slices[label]
+        except KeyError:
+            arrays = self._slices[label] = (array("i"), array("q"))
+        return arrays
 
     def add(self, label, tokens):
         """Append one document, given as a list of tokens, to slice `label`."""
-        try:
-            ids, lengths = self._slices[label]
-        except KeyError:
-            ids, lengths = self._slices[label] = (array("i"), array("q"))
+        ids, lengths = self._arrays(label)
         ids.extend(map(self._table.__getitem__, tokens))
         lengths.append(len(tokens))
+
+    def add_text(self, label, text):
+        """Queue one document, given as raw text, for slice `label`. The
+        queue is tokenized one batch per label, in the order the labels were
+        queued, once it passes _BATCH_CHARS characters and by `slices`."""
+        self._queued[label].append(text)
+        self._queued_chars += len(text)
+        if self._queued_chars > _BATCH_CHARS:
+            self._flush()
+
+    def _flush(self):
+        for label, texts in self._queued.items():
+            self._add_batch(label, texts)
+        self._queued.clear()
+        self._queued_chars = 0
+
+    def _add_batch(self, label, texts):
+        """Append the documents `texts` to slice `label`, each tokenized as
+        `_split` tokenizes it.
+
+        The batch is joined with a separator before, between and after the
+        documents, lowercased and split once; the document lengths are the
+        gaps between the separators' positions. A batch that `_batch_tokens`
+        rejects is split a document at a time.
+        """
+        tokens = _batch_tokens(_SEPARATOR.join(["", *texts, ""]).lower(),
+                               len(texts))
+        if tokens is None:
+            for text in texts:
+                self.add(label, _split(text))
+            return
+        ids = np.fromiter(map(self._table.__getitem__, tokens),
+                          dtype=np.int32, count=len(tokens))
+        is_sep = ids < 0
+        slice_ids, lengths = self._arrays(label)
+        slice_ids.frombytes(ids[~is_sep].tobytes())
+        lengths.frombytes((np.diff(np.flatnonzero(is_sep)) - 1).tobytes())
 
     def slices(self, labels, keep=None):
         """TokenIds of each of `labels` (empty for a label never added).
@@ -109,7 +166,8 @@ class _Encoder:
         occupy no position; the test runs once per distinct type. Single use:
         each slice's collected ids are handed over, not copied, so the encoder
         keeps no slice once this returns."""
-        types = list(self._table)
+        self._flush()
+        types = list(self._table)[1:]  # the first key is the separator's
         new_id = None
         if keep is not None:
             kept = np.fromiter(map(keep, types), dtype=bool, count=len(types))
@@ -122,13 +180,53 @@ class _Encoder:
             ids = np.frombuffer(ids, dtype=np.int32)
             lengths = np.frombuffer(lengths, dtype=np.int64)
             if new_id is not None:
-                mask = kept[ids]
-                before = np.concatenate(([0], np.cumsum(mask)))
-                ends = np.cumsum(lengths)
-                lengths = before[ends] - before[ends - lengths]
-                ids = new_id[ids[mask]]
+                ids, lengths = _drop_tokens(ids, lengths, kept, new_id)
             out.append(TokenIds(ids=ids, lengths=lengths, types=types))
         return out
+
+
+def _batch_tokens(text, n):
+    """The whitespace-separated pieces of `text`, `n` lowercased documents
+    joined by _SEPARATOR, if each piece is a separator's NUL or alphanumeric;
+    else None.
+
+    The separator has whitespace on both sides, so no piece spans two
+    documents and `lower` saw each document's own final-sigma context. When
+    the test passes, the pieces between two separators are the tokens
+    `_split` returns for that document. A document that holds a NUL of its
+    own fails it.
+    """
+    if text.count("\x00") != n + 1:
+        return None
+    if text.isascii():
+        if text.encode("ascii").translate(None, _ASCII_TOKEN_BYTES):
+            return None
+        return text.split()
+    tokens = text.split()
+    if "".join(tokens).replace("\x00", "").isalnum():
+        return tokens
+    return None
+
+
+def _drop_tokens(ids, lengths, kept, new_id):
+    """The ids of the tokens whose type is `kept`, mapped through `new_id`,
+    and the lengths of the documents they leave.
+
+    Each document loses the dropped positions before its end, counted with
+    one search of the dropped positions. The kept ids are mapped in place, a
+    block at a time, so the only temporaries of the slice's length are the
+    mask, one byte a token, and the kept ids."""
+    mask = kept[ids]
+    dropped = np.flatnonzero(~mask)
+    before_end = np.searchsorted(dropped, np.cumsum(lengths))
+    del dropped
+    lengths -= np.diff(before_end, prepend=0)
+    ids = ids[mask]
+    del mask
+    for start in range(0, len(ids), 2**12):
+        block = ids[start:start + 2**12]
+        block[...] = new_id[block]
+    return ids, lengths
 
 
 def _encode(slices):
@@ -401,10 +499,10 @@ def read_stats(path):
 def load_corpus(path, stopwords=frozenset()):
     """Load and tokenize a time-sliced corpus from disk.
 
-    Each document is tokenized straight into ids, so its token strings live
-    no longer than the document. Stopwords and numeric tokens are dropped
-    once per distinct type. Every label the corpus names is a slice, even one
-    with no documents.
+    Documents are tokenized a bounded batch at a time straight into ids, so
+    token strings live no longer than their batch. Stopwords and numeric
+    tokens are dropped once per distinct type. Every label the corpus names
+    is a slice, even one with no documents.
     """
     path = Path(path)
     if not path.exists():
@@ -444,13 +542,14 @@ def _read_jsonl(path, enc):
                 continue
             try:
                 # The stripped line must hold one JSON value and nothing
-                # after it, as json.loads requires.
+                # after it, as json.loads requires. A value nested too deep
+                # for the decoder is malformed too.
                 rec, end = decode(line)
                 label, text = rec["label"], rec["text"]
                 if (end != len(line) or type(label) is not int
                         or not isinstance(text, str)):
                     raise ValueError
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, RecursionError):
                 raise ArtifactError(
                     f"{path}:{lineno}", "expected a JSON object with an "
                     'integer "label" and a string "text"'
@@ -458,7 +557,7 @@ def _read_jsonl(path, enc):
             if label not in labels:
                 _check_label(f"{path}:{lineno}", label)
                 labels.add(label)
-            enc.add(label, _split(text))
+            enc.add_text(label, text)
     if not labels:
         raise ArtifactError(path, "no record")
     return sorted(labels)
@@ -486,7 +585,7 @@ def _read_directories(path, enc):
         seen[label] = sub
         for f in sorted(sub.iterdir()):
             if f.is_file():
-                enc.add(label, _split(read_text(f)))
+                enc.add_text(label, read_text(f))
     return sorted(seen)
 
 

@@ -1,0 +1,169 @@
+"""Generated corpora against `tvembed build`'s exit-code contract.
+
+README promises that a failure prints exactly one `error: <reason>` line
+and exits with the code of its kind, which for every `build` failure is 2;
+that exit 1 (an exception escaping `main`) never happens; and that a build
+that fails writes nothing into a fresh `--out`. The same documents built
+from a JSONL file and from slice directories give the same artifacts.
+
+The examples are derandomized, so the module is deterministic and takes a
+few seconds.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import test_corpus
+from tvembed.cli import main
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
+
+# The characters on which tokenizing is delicate, NUL, and a few words, so
+# that most corpora have a vocabulary and some documents batch together.
+PIECES = test_corpus.TestTokenize.ALPHABET + [
+    "\x00", "Σ", " cat ", " Dog ", " 1990 ", " été "]
+TEXTS = st.lists(st.sampled_from(PIECES), max_size=12).map("".join)
+
+
+def record_lines(labels):
+    """JSONL records with a label drawn from `labels`, with and without
+    non-ASCII escaped."""
+    return st.builds(
+        lambda label, text, ascii: json.dumps(
+            {"label": label, "text": text}, ensure_ascii=ascii).encode(),
+        labels, TEXTS, st.booleans())
+
+
+# A line that is not a record, or a record whose label does not fit in
+# int64.
+BAD_LINES = st.one_of(
+    st.binary(max_size=12),
+    st.sampled_from([
+        b"\xef\xbb\xbf", b"\xff", b"null", b'[1, "a"]',
+        b'{"label": 1.5, "text": "a"}', b'{"label": true, "text": "a"}',
+        b'{"label": "1", "text": "a"}', b'{"label": 1, "text": 2}',
+        b'{"text": "a"}', b'{"label": 1}', b'{"label": 1, "text": "a"} {}',
+        b'{"label": 1e400, "text": ""}',
+    ]),
+    record_lines(st.sampled_from([2**63, -2**63 - 1])))
+# Records (small labels drawn twice as often), blank lines and lines the
+# decoder must accept, then maybe one bad line at any position.
+GOOD_LINES = st.one_of(
+    record_lines(st.integers(-3, 3)),
+    record_lines(st.integers(-3, 3)),
+    record_lines(st.sampled_from([2**63 - 1, -2**63])),
+    st.sampled_from([b"", b"  \t", b'{"label": 1, "text": "a\\ud800"}',
+                     b'{"label": 1, "text": "\xc3\xa9"}']))
+JSONL = st.builds(
+    lambda bom, lines, bad, eol: bom + eol.join(
+        lines if bad is None else lines[:bad[0]] + [bad[1]] + lines[bad[0]:]),
+    st.sampled_from([b"", b"\xef\xbb\xbf"]),
+    st.lists(GOOD_LINES, max_size=10),
+    st.none() | st.tuples(st.integers(0, 10), BAD_LINES),
+    st.sampled_from([b"\n", b"\r\n", b"\r"]))
+
+
+def mostly(good, other, one_in=5):
+    """`good`, or `other` once in `one_in` draws."""
+    return st.tuples(st.integers(1, one_in), good, other).map(
+        lambda t: t[1] if t[0] > 1 else t[2])
+
+
+# Slice directories and their files, most of them well formed. The other
+# names name one label twice ("1", "01", "+1"), are out of range, or are
+# not integers; the other files are any bytes.
+DIR_NAMES = mostly(st.integers(-3, 3).map(str), st.sampled_from(
+    ["01", "+1", "-0", "1_0", " 2", "x", "1.0", str(2**63), str(-2**63)]))
+FILE_BYTES = mostly(TEXTS.map(str.encode), st.binary(max_size=8), 10)
+DIRECTORIES = st.dictionaries(DIR_NAMES, st.lists(FILE_BYTES, max_size=3),
+                              max_size=4)
+
+
+def build(corpus, out, *flags):
+    """Run `tvembed build`; return its exit code and stdout and stderr
+    lines."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(["build", "--corpus", str(corpus), "--out", str(out),
+                     *flags])
+    return code, stdout.getvalue().splitlines(), stderr.getvalue().splitlines()
+
+
+def assert_contract(corpus, out, min_count):
+    code, stdout, stderr = build(corpus, out, "--min-count", str(min_count),
+                                 "--window", "2")
+    if code == 0:
+        assert stderr == []
+        assert len(stdout) == 1 and stdout[0].startswith("V=")
+        assert (out / "vocab.txt").is_file()
+    else:
+        assert code == 2
+        assert stdout == []
+        assert len(stderr) == 1 and stderr[0].startswith("error: ")
+        assert not out.exists()
+
+
+def write_directories(root, slices):
+    root.mkdir()
+    for name, files in slices.items():
+        (root / name).mkdir()
+        for i, data in enumerate(files):
+            (root / name / f"{i:03d}.txt").write_bytes(data)
+
+
+def run_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestBuildContract:
+    @given(data=JSONL, min_count=st.integers(1, 3))
+    @example(data=b"", min_count=1)
+    @example(data=b'{"label": 1, "text": ' + b"[" * 100_000, min_count=1)
+    @example(data=b'{"label": 1, "text": "a\x00b \xce\xa3 c"}', min_count=1)
+    @FUZZ
+    def test_jsonl(self, data, min_count):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus.jsonl"
+            corpus.write_bytes(data)
+            assert_contract(corpus, Path(tmp) / "run", min_count)
+
+    @given(slices=DIRECTORIES, stray=st.booleans(),
+           min_count=st.integers(1, 3))
+    @example(slices={}, stray=True, min_count=1)
+    @example(slices={"1": [], "01": [b"a"]}, stray=False, min_count=1)
+    @FUZZ
+    def test_directories(self, slices, stray, min_count):
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = Path(tmp) / "corpus"
+            write_directories(corpus, slices)
+            if stray:
+                (corpus / "README").write_bytes(b"not a slice")
+            assert_contract(corpus, Path(tmp) / "run", min_count)
+
+    @given(docs=st.lists(st.tuples(st.integers(-2, 3), TEXTS), min_size=1,
+                         max_size=12))
+    @example(docs=[(0, "aΣ"), (0, "Σb"), (1, "x\x00y")])
+    @FUZZ
+    def test_layouts_build_the_same_run(self, docs):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            jsonl = tmp / "corpus.jsonl"
+            jsonl.write_text("".join(
+                json.dumps({"label": label, "text": text}) + "\n"
+                for label, text in docs))
+            slices = {}
+            for label, text in docs:
+                slices.setdefault(str(label), []).append(text.encode())
+            write_directories(tmp / "corpus", slices)
+            code, _, err = build(jsonl, tmp / "a")
+            code_b, _, err_b = build(tmp / "corpus", tmp / "b")
+            assert (code_b, err_b) == (code, err)
+            if code == 0:
+                assert run_files(tmp / "a") == run_files(tmp / "b")

@@ -1,4 +1,7 @@
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_count_cooccurrences, write_planted_jsonl
+from tvembed import corpus as corpus_module
 from tvembed.corpus import (
     _TOKEN_RE,
     EmptyVocabularyError,
     SliceStats,
     TimeSlicedCorpus,
     Vocabulary,
+    _Encoder,
+    _read_jsonl,
+    _split,
     build_vocabulary,
     count_cooccurrences,
     load_corpus,
@@ -406,21 +413,33 @@ class TestLoadCorpus:
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "nope")
 
-    def test_peak_memory_one_copy_of_the_ids(self, tmp_path):
+    @staticmethod
+    def assert_one_copy_of_the_ids(path, stopwords=frozenset()):
         # The token ids are collected once and handed to the slices without
         # a copy. SLACK_FRACTION covers the id arrays' growth as they fill;
-        # SLACK the type table and the record being read.
+        # SLACK the type table and the batch being tokenized.
         SLACK_FRACTION, SLACK = 1 / 8, 2**19
-        path = tmp_path / "corpus.jsonl"
-        write_planted_jsonl(path)
         tracemalloc.start()
         try:
-            loaded = load_corpus(path)
+            loaded = load_corpus(path, stopwords)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         ids = sum(s.ids.nbytes + s.lengths.nbytes for s in loaded.slices)
         assert peak <= (1 + SLACK_FRACTION) * ids + SLACK
+
+    def test_peak_memory_one_copy_of_the_ids(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_planted_jsonl(path)
+        self.assert_one_copy_of_the_ids(path)
+
+    def test_peak_memory_with_a_stopword(self, tmp_path):
+        # Dropping the probe word's tokens compacts each slice's ids with no
+        # temporary of the slice's length beyond the mask and the kept ids.
+        path = tmp_path / "corpus.jsonl"
+        write_planted_jsonl(path)
+        assert " probeword " in path.read_text()
+        self.assert_one_copy_of_the_ids(path, frozenset({"probeword"}))
 
     def test_stopword_line_endings(self, tmp_path):
         # Lines end at "\n", "\r\n" or "\r"; other Unicode line breaks
@@ -428,3 +447,49 @@ class TestLoadCorpus:
         p = tmp_path / "stop.txt"
         p.write_bytes("a\r\nb\rc\n\n  d\u0085e \r".encode("utf-8"))
         assert load_stopwords(p) == frozenset({"a", "b", "c", "d\u0085e"})
+
+
+class TestBatchTokenize:
+    """Records are tokenized a batch of documents at a time; each document
+    must get the tokens `_split` gives it alone."""
+
+    # TestTokenize's characters and NUL, which a batch holds as its
+    # separator; "\u03a3" among them takes its final form at a word's end.
+    # Half the texts use only the characters a batch can keep whole, so
+    # that batches of many documents are tokenized together.
+    ALPHABET = TestTokenize.ALPHABET + ["\x00"]
+    TEXTS = st.one_of(*(
+        st.text(alphabet=st.sampled_from(chars), max_size=12)
+        for chars in (ALPHABET, [c for c in ALPHABET
+                                 if c.isspace() or c.lower().isalnum()])))
+
+    @given(records=st.lists(st.tuples(st.integers(0, 3), TEXTS), min_size=1,
+                            max_size=30),
+           bound=st.integers(0, 48), by_label=st.booleans())
+    @example(records=[(0, "a\u03a3"), (0, "\u03a3b"), (0, "a\u03a3 c")],
+             bound=100, by_label=False)
+    @example(records=[(1, "x"), (0, "a\x00b"), (1, "y z")], bound=100,
+             by_label=False)
+    @example(records=[(0, ""), (0, " "), (0, "\x1c")], bound=0,
+             by_label=False)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_documents_one_at_a_time(self, records, bound, by_label):
+        if by_label:
+            records.sort(key=lambda r: r[0])
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_module, "_BATCH_CHARS", bound)
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(
+                json.dumps({"label": label, "text": text}) + "\n"
+                for label, text in records))
+            enc = _Encoder()
+            labels = _read_jsonl(path, enc)
+            slices = enc.slices(labels)
+        for label, got in zip(labels, slices):
+            want = [_split(text) for lab, text in records if lab == label]
+            assert got.documents() == want
+            assert got.ids.dtype == np.int32 and got.lengths.dtype == np.int64
+        if by_label:
+            assert slices[0].types == list(dict.fromkeys(
+                token for _, text in records for token in _split(text)))
