@@ -85,8 +85,8 @@ class TokenIds:
 
 
 # Raw documents are tokenized in batches of about _BATCH_CHARS characters,
-# joined by _SEPARATOR. Its NUL comes out of `split` as a piece of its own,
-# which the type table maps to the reserved id -1.
+# joined by _SEPARATOR. Its NUL comes out of `_batch_tokens` as a token of
+# its own, which the type table maps to the reserved id -1.
 _SEPARATOR = " \x00 "
 _BATCH_CHARS = 2**14
 # The bytes a lowercased ASCII batch may hold when each of its
@@ -94,6 +94,8 @@ _BATCH_CHARS = 2**14
 # the whitespace `str.split` splits at, and NUL.
 _ASCII_TOKEN_BYTES = bytes(
     c for c in range(128) if chr(c).isalnum() or chr(c).isspace()) + b"\x00"
+# _TOKEN_RE's tokens and the separators' NULs, in the order they occur.
+_BATCH_TOKEN_RE = re.compile(r"[^\W_]+|\x00", re.UNICODE)
 
 
 class _Encoder:
@@ -117,7 +119,10 @@ class _Encoder:
         return arrays
 
     def add(self, label, tokens):
-        """Append one document, given as a list of tokens, to slice `label`."""
+        """Append one document, given as a list of tokens, to slice `label`.
+        The token "\\x00" is reserved for the batch separator."""
+        if "\x00" in tokens:
+            raise ValueError('the token "\\x00" is reserved')
         ids, lengths = self._arrays(label)
         ids.extend(map(self._table.__getitem__, tokens))
         lengths.append(len(tokens))
@@ -142,9 +147,9 @@ class _Encoder:
         `_split` tokenizes it.
 
         The batch is joined with a separator before, between and after the
-        documents, lowercased and split once; the document lengths are the
-        gaps between the separators' positions. A batch that `_batch_tokens`
-        rejects is split a document at a time.
+        documents, lowercased and tokenized once; the document lengths are the
+        gaps between the separators' positions. A batch with a document that
+        holds a NUL of its own is split a document at a time.
         """
         tokens = _batch_tokens(_SEPARATOR.join(["", *texts, ""]).lower(),
                                len(texts))
@@ -186,26 +191,28 @@ class _Encoder:
 
 
 def _batch_tokens(text, n):
-    """The whitespace-separated pieces of `text`, `n` lowercased documents
-    joined by _SEPARATOR, if each piece is a separator's NUL or alphanumeric;
-    else None.
+    """The tokens of `text`, `n` lowercased documents joined by _SEPARATOR,
+    with each separator's NUL kept as a token of its own; None if a document
+    holds a NUL of its own.
 
-    The separator has whitespace on both sides, so no piece spans two
-    documents and `lower` saw each document's own final-sigma context. When
-    the test passes, the pieces between two separators are the tokens
-    `_split` returns for that document. A document that holds a NUL of its
-    own fails it.
+    The separator has whitespace on both sides, so no token spans two
+    documents and `lower` saw each document's own final-sigma context; the
+    tokens between two separators are the ones `_split` returns for that
+    document. Like `_split`, the whitespace-separated pieces are the tokens
+    when each is alphanumeric (or a NUL), and the regex finds them otherwise.
+    An ASCII batch is tested with one `bytes.translate`, about ten times
+    faster than `isalnum` over the joined pieces.
     """
     if text.count("\x00") != n + 1:
         return None
     if text.isascii():
-        if text.encode("ascii").translate(None, _ASCII_TOKEN_BYTES):
-            return None
-        return text.split()
-    tokens = text.split()
-    if "".join(tokens).replace("\x00", "").isalnum():
-        return tokens
-    return None
+        if not text.encode("ascii").translate(None, _ASCII_TOKEN_BYTES):
+            return text.split()
+    else:
+        tokens = text.split()
+        if "".join(tokens).replace("\x00", "").isalnum():
+            return tokens
+    return _BATCH_TOKEN_RE.findall(text)
 
 
 def _drop_tokens(ids, lengths, kept, new_id):
@@ -243,9 +250,9 @@ class TimeSlicedCorpus:
     """Ordered collection of tokenized document slices.
 
     slices[t] holds the documents of slice t as TokenIds; slices given as
-    lists of documents, each a list of lowercase tokens, are encoded on
-    construction. slice_labels[t] is the integer label (e.g. a year) of
-    slice t.
+    lists of documents, each a list of lowercase tokens other than the
+    reserved "\\x00", are encoded on construction. slice_labels[t] is the
+    integer label (e.g. a year) of slice t.
     """
 
     slices: list

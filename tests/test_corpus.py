@@ -121,6 +121,12 @@ class TestTimeSlicedCorpus:
         assert all(s.ids.dtype == np.int32 for s in corpus.slices)
         assert all(s.types is corpus.slices[0].types for s in corpus.slices)
 
+    def test_separator_token_rejected(self):
+        # A batch of raw text uses "\x00" as its document separator; the
+        # tokenizer never yields it, so a caller's token lists may not hold it.
+        with pytest.raises(ValueError, match="reserved"):
+            make_corpus([[["\x00", "a"]]])
+
     def test_slices_of_two_type_tables_rejected(self):
         a = make_corpus([[["a"]]]).slices[0]
         b = make_corpus([[["b"]]]).slices[0]
@@ -462,6 +468,20 @@ class TestBatchTokenize:
         st.text(alphabet=st.sampled_from(chars), max_size=12)
         for chars in (ALPHABET, [c for c in ALPHABET
                                  if c.isspace() or c.lower().isalnum()])))
+
+    def test_punctuated_batch_is_tokenized_whole(self, tmp_path,
+                                                 monkeypatch):
+        # Prose has punctuation in nearly every record; such a batch is
+        # tokenized in one regex pass, not one document at a time.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(
+            json.dumps({"label": i % 2, "text": text}) + "\n"
+            for i, text in enumerate(["Hello, world.", "It's", "", "a-b_c"])))
+        monkeypatch.setattr(corpus_module, "_split", None)
+        enc = _Encoder()
+        slices = enc.slices(_read_jsonl(path, enc))
+        assert [s.documents() for s in slices] == [
+            [["hello", "world"], []], [["it", "s"], ["a", "b", "c"]]]
 
     @given(records=st.lists(st.tuples(st.integers(0, 3), TEXTS), min_size=1,
                             max_size=30),
