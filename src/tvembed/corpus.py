@@ -21,8 +21,6 @@ from tvembed.artifact import (
     write_artifact,
 )
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
 STATS_MAGIC = b"TVCO"
 STATS_VERSION = 1
 
@@ -31,18 +29,33 @@ class EmptyVocabularyError(ValueError):
     """No word survived the minimum-count filter."""
 
 
-def _split(text):
-    """Lowercase `text` and cut it into runs of Unicode alphanumerics
-    (underscore excluded).
+# The tokens: runs of Unicode alphanumerics (underscore excluded), and each
+# NUL as a token of its own, which only a batch's separator holds.
+_TOKEN_RE = re.compile(r"[^\W_]+|\x00", re.UNICODE)
+# The bytes a lowercased ASCII text may hold when each of its
+# whitespace-separated pieces is a token: letters, digits, the whitespace
+# `str.split` splits at, and NUL.
+_ASCII_TOKEN_BYTES = bytes(
+    c for c in range(128) if chr(c).isalnum() or chr(c).isspace()) + b"\x00"
+
+
+def _tokens(text):
+    """The tokens of lowercased `text`, in which every NUL has whitespace
+    on both sides.
 
     `str.isalnum` and the regex's `[^\\W_]` make the same per-character test
     and no whitespace character passes it, so when every whitespace-separated
-    piece is alphanumeric those pieces are already the regex's tokens.
+    piece is alphanumeric (or a NUL) those pieces are already the regex's
+    tokens. An ASCII text is tested with one `bytes.translate`, about ten
+    times faster than `isalnum` over the joined pieces.
     """
-    text = text.lower()
-    tokens = text.split()
-    if "".join(tokens).isalnum():
-        return tokens
+    if text.isascii():
+        if not text.encode("ascii").translate(None, _ASCII_TOKEN_BYTES):
+            return text.split()
+    else:
+        tokens = text.split()
+        if "".join(tokens).replace("\x00", "").isalnum():
+            return tokens
     return _TOKEN_RE.findall(text)
 
 
@@ -57,7 +70,8 @@ def tokenize(text, stopwords=frozenset()):
     Stopwords and purely numeric tokens are dropped. Empty text yields an
     empty list.
     """
-    return [t for t in _split(text) if _kept(t, stopwords)]
+    return [t for t in _tokens(text.replace("\x00", " ").lower())
+            if _kept(t, stopwords)]
 
 
 @dataclass
@@ -85,17 +99,10 @@ class TokenIds:
 
 
 # Raw documents are tokenized in batches of about _BATCH_CHARS characters,
-# joined by _SEPARATOR. Its NUL comes out of `_batch_tokens` as a token of
-# its own, which the type table maps to the reserved id -1.
+# joined by _SEPARATOR. Its NUL comes out of `_tokens` as a token of its
+# own, which the type table maps to the reserved id -1.
 _SEPARATOR = " \x00 "
 _BATCH_CHARS = 2**14
-# The bytes a lowercased ASCII batch may hold when each of its
-# whitespace-separated pieces is a token or a separator: letters, digits,
-# the whitespace `str.split` splits at, and NUL.
-_ASCII_TOKEN_BYTES = bytes(
-    c for c in range(128) if chr(c).isalnum() or chr(c).isspace()) + b"\x00"
-# _TOKEN_RE's tokens and the separators' NULs, in the order they occur.
-_BATCH_TOKEN_RE = re.compile(r"[^\W_]+|\x00", re.UNICODE)
 
 
 class _Encoder:
@@ -144,19 +151,21 @@ class _Encoder:
 
     def _add_batch(self, label, texts):
         """Append the documents `texts` to slice `label`, each tokenized as
-        `_split` tokenizes it.
+        `tokenize` tokenizes it before dropping any token.
 
         The batch is joined with a separator before, between and after the
         documents, lowercased and tokenized once; the document lengths are the
-        gaps between the separators' positions. A batch with a document that
-        holds a NUL of its own is split a document at a time.
+        gaps between the separators' positions. The separator has whitespace
+        on both sides, so no token spans two documents and `lower` sees each
+        document's own final-sigma context. A document's own NUL is joined as
+        a space: both end a token and neither is cased or case-ignorable, so
+        the tokens and that context stay as they were.
         """
-        tokens = _batch_tokens(_SEPARATOR.join(["", *texts, ""]).lower(),
-                               len(texts))
-        if tokens is None:
-            for text in texts:
-                self.add(label, _split(text))
-            return
+        joined = _SEPARATOR.join(["", *texts, ""])
+        if joined.count("\x00") != len(texts) + 1:
+            joined = _SEPARATOR.join(
+                ["", *(t.replace("\x00", " ") for t in texts), ""])
+        tokens = _tokens(joined.lower())
         ids = np.fromiter(map(self._table.__getitem__, tokens),
                           dtype=np.int32, count=len(tokens))
         is_sep = ids < 0
@@ -188,31 +197,6 @@ class _Encoder:
                 ids, lengths = _drop_tokens(ids, lengths, kept, new_id)
             out.append(TokenIds(ids=ids, lengths=lengths, types=types))
         return out
-
-
-def _batch_tokens(text, n):
-    """The tokens of `text`, `n` lowercased documents joined by _SEPARATOR,
-    with each separator's NUL kept as a token of its own; None if a document
-    holds a NUL of its own.
-
-    The separator has whitespace on both sides, so no token spans two
-    documents and `lower` saw each document's own final-sigma context; the
-    tokens between two separators are the ones `_split` returns for that
-    document. Like `_split`, the whitespace-separated pieces are the tokens
-    when each is alphanumeric (or a NUL), and the regex finds them otherwise.
-    An ASCII batch is tested with one `bytes.translate`, about ten times
-    faster than `isalnum` over the joined pieces.
-    """
-    if text.count("\x00") != n + 1:
-        return None
-    if text.isascii():
-        if not text.encode("ascii").translate(None, _ASCII_TOKEN_BYTES):
-            return text.split()
-    else:
-        tokens = text.split()
-        if "".join(tokens).replace("\x00", "").isalnum():
-            return tokens
-    return _BATCH_TOKEN_RE.findall(text)
 
 
 def _drop_tokens(ids, lengths, kept, new_id):

@@ -3,8 +3,10 @@
 README promises that a failure prints exactly one `error: <reason>` line
 and exits with the code of its kind, which for every `build` failure is 2;
 that exit 1 (an exception escaping `main`) never happens; and that a build
-that fails writes nothing into a fresh `--out`. The same documents built
-from a JSONL file and from slice directories give the same artifacts.
+that fails writes nothing into a fresh `--out`. That holds for generated
+corpora, stopword files and config files. The same documents built from a
+JSONL file and from slice directories give the same artifacts, and a
+stopword file drops exactly its entries from the vocabulary.
 
 The examples are derandomized, so the module is deterministic and takes a
 few seconds.
@@ -13,6 +15,7 @@ few seconds.
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -85,6 +88,51 @@ DIRECTORIES = st.dictionaries(DIR_NAMES, st.lists(FILE_BYTES, max_size=3),
                               max_size=4)
 
 
+# Corpus texts of whole words, so that stopwords hit some of them and
+# leave others; "a\u03a3" ends in a final sigma.
+WORD_TEXTS = st.lists(st.sampled_from(
+    ["cat", "Dog", "été", "a\u03a3", "b", "snake_case", "1990", "x\x00y"]),
+    max_size=8).map(" ".join)
+# Stopword files: words of WORD_TEXTS in their token form and in others,
+# with the whitespace `strip` removes, digits, NULs, byte-order marks,
+# blank lines and, once in ten lines, bytes that may not be UTF-8; each
+# line is ended by any line ending, or none.
+STOPWORD_LINES = mostly(st.sampled_from([
+    "cat", "dog", "Dog", " cat\t", "été", "a\u03c2", "a\u03c3", "b",
+    "snake", "case", "x", "1990", "", "  ", "x\x00y", "\x00", "\ufeffcat",
+    "cat\x85dog", "\u00a0b\u2028"]).map(str.encode), st.binary(max_size=4),
+    10)
+STOPWORD_FILES = st.builds(
+    lambda bom, lines: bom + b"".join(line + eol for line, eol in lines),
+    st.sampled_from([b"", b"\xef\xbb\xbf"]),
+    st.lists(st.tuples(STOPWORD_LINES,
+                       st.sampled_from([b"\n", b"\r\n", b"\r", b""])),
+             max_size=6))
+
+# Config files: the settings `build` checks and others, keys that no
+# setting has, values that parse and values that do not, comments, and
+# lines without "=" or with two; any bytes once in ten files. The
+# `--corpus` and `--out` flags win over the file's `corpus` and `out`.
+CONFIG_KEYS = st.sampled_from([
+    "min_count", "window", "dim", "ridge", "smoothing", "coupling", "epochs",
+    "seed", "method", "corpus", "out", "min-count", "Window", "", "stop"])
+CONFIG_VALUES = st.sampled_from([
+    "1", "2", "0", "-1", "1.5", "1e3", "1e400", "nan", "inf", "-0.0", "x",
+    "", "1_0", "\u0663", "0x10", "99999999999999999999", "dw2v", "tw2v",
+    "DW2V"])
+CONFIG_LINES = st.one_of(
+    st.builds(lambda key, value, tail: f"{key} = {value}{tail}",
+              CONFIG_KEYS, CONFIG_VALUES,
+              st.sampled_from(["", " # note", "#", " = 2", "\t"])),
+    st.sampled_from(["", "  ", "# window = 0", "window 2", "= 2", "#=",
+                     "window == 2"]))
+CONFIG_FILES = mostly(st.builds(
+    lambda bom, lines, eol: bom + eol.join(lines).encode(),
+    st.sampled_from([b"", b"\xef\xbb\xbf"]),
+    st.lists(CONFIG_LINES, max_size=6),
+    st.sampled_from(["\n", "\r\n", "\r"])), st.binary(max_size=8), 10)
+
+
 def build(corpus, out, *flags):
     """Run `tvembed build`; return its exit code and stdout and stderr
     lines."""
@@ -96,9 +144,9 @@ def build(corpus, out, *flags):
     return code, stdout.getvalue().splitlines(), stderr.getvalue().splitlines()
 
 
-def assert_contract(corpus, out, min_count):
-    code, stdout, stderr = build(corpus, out, "--min-count", str(min_count),
-                                 "--window", "2")
+def assert_contract(corpus, out, *flags):
+    """Build with `flags`; return the exit code."""
+    code, stdout, stderr = build(corpus, out, *flags)
     if code == 0:
         assert stderr == []
         assert len(stdout) == 1 and stdout[0].startswith("V=")
@@ -108,6 +156,22 @@ def assert_contract(corpus, out, min_count):
         assert stdout == []
         assert len(stderr) == 1 and stderr[0].startswith("error: ")
         assert not out.exists()
+    return code
+
+
+def write_jsonl(path, docs):
+    path.write_text("".join(json.dumps({"label": label, "text": text}) + "\n"
+                            for label, text in docs))
+
+
+def stopword_set(data):
+    """The entries of a stopword file: its stripped, non-blank lines."""
+    lines = re.split(r"\r\n|\r|\n", data.decode("utf-8-sig"))
+    return {line.strip() for line in lines if line.strip()}
+
+
+def vocab_words(out):
+    return (out / "vocab.txt").read_text(encoding="utf-8").split("\n")[:-1]
 
 
 def write_directories(root, slices):
@@ -132,7 +196,8 @@ class TestBuildContract:
         with tempfile.TemporaryDirectory() as tmp:
             corpus = Path(tmp) / "corpus.jsonl"
             corpus.write_bytes(data)
-            assert_contract(corpus, Path(tmp) / "run", min_count)
+            assert_contract(corpus, Path(tmp) / "run", "--min-count",
+                            str(min_count), "--window", "2")
 
     @given(slices=DIRECTORIES, stray=st.booleans(),
            min_count=st.integers(1, 3))
@@ -145,7 +210,8 @@ class TestBuildContract:
             write_directories(corpus, slices)
             if stray:
                 (corpus / "README").write_bytes(b"not a slice")
-            assert_contract(corpus, Path(tmp) / "run", min_count)
+            assert_contract(corpus, Path(tmp) / "run", "--min-count",
+                            str(min_count), "--window", "2")
 
     @given(docs=st.lists(st.tuples(st.integers(-2, 3), TEXTS), min_size=1,
                          max_size=12))
@@ -155,9 +221,7 @@ class TestBuildContract:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             jsonl = tmp / "corpus.jsonl"
-            jsonl.write_text("".join(
-                json.dumps({"label": label, "text": text}) + "\n"
-                for label, text in docs))
+            write_jsonl(jsonl, docs)
             slices = {}
             for label, text in docs:
                 slices.setdefault(str(label), []).append(text.encode())
@@ -167,3 +231,46 @@ class TestBuildContract:
             assert (code_b, err_b) == (code, err)
             if code == 0:
                 assert run_files(tmp / "a") == run_files(tmp / "b")
+
+    @given(docs=st.lists(st.tuples(st.integers(-2, 3), WORD_TEXTS),
+                         min_size=1, max_size=6),
+           data=STOPWORD_FILES)
+    @example(docs=[(0, "cat dog")], data=b"\xef\xbb\xbfcat\r\n")
+    @example(docs=[(0, "cat")], data=b"cat\rdog")
+    @example(docs=[(0, "a\x00b")], data=b"a\x00b\n\xff\n")
+    @FUZZ
+    def test_stopword_files(self, docs, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_jsonl(tmp / "corpus.jsonl", docs)
+            (tmp / "stop.txt").write_bytes(data)
+            code = assert_contract(tmp / "corpus.jsonl", tmp / "stopped",
+                                   "--stopwords", str(tmp / "stop.txt"))
+            try:
+                stopwords = stopword_set(data)
+            except UnicodeDecodeError:
+                assert code == 2
+                return
+            if build(tmp / "corpus.jsonl", tmp / "all")[0] != 0:
+                assert code == 2
+                return
+            want = [w for w in vocab_words(tmp / "all") if w not in stopwords]
+            if want:
+                assert code == 0
+                assert vocab_words(tmp / "stopped") == want
+            else:
+                assert code == 2
+
+    @given(data=CONFIG_FILES)
+    @example(data=b"window = 0\n")
+    @example(data=b"ridge = nan # no\nmethod = dw2v")
+    @example(data=b"\xef\xbb\xbfmin_count = 1_0\r\nseed = -1")
+    @FUZZ
+    def test_config_files(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_jsonl(tmp / "corpus.jsonl",
+                        [(1, "a cat and a dog"), (2, "the cat sat")])
+            (tmp / "run.cfg").write_bytes(data)
+            assert_contract(tmp / "corpus.jsonl", tmp / "run",
+                            "--config", str(tmp / "run.cfg"))

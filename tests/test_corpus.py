@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,14 +13,12 @@ from hypothesis import strategies as st
 from conftest import loop_count_cooccurrences, write_planted_jsonl
 from tvembed import corpus as corpus_module
 from tvembed.corpus import (
-    _TOKEN_RE,
     EmptyVocabularyError,
     SliceStats,
     TimeSlicedCorpus,
     Vocabulary,
     _Encoder,
     _read_jsonl,
-    _split,
     build_vocabulary,
     count_cooccurrences,
     load_corpus,
@@ -30,6 +29,12 @@ from tvembed.corpus import (
     tokenize,
     write_stats,
 )
+
+
+def regex_tokens(text):
+    """Independent oracle: the runs of Unicode alphanumerics (underscore
+    excluded) of the lowercased text."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 def brute_force_cooc(docs, vocab, window):
@@ -99,15 +104,20 @@ class TestTokenize:
                 + ["_", "\u0130", "\u00df", "\u03a3", "\u0663", "\u0669",
                    "\u00b2", "\u00bd", "\u0301", "\u0307", "-", "'"])
 
-    @given(text=st.text(alphabet=st.sampled_from(ALPHABET), max_size=40),
+    # The text may hold NUL, which TestBatchTokenize's alphabet (defined
+    # below) adds.
+    @given(text=st.deferred(lambda: st.text(
+               alphabet=st.sampled_from(TestBatchTokenize.ALPHABET),
+               max_size=40)),
            stopwords=st.frozensets(st.text(alphabet=st.sampled_from(ALPHABET),
                                            min_size=1, max_size=2)))
     @example(text="Plain words only 42", stopwords=frozenset({"only"}))
     @example(text="snake_case \u0130stanbul", stopwords=frozenset())
     @example(text="x\u00a0y\u2028z\x1c\u00bd \u00b2", stopwords=frozenset())
+    @example(text="a\x00b \u03a3\x00\u03a3", stopwords=frozenset())
     @settings(max_examples=500, deadline=None)
     def test_matches_regex(self, text, stopwords):
-        want = [t for t in _TOKEN_RE.findall(text.lower())
+        want = [t for t in regex_tokens(text)
                 if t not in stopwords and not t.isdigit()]
         assert tokenize(text, stopwords) == want
 
@@ -457,7 +467,7 @@ class TestLoadCorpus:
 
 class TestBatchTokenize:
     """Records are tokenized a batch of documents at a time; each document
-    must get the tokens `_split` gives it alone."""
+    must get the tokens `regex_tokens` gives it alone."""
 
     # TestTokenize's characters and NUL, which a batch holds as its
     # separator; "\u03a3" among them takes its final form at a word's end.
@@ -471,17 +481,23 @@ class TestBatchTokenize:
 
     def test_punctuated_batch_is_tokenized_whole(self, tmp_path,
                                                  monkeypatch):
-        # Prose has punctuation in nearly every record; such a batch is
-        # tokenized in one regex pass, not one document at a time.
+        # Prose has punctuation in nearly every record, and a document may
+        # hold a NUL of its own; either way each label's batch is tokenized
+        # in one call, not one document at a time.
         path = tmp_path / "corpus.jsonl"
         path.write_text("".join(
             json.dumps({"label": i % 2, "text": text}) + "\n"
-            for i, text in enumerate(["Hello, world.", "It's", "", "a-b_c"])))
-        monkeypatch.setattr(corpus_module, "_split", None)
+            for i, text in enumerate(
+                ["Hello, world.", "It's", "", "a-b_c", "x\x00y\u03a3"])))
+        tokens, calls = corpus_module._tokens, []
+        monkeypatch.setattr(corpus_module, "_tokens",
+                            lambda text: calls.append(text) or tokens(text))
         enc = _Encoder()
         slices = enc.slices(_read_jsonl(path, enc))
         assert [s.documents() for s in slices] == [
-            [["hello", "world"], []], [["it", "s"], ["a", "b", "c"]]]
+            [["hello", "world"], [], ["x", "y\u03c2"]],
+            [["it", "s"], ["a", "b", "c"]]]
+        assert len(calls) == 2
 
     @given(records=st.lists(st.tuples(st.integers(0, 3), TEXTS), min_size=1,
                             max_size=30),
@@ -507,9 +523,11 @@ class TestBatchTokenize:
             labels = _read_jsonl(path, enc)
             slices = enc.slices(labels)
         for label, got in zip(labels, slices):
-            want = [_split(text) for lab, text in records if lab == label]
+            want = [regex_tokens(text) for lab, text in records
+                    if lab == label]
             assert got.documents() == want
             assert got.ids.dtype == np.int32 and got.lengths.dtype == np.int64
         if by_label:
             assert slices[0].types == list(dict.fromkeys(
-                token for _, text in records for token in _split(text)))
+                token for _, text in records
+                for token in regex_tokens(text)))
