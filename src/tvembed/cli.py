@@ -152,6 +152,8 @@ def build_run_config(args):
         )
     if cfg.window < 1 or cfg.min_count < 1:
         raise UsageError("window and min_count must be >= 1")
+    if cfg.window >= 2**32:
+        raise UsageError("window must be < 2**32")
     try:
         cfg.solver_config()
     except ValueError as e:

@@ -100,19 +100,37 @@ class TokenIds:
 
 # Raw documents are tokenized in batches of about _BATCH_CHARS characters,
 # joined by _SEPARATOR. Its NUL comes out of `_tokens` as a token of its
-# own, which the type table maps to the reserved id -1.
+# own, which the type table maps to the reserved id -1; a dropped type gets
+# the reserved id -2.
 _SEPARATOR = " \x00 "
 _BATCH_CHARS = 2**14
+
+
+class _TypeTable(dict):
+    """Token -> id, filled as tokens are seen. A type that passes `keep` (or
+    every type, without `keep`) gets the next id, so the kept types are
+    numbered in first-seen order; any other type gets -2. `keep` runs once
+    per distinct type."""
+
+    def __init__(self, keep=None):
+        super().__init__({"\x00": -1})
+        self._keep = keep
+        self._next_id = itertools.count().__next__
+
+    def __missing__(self, token):
+        id_ = self[token] = (self._next_id() if self._keep is None
+                             or self._keep(token) else -2)
+        return id_
 
 
 class _Encoder:
     """Maps tokens to ids of a type table that grows as tokens are seen, and
     collects each slice's ids and document lengths. It is the one place
-    where tokens become ids."""
+    where tokens become ids. A token whose type fails `keep` is dropped as
+    its batch is encoded, so it takes no position and no id space."""
 
-    def __init__(self):
-        self._table = defaultdict(itertools.count().__next__)
-        self._table["\x00"] = -1
+    def __init__(self, keep=None):
+        self._table = _TypeTable(keep)
         self._slices = {}
         self._queued = defaultdict(list)
         self._queued_chars = 0
@@ -127,7 +145,8 @@ class _Encoder:
 
     def add(self, label, tokens):
         """Append one document, given as a list of tokens, to slice `label`.
-        The token "\\x00" is reserved for the batch separator."""
+        The token "\\x00" is reserved for the batch separator. For an
+        encoder without `keep` only."""
         if "\x00" in tokens:
             raise ValueError('the token "\\x00" is reserved')
         ids, lengths = self._arrays(label)
@@ -151,15 +170,15 @@ class _Encoder:
 
     def _add_batch(self, label, texts):
         """Append the documents `texts` to slice `label`, each tokenized as
-        `tokenize` tokenizes it before dropping any token.
+        `tokenize` tokenizes it.
 
         The batch is joined with a separator before, between and after the
-        documents, lowercased and tokenized once; the document lengths are the
-        gaps between the separators' positions. The separator has whitespace
-        on both sides, so no token spans two documents and `lower` sees each
-        document's own final-sigma context. A document's own NUL is joined as
-        a space: both end a token and neither is cased or case-ignorable, so
-        the tokens and that context stay as they were.
+        documents, lowercased and tokenized once; a document's length is the
+        number of kept tokens between its two separators. The separator has
+        whitespace on both sides, so no token spans two documents and `lower`
+        sees each document's own final-sigma context. A document's own NUL is
+        joined as a space: both end a token and neither is cased or
+        case-ignorable, so the tokens and that context stay as they were.
         """
         joined = _SEPARATOR.join(["", *texts, ""])
         if joined.count("\x00") != len(texts) + 1:
@@ -168,56 +187,26 @@ class _Encoder:
         tokens = _tokens(joined.lower())
         ids = np.fromiter(map(self._table.__getitem__, tokens),
                           dtype=np.int32, count=len(tokens))
-        is_sep = ids < 0
+        kept = ids >= 0
         slice_ids, lengths = self._arrays(label)
-        slice_ids.frombytes(ids[~is_sep].tobytes())
-        lengths.frombytes((np.diff(np.flatnonzero(is_sep)) - 1).tobytes())
+        slice_ids.frombytes(ids[kept].tobytes())
+        lengths.frombytes(
+            np.diff(np.cumsum(kept, dtype=np.int64)[ids == -1]).tobytes())
 
-    def slices(self, labels, keep=None):
+    def slices(self, labels):
         """TokenIds of each of `labels` (empty for a label never added).
 
-        Tokens whose type fails `keep` are dropped from the id stream, so they
-        occupy no position; the test runs once per distinct type. Single use:
-        each slice's collected ids are handed over, not copied, so the encoder
-        keeps no slice once this returns."""
+        Single use: each slice's collected ids are handed over, not copied,
+        so the encoder keeps no slice once this returns."""
         self._flush()
-        types = list(self._table)[1:]  # the first key is the separator's
-        new_id = None
-        if keep is not None:
-            kept = np.fromiter(map(keep, types), dtype=bool, count=len(types))
-            if not kept.all():
-                new_id = (np.cumsum(kept) - 1).astype(np.int32)
-                types = list(itertools.compress(types, kept.tolist()))
+        types = [t for t, i in self._table.items() if i >= 0]
         out = []
         for label in labels:
             ids, lengths = self._slices.pop(label, (array("i"), array("q")))
-            ids = np.frombuffer(ids, dtype=np.int32)
-            lengths = np.frombuffer(lengths, dtype=np.int64)
-            if new_id is not None:
-                ids, lengths = _drop_tokens(ids, lengths, kept, new_id)
-            out.append(TokenIds(ids=ids, lengths=lengths, types=types))
+            out.append(TokenIds(ids=np.frombuffer(ids, dtype=np.int32),
+                                lengths=np.frombuffer(lengths, dtype=np.int64),
+                                types=types))
         return out
-
-
-def _drop_tokens(ids, lengths, kept, new_id):
-    """The ids of the tokens whose type is `kept`, mapped through `new_id`,
-    and the lengths of the documents they leave.
-
-    Each document loses the dropped positions before its end, counted with
-    one search of the dropped positions. The kept ids are mapped in place, a
-    block at a time, so the only temporaries of the slice's length are the
-    mask, one byte a token, and the kept ids."""
-    mask = kept[ids]
-    dropped = np.flatnonzero(~mask)
-    before_end = np.searchsorted(dropped, np.cumsum(lengths))
-    del dropped
-    lengths -= np.diff(before_end, prepend=0)
-    ids = ids[mask]
-    del mask
-    for start in range(0, len(ids), 2**12):
-        block = ids[start:start + 2**12]
-        block[...] = new_id[block]
-    return ids, lengths
 
 
 def _encode(slices):
@@ -339,17 +328,20 @@ def count_cooccurrences(docs, vocab, window):
     boundaries. Out-of-vocabulary tokens still occupy positions but
     contribute no counts. total_tokens counts in-vocabulary tokens only.
 
-    The slice is counted in array passes: its documents are laid end to end
-    as one vocabulary-index array with `window` gap positions (index -1,
-    like an out-of-vocabulary token) after each document, so no window
-    reaches from one document into the next. For each offset 1..window the
-    pairs of in-vocabulary indices are packed into forward keys a*V + b, the
-    earlier token first, straight into one key array. That array is sorted
-    in place, and its runs of equal keys count the pairs in CSR order. The
-    matrix is that forward count plus its transpose, so a self-pair lands on
-    the diagonal twice. The keys are the transient peak: up to window * N
-    values for a slice of N positions, held once, int32 while V*V fits in
-    it (half the bytes to sort), else int64.
+    No pair lies farther apart than the longest document's length - 1, so
+    the slice is counted with the half-window w = min(window, that length -
+    1), at least 1; the stats record `window` as given. The slice is counted
+    in array passes: its documents are laid end to end as one
+    vocabulary-index array with w gap positions (index -1, like an
+    out-of-vocabulary token) after each document, so no window reaches from
+    one document into the next. For each offset 1..w the pairs of
+    in-vocabulary indices are packed into forward keys a*V + b, the earlier
+    token first, straight into one key array. That array is sorted in place,
+    and its runs of equal keys count the pairs in CSR order. The matrix is
+    that forward count plus its transpose, so a self-pair lands on the
+    diagonal twice. The keys are the transient peak: up to w * N values for
+    a slice of N positions, held once, int32 while V*V fits in it (half the
+    bytes to sort), else int64.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -358,18 +350,19 @@ def count_cooccurrences(docs, vocab, window):
     V = len(vocab)
     lengths = docs.lengths
     n = len(docs.ids)
+    w = min(window, max(1, int(lengths.max(initial=0)) - 1))
     key_dtype = np.int32 if V * V <= np.iinfo(np.int32).max else np.int64
-    ids = np.full(n + window * len(lengths), -1, dtype=key_dtype)
+    ids = np.full(n + w * len(lengths), -1, dtype=key_dtype)
     index = np.fromiter(
         map(vocab.index.get, docs.types, itertools.repeat(-1)),
         dtype=key_dtype,
         count=len(docs.types),
     )
-    ids[np.arange(n) + window * np.repeat(np.arange(len(lengths)),
-                                          lengths)] = index[docs.ids]
+    ids[np.arange(n) + w * np.repeat(np.arange(len(lengths)),
+                                     lengths)] = index[docs.ids]
     valid = ids >= 0
     unigram = np.bincount(ids[valid], minlength=V).astype(np.int64)
-    keeps = [valid[:-off] & valid[off:] for off in range(1, window + 1)]
+    keeps = [valid[:-off] & valid[off:] for off in range(1, w + 1)]
     keys = np.empty(sum(map(np.count_nonzero, keeps)), dtype=key_dtype)
     end = 0
     for off, keep in enumerate(keeps, 1):
@@ -498,14 +491,13 @@ def load_corpus(path, stopwords=frozenset()):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"corpus path does not exist: {path}")
-    enc = _Encoder()
+    enc = _Encoder(keep=lambda t: _kept(t, stopwords))
     with reading(path):
         if path.is_file():
             labels = _read_jsonl(path, enc)
         else:
             labels = _read_directories(path, enc)
-    slices = enc.slices(labels, keep=lambda t: _kept(t, stopwords))
-    return TimeSlicedCorpus(slices=slices, slice_labels=labels)
+    return TimeSlicedCorpus(slices=enc.slices(labels), slice_labels=labels)
 
 
 def _check_label(where, label):

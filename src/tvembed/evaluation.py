@@ -407,18 +407,21 @@ def _csv_rows(path, columns):
     """(line number, row dict) for each data row of a UTF-8 CSV file with a
     header; every name in `columns` must be in the header and in the row."""
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
-    # No header at all is an empty file, which has no rows to check.
-    header = columns if reader.fieldnames is None else reader.fieldnames
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ArtifactError(f"{path}:1",
-                            f"no {missing[0]!r} column in the header")
-    for row in reader:
-        for column in columns:
-            if row[column] is None:
-                raise ArtifactError(f"{path}:{reader.line_num}",
-                                    f"missing column {column!r}")
-        yield reader.line_num, row
+    try:
+        # No header at all is an empty file, which has no rows to check.
+        header = columns if reader.fieldnames is None else reader.fieldnames
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ArtifactError(f"{path}:1",
+                                f"no {missing[0]!r} column in the header")
+        for row in reader:
+            for column in columns:
+                if row[column] is None:
+                    raise ArtifactError(f"{path}:{reader.line_num}",
+                                        f"missing column {column!r}")
+            yield reader.line_num, row
+    except csv.Error as e:  # a field past the size limit; before 3.11, a NUL
+        raise ArtifactError(f"{path}:{reader.line_num}", str(e)) from None
 
 
 def _csv_value(path, line, row, column, parse, kind):

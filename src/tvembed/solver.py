@@ -60,7 +60,6 @@ class SolverConfig:
     coupling: float = 50.0
     epochs: int = 5
     seed: int = 0
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.dim < 1 or self.epochs < 1:
@@ -69,8 +68,6 @@ class SolverConfig:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
 
 
 @dataclass
@@ -130,11 +127,11 @@ class ProgressEvent:
 
 
 def init_embeddings(V, T, config):
-    """Draw both factor sequences i.i.d. uniform in +-init_scale/sqrt(dim)."""
+    """Draw both factor sequences i.i.d. uniform in +-1/sqrt(dim)."""
     if V < 1 or T < 1:
         raise ValueError("V and T must be >= 1")
     rng = np.random.default_rng(config.seed)
-    bound = config.init_scale / np.sqrt(config.dim)
+    bound = 1 / np.sqrt(config.dim)
     U = [rng.uniform(-bound, bound, size=(V, config.dim)) for _ in range(T)]
     W = [rng.uniform(-bound, bound, size=(V, config.dim)) for _ in range(T)]
     return EmbeddingSequence(U=U, W=W, config=config, labels=list(range(T)))

@@ -1779,6 +1779,8 @@ class TestErrorLine:
     @pytest.mark.parametrize("argv,message", [
         (["build", "--window", "0"], "window and min_count must be >= 1"),
         (["build", "--min-count", "0"], "window and min_count must be >= 1"),
+        # The .tvco header stores the window as u32.
+        (["build", "--window", str(2**32)], "window must be < 2**32"),
         (["train", "--dim", "0"], "dim and epochs must be >= 1"),
         (["train", "--epochs", "0"], "dim and epochs must be >= 1"),
         (["train", "--ridge", "-1"], "ridge must be finite and >= 0"),
@@ -1790,8 +1792,8 @@ class TestErrorLine:
         (["query", "-k", "-3"], "-k must be >= 1"),
         (["export-norms", "--words", "pet0,,shifty"],
          "--words: word 2 of 'pet0,,shifty' is empty"),
-    ], ids=["window-0", "min-count-0", "dim-0", "epochs-0", "ridge-negative",
-            "ridge-nan", "smoothing-negative", "coupling-nan",
+    ], ids=["window-0", "min-count-0", "window-2**32", "dim-0", "epochs-0",
+            "ridge-negative", "ridge-nan", "smoothing-negative", "coupling-nan",
             "robustness-ridge", "k-0", "k-negative", "words-empty"])
     def test_out_of_range_setting(self, run_dir, capsys, argv, message):
         assert main(train_args(run_dir)) == 0

@@ -1,4 +1,4 @@
-"""Generated corpora against `tvembed build`'s exit-code contract.
+"""Generated inputs against the CLI's exit-code contract.
 
 README promises that a failure prints exactly one `error: <reason>` line
 and exits with the code of its kind, which for every `build` failure is 2;
@@ -8,6 +8,11 @@ corpora, stopword files and config files. The same documents built from a
 JSONL file and from slice directories give the same artifacts, and a
 stopword file drops exactly its entries from the vocabulary.
 
+`query`, `evaluate` and `robustness` keep the same contract (exit 0, 2, 3
+or 4, and one `error:` line after any `warning:` lines) for generated
+testset and triplet CSV files and flag values, against one tiny run
+directory that no command changes.
+
 The examples are derandomized, so the module is deterministic and takes a
 few seconds.
 """
@@ -15,10 +20,12 @@ few seconds.
 import contextlib
 import io
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -133,15 +140,23 @@ CONFIG_FILES = mostly(st.builds(
     st.sampled_from(["\n", "\r\n", "\r"])), st.binary(max_size=8), 10)
 
 
-def build(corpus, out, *flags):
-    """Run `tvembed build`; return its exit code and stdout and stderr
-    lines."""
+def run(*argv):
+    """Run `tvembed` with `argv`; return its exit code (argparse's, when it
+    rejects the command line) and stdout and stderr lines."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
-        code = main(["build", "--corpus", str(corpus), "--out", str(out),
-                     *flags])
+        try:
+            code = main([str(arg) for arg in argv])
+        except SystemExit as e:
+            code = e.code
     return code, stdout.getvalue().splitlines(), stderr.getvalue().splitlines()
+
+
+def build(corpus, out, *flags):
+    """Run `tvembed build`; return its exit code and stdout and stderr
+    lines."""
+    return run("build", "--corpus", corpus, "--out", out, *flags)
 
 
 def assert_contract(corpus, out, *flags):
@@ -274,3 +289,189 @@ class TestBuildContract:
             (tmp / "run.cfg").write_bytes(data)
             assert_contract(tmp / "corpus.jsonl", tmp / "run",
                             "--config", str(tmp / "run.cfg"))
+
+
+# ---------------------------------------------------------------------------
+# query, evaluate and robustness against one tiny run directory.
+
+FUZZ_RUN = settings(max_examples=60, deadline=None, derandomize=True)
+
+RUN_LABELS = (1990, 1991, 1992)
+RUN_WORDS = [f"w{i:02d}" for i in range(40)] + ["été", "a\u03a3"]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A run directory of 3 slices and 42 words, with dw2v and tw2v
+    embeddings (enough words for tw2v's local maps)."""
+    tmp = tmp_path_factory.mktemp("fuzz-run")
+    rng = random.Random(4)
+    write_jsonl(tmp / "corpus.jsonl", [
+        (label, " ".join(rng.choices(RUN_WORDS, k=12)))
+        for label in RUN_LABELS for _ in range(40)])
+    out = tmp / "run"
+    assert run("build", "--corpus", tmp / "corpus.jsonl", "--out", out,
+               "--window", "2")[0] == 0
+    for method in ("dw2v", "tw2v"):
+        assert run("train", "--out", out, "--method", method, "--dim", "3",
+                   "--epochs", "1")[0] == 0
+    return out
+
+
+def values(good, bad, one_in):
+    """One of `good`, or of `bad` once in `one_in` draws."""
+    return mostly(st.sampled_from(good), st.sampled_from(bad), one_in)
+
+
+# CSV field values: words of the run and others (other forms of its words
+# among them), labels of the run and others, and values that do not parse
+# (rarely: one of them fails the whole file).
+WORDS = values(["w00", "w01", "w17", "w39", "été", "a\u03c2"],
+               ["a\u03c3", "W00", " w00", "unicorn", ""], 8)
+LABELS = values(["1990", "1991", "1992"],
+                ["1989", "-1", " 1991", "1991.0", "1e3", "x", "", str(2**64)],
+                40)
+STRENGTHS = values(["0.9", "1", "0.5", "0.1"],
+                   ["0", "-1", "nan", "inf", "1e400", "x", ""], 40)
+SECTIONS = values(["A", "B", "C"], ["", "a,b", "\u00e9"], 10)
+
+
+def csv_files(columns):
+    """CSV bytes: the header of `columns` (a name -> field values mapping)
+    or a damaged one, then rows of one value a column, some quoted, and
+    rows that are not; any line ending, and any bytes once in ten files."""
+    names = list(columns)
+    header = mostly(st.just(",".join(names)), st.sampled_from([
+        ",".join(reversed(names)), ",".join(names[:-1]),
+        ",".join(names) + ",extra", "\ufeff" + ",".join(names), "",
+        ",".join(names).upper()]), 10)
+    row = st.tuples(*(st.tuples(field, st.booleans()).map(
+        lambda t: f'"{t[0]}"' if t[1] else t[0])
+        for field in columns.values())).map(",".join)
+    other = st.lists(WORDS, max_size=6).map(",".join) | st.sampled_from(
+        ['"unterminated', "\x00", "x" * 200_000])
+    rows = st.lists(mostly(row, other, 40), min_size=1, max_size=8)
+    return mostly(st.builds(
+        lambda head, rows, eol: eol.join([head, *rows, ""]).encode(),
+        header, rows, st.sampled_from(["\n", "\r\n", "\r"])),
+        st.binary(max_size=12), 10)
+
+
+TESTSETS = csv_files({"query_word": WORDS, "query_label": LABELS,
+                      "target_label": LABELS, "answer_word": WORDS})
+TRIPLETS = csv_files({"word": WORDS, "label": LABELS, "section": SECTIONS,
+                      "strength": STRENGTHS})
+
+
+def flag(name, choices):
+    """No `name` flag, or `name` with one of `choices`."""
+    return st.sampled_from([[]] + [[name, v] for v in choices])
+
+
+def fault(*flags):
+    """No flags, or once in eight draws one of `flags` (lists of
+    arguments), given after the others so that it wins."""
+    return mostly(st.just([]), st.sampled_from(flags), 8)
+
+
+# sw2v and aw2v are not trained in the run, so they fail as missing.
+METHOD = flag("--method", ["dw2v", "tw2v"])
+BAD_METHOD = [["--method", m] for m in ("aw2v", "sw2v", "x")]
+SEED = flag("--seed", ["0", "7", "-1", str(2**64)])
+BAD_SEED = [["--seed", v] for v in ("x", "1.5")]
+SOLVER = st.tuples(
+    flag("--dim", ["1", "2"]), flag("--epochs", ["1"]),
+    *(flag(f"--{name}", ["0", "1", "0.5"])
+      for name in ("ridge", "smoothing", "coupling")),
+    SEED).map(lambda flags: sum(flags, []))
+BAD_SOLVER = BAD_SEED + [
+    ["--dim", v] for v in ("0", "-1", "2.0", "x")] + [["--epochs", "0"]] + [
+    [f"--{name}", v] for name in ("ridge", "smoothing", "coupling")
+    for v in ("-1", "nan", "inf", "1e400")]
+
+
+def assert_run_contract(out, *argv):
+    """Run `tvembed` with `argv` against the run directory `out`; check
+    the exit-code contract and that `out` is unchanged."""
+    before = run_files(out)
+    code, stdout, stderr = run(*argv)
+    assert run_files(out) == before
+    errors = [line for line in stderr if not line.startswith("warning: ")]
+    if code == 0:
+        assert errors == [] and stdout
+    elif errors and errors[0].startswith("usage: "):
+        # argparse rejects the command line before any command runs.
+        assert code == 2 and stdout == []
+        assert errors[-1].startswith(f"tvembed {argv[0]}: error: ")
+    else:
+        assert code in (2, 3, 4)
+        assert stdout == []
+        assert len(errors) == 1 and stderr[-1].startswith("error: ")
+    return code
+
+
+class TestRunContract:
+    @given(word=WORDS, label=LABELS,
+           k=flag("-k", ["1", "3", "41", "100", "99999999999999999999"]),
+           target=st.sampled_from([[], ["--all-years"]]) | st.builds(
+               lambda label: ["--target-label", label], LABELS),
+           keep_self=st.sampled_from([[], ["--keep-self"]]), method=METHOD,
+           bad=fault(*BAD_METHOD, ["-k", "0"], ["-k", "-2"], ["-k", "x"],
+                     ["--target-label", "1991", "--all-years"], ["--label"],
+                     ["--", "w00"]))
+    @example(word="w00", label="1990", k=["-k", "3"], target=["--all-years"],
+             keep_self=[], method=["--method", "tw2v"], bad=[])
+    @FUZZ_RUN
+    def test_query(self, tiny_run, word, label, k, target, keep_self, method,
+                   bad):
+        assert_run_contract(tiny_run, "query", word, "--out", tiny_run,
+                            "--label", label, *k, *target, *keep_self,
+                            *method, *bad)
+
+    @given(testset=mostly(TESTSETS, st.none()),
+           triplets=mostly(st.none(), TRIPLETS, 3), method=METHOD, seed=SEED,
+           json_out=mostly(st.sampled_from([None, "r.json"]),
+                           st.sampled_from(["missing/r.json", "."])),
+           bad=fault(*BAD_METHOD, *BAD_SEED))
+    @example(testset=b"query_word,query_label,target_label,answer_word\n"
+                     b"w00,1990,1992,w00\n", triplets=None, method=[],
+             seed=[], json_out="r.json", bad=[])
+    @example(testset=None, triplets=b"word,label,section,strength\nw00,"
+                                     + b"1" * 200_000 + b",A,0.9\n",
+             method=[], seed=[], json_out=None, bad=[])
+    @FUZZ_RUN
+    def test_evaluate(self, tiny_run, testset, triplets, method, seed,
+                      json_out, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            flags = []
+            for name, data in (("testset", testset), ("triplets", triplets)):
+                if data is not None:
+                    (tmp / f"{name}.csv").write_bytes(data)
+                    flags += [f"--{name}", tmp / f"{name}.csv"]
+            if json_out is not None:
+                flags += ["--json-out", tmp / json_out]
+            code = assert_run_contract(tiny_run, "evaluate", "--out",
+                                       tiny_run, *flags, *method, *seed, *bad)
+            if json_out == "r.json":
+                assert (tmp / json_out).exists() == (code == 0)
+
+    @given(testset=mostly(TESTSETS, st.none(), 10),
+           rates=flag("--rates", ["1", "0.5", "0.5,1", " 0.5", "1e-300"]),
+           slices=flag("--slices", ["alternate", "all", "1991", "1990,1992"]),
+           solver=SOLVER,
+           bad=fault(*BAD_SOLVER, *(["--rates", v] for v in (
+               "0", "1.5", "nan", "", "0.5,")), *(["--slices", v] for v in (
+               "1989", "x", "", "1990,,1991"))))
+    @example(testset=b"query_word,query_label,target_label,answer_word\n"
+                     b"w00,1990,1992,w00\n", rates=["--rates", "0.5"],
+             slices=[], solver=["--dim", "2", "--epochs", "1"], bad=[])
+    @FUZZ_RUN
+    def test_robustness(self, tiny_run, testset, rates, slices, solver, bad):
+        with tempfile.TemporaryDirectory() as tmp:
+            flags = []
+            if testset is not None:
+                (Path(tmp) / "testset.csv").write_bytes(testset)
+                flags = ["--testset", Path(tmp) / "testset.csv"]
+            assert_run_contract(tiny_run, "robustness", "--out", tiny_run,
+                                *flags, *rates, *slices, *solver, *bad)

@@ -258,6 +258,24 @@ class TestCountCooccurrences:
             assert np.all(cur >= prev)
             prev = cur
 
+    def test_window_past_the_longest_document(self):
+        # No pair lies farther apart than a document's length - 1, so a
+        # window of 4000 over two five-token documents counts what a window
+        # of 4 does, with memory for that window, not for 4000 gap
+        # positions per document and 4000 offset masks.
+        vocab = Vocabulary(["a", "b", "c"])
+        docs = [["a", "b", "c", "a", "b"], ["c", "c", "a", "x", "b"]]
+        tracemalloc.start()
+        try:
+            stats = count_cooccurrences(docs, vocab, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**17
+        assert stats.window == 4000
+        assert_same_csr(stats.cooc,
+                        count_cooccurrences(docs, vocab, 4).cooc)
+
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         words = [f"w{i}" for i in range(10)]
@@ -450,12 +468,28 @@ class TestLoadCorpus:
         self.assert_one_copy_of_the_ids(path)
 
     def test_peak_memory_with_a_stopword(self, tmp_path):
-        # Dropping the probe word's tokens compacts each slice's ids with no
-        # temporary of the slice's length beyond the mask and the kept ids.
+        # The probe word's tokens are dropped as each batch is encoded, with
+        # no temporary of a slice's length.
         path = tmp_path / "corpus.jsonl"
         write_planted_jsonl(path)
         assert " probeword " in path.read_text()
         self.assert_one_copy_of_the_ids(path, frozenset({"probeword"}))
+
+    def test_peak_memory_when_most_tokens_are_numbers(self, tmp_path):
+        # News text is full of years. A dropped token is dropped as its
+        # batch is encoded, so it never takes a place in the id arrays.
+        rng = np.random.default_rng(9)
+        words = np.array([f"w{i}" for i in range(500)] + [
+            str(year) for year in range(1990, 2020)])
+        path = tmp_path / "corpus.jsonl"
+        with open(path, "w") as fh:
+            for i in range(4000):
+                # 20 words and 180 years a record.
+                ids = np.concatenate([rng.integers(500, size=20),
+                                      rng.integers(500, 530, size=180)])
+                text = " ".join(words[rng.permutation(ids)])
+                fh.write(json.dumps({"label": i % 4, "text": text}) + "\n")
+        self.assert_one_copy_of_the_ids(path)
 
     def test_stopword_line_endings(self, tmp_path):
         # Lines end at "\n", "\r\n" or "\r"; other Unicode line breaks
@@ -531,3 +565,34 @@ class TestBatchTokenize:
             assert slices[0].types == list(dict.fromkeys(
                 token for _, text in records
                 for token in regex_tokens(text)))
+
+    @given(records=st.lists(st.tuples(st.integers(0, 3), TEXTS), min_size=1,
+                            max_size=30),
+           stopwords=st.frozensets(st.text(
+               alphabet=st.sampled_from(TestTokenize.ALPHABET), min_size=1,
+               max_size=2)),
+           bound=st.integers(0, 48))
+    @example(records=[(1, "The 1991 cat,"), (0, "1990"), (1, "the dog 7."),
+                      (0, "a \u0663 b")],
+             stopwords=frozenset({"the", "b"}), bound=8)
+    @settings(max_examples=200, deadline=None)
+    def test_load_corpus_drops_stopwords_and_numbers(self, records, stopwords,
+                                                     bound):
+        # Labels interleave, so each batch holds several labels' documents.
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_module, "_BATCH_CHARS", bound)
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(
+                json.dumps({"label": label, "text": text}) + "\n"
+                for label, text in records))
+            corpus = load_corpus(path, stopwords)
+        want = {label: [[t for t in regex_tokens(text)
+                         if t not in stopwords and not t.isdigit()]
+                        for lab, text in records if lab == label]
+                for label in corpus.slice_labels}
+        assert corpus.slice_labels == sorted(want)
+        assert [s.documents() for s in corpus.slices] == list(want.values())
+        # A dropped type takes no id either.
+        assert sorted(corpus.slices[0].types) == sorted(
+            {t for docs in want.values() for doc in docs for t in doc})

@@ -58,6 +58,13 @@ TEXT_VALUES = st.builds(lambda v, neg: -v if neg else v, st.one_of(
 ), st.booleans())
 
 
+def zero_factors(V, T, cfg):
+    """An EmbeddingSequence of T slices whose U and W are all zero."""
+    return EmbeddingSequence(U=[np.zeros((V, cfg.dim)) for _ in range(T)],
+                             W=[np.zeros((V, cfg.dim)) for _ in range(T)],
+                             config=cfg, labels=list(range(T)))
+
+
 def zero_sequence(V, T):
     mats = [
         PpmiMatrix(values=sp.csr_matrix((V, V)), slice_label=t) for t in range(T)
@@ -72,11 +79,6 @@ class TestInit:
         b = init_embeddings(100, 3, cfg)
         for x, y in zip(a.U + a.W, b.U + b.W):
             assert np.array_equal(x, y)
-
-    def test_zero_scale(self):
-        cfg = SolverConfig(dim=4, init_scale=0.0)
-        seq = init_embeddings(5, 2, cfg)
-        assert all(np.all(m == 0) for m in seq.U + seq.W)
 
     def test_range_bound(self):
         cfg = SolverConfig(dim=10, seed=7)
@@ -94,8 +96,7 @@ class TestInit:
 class TestObjective:
     def test_zero_factors(self):
         Y = random_ppmi_sequence(6, 3, seed=1)
-        cfg = SolverConfig(dim=2, init_scale=0.0)
-        seq = init_embeddings(6, 3, cfg)
+        seq = zero_factors(6, 3, SolverConfig(dim=2))
         seq.labels = list(Y.labels)
         expected = 0.5 * sum(
             float(m.values.power(2).sum()) for m in Y.matrices
@@ -187,7 +188,7 @@ class TestRidgeUpdateBlock:
         V, T, d = 5, 3, 2
         Y = zero_sequence(V, T)
         cfg = SolverConfig(
-            dim=d, ridge=0.0, smoothing=1e12, coupling=0.0, seed=4, init_scale=1.0
+            dim=d, ridge=0.0, smoothing=1e12, coupling=0.0, seed=4
         )
         state = init_embeddings(V, T, cfg)
         new, _, _ = update_factor("U", 1, state, Y, cfg)
@@ -248,9 +249,8 @@ class TestRidgeUpdateBlock:
 
     def test_singular_system_uses_least_norm(self):
         Y = zero_sequence(4, 1)
-        cfg = SolverConfig(dim=2, ridge=0.0, smoothing=0.0, coupling=0.0,
-                           init_scale=0.0)
-        state = init_embeddings(4, 1, cfg)
+        cfg = SolverConfig(dim=2, ridge=0.0, smoothing=0.0, coupling=0.0)
+        state = zero_factors(4, 1, cfg)
         with pytest.warns(UserWarning, match="singular"):
             new, _, _ = update_factor("U", 0, state, Y, cfg)
         assert np.array_equal(new, np.zeros((4, 2)))
