@@ -25,7 +25,6 @@ from tvembed.solver import (
     SolverConfig,
     final_embedding,
     init_embeddings,
-    objective,
     train,
     update_factor,
 )

@@ -13,13 +13,9 @@ from tvembed.solver import final_embedding, train
 
 
 def factorize_single(Y, config):
-    """Factorize one PPMI matrix with the solver restricted to T=1.
-
-    The smoothing weight is irrelevant for a single slice; it is zeroed so
-    the config documents what actually happened.
-    """
-    cfg = replace(config, smoothing=0.0)
-    seq = train(PpmiSequence(matrices=[Y], vocab_size=Y.shape[0]), cfg)
+    """Factorize one PPMI matrix with the solver restricted to T=1, where
+    the smoothing weight multiplies no neighbour and has no effect."""
+    seq = train(PpmiSequence(matrices=[Y], vocab_size=Y.shape[0]), config)
     return final_embedding(seq)[0]
 
 

@@ -306,17 +306,6 @@ class SliceStats:
     total_tokens: int
     window: int
 
-    def validate(self):
-        if (self.cooc != self.cooc.T).nnz != 0:
-            raise ValueError("cooc matrix is not symmetric")
-        if self.unigram.min(initial=0) < 0:
-            raise ValueError("negative unigram count")
-        rows, cols = self.cooc.nonzero()
-        if len(rows) and (
-            np.any(self.unigram[rows] == 0) or np.any(self.unigram[cols] == 0)
-        ):
-            raise ValueError("co-occurrence involves a word with zero unigram count")
-
 
 def count_cooccurrences(docs, vocab, window):
     """Count windowed co-occurrences of one slice against a fixed vocabulary.
@@ -458,6 +447,11 @@ def pool_stats(stats_list):
 
 
 def write_stats(stats, path):
+    """Write `stats` as a .tvco file. Its header holds the window as a u32,
+    so a window outside [0, 2**32) raises ValueError and writes nothing."""
+    if not 0 <= stats.window < 2**32:
+        raise ValueError(f"window {stats.window} does not fit the stats "
+                         "header: it must be in [0, 2**32)")
     write_artifact(path, STATS_MAGIC, STATS_VERSION, [
         ("<QIQ", stats.cooc.shape[0], stats.window, stats.total_tokens),
         stats.unigram.astype("<u8"),

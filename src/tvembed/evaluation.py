@@ -505,7 +505,8 @@ def clustering_report(items, slices, seed=0):
 
     Items whose vector is zero have no direction to cluster by; they are
     skipped with one warning that counts them, and EmptyEvaluation is raised
-    when no item is left.
+    when no item is left. A K above the number of items left is skipped with
+    a warning, and EmptyEvaluation is raised when every K is.
     """
     vectors = [slices[it.slice_label][it.word] for it in items]
     kept = [i for i, v in enumerate(vectors) if np.linalg.norm(v) > 0]
@@ -527,6 +528,10 @@ def clustering_report(items, slices, seed=0):
         assign = spherical_kmeans(vectors, K, seed=seed)
         report["nmi"][str(K)] = nmi(sections, assign)
         report["f_beta"][str(K)] = f_beta(sections, assign)
+    if not report["nmi"]:
+        raise EmptyEvaluation(
+            f"no cluster size in {', '.join(map(str, CLUSTER_SIZES))} fits "
+            f"{len(items)} labeled items")
     return report
 
 

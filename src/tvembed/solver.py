@@ -26,11 +26,9 @@ updates' own products, so the log costs no second sparse product: within
 an epoch U(t) is final when W(t) is updated, so that update's Y(t) U(t)
 gives the cross term <W(t), Y(t) U(t)> of the fit and its U(t)^T U(t) the
 Gram term <U(t)^T U(t), W(t)^T W(t)>; ||Y(t)||^2 is taken once per run and
-the other terms are O(V d) each. `objective` evaluates the same value from
-the factors alone.
+the other terms are O(V d) each.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -72,16 +70,14 @@ class SolverConfig:
 
 @dataclass
 class EmbeddingSequence:
-    """Factor matrices U(t), W(t) for every slice, plus their provenance."""
+    """Factor matrices U(t), W(t) for every slice."""
 
     U: list
     W: list
-    config: SolverConfig
-    labels: list
 
     def __post_init__(self):
-        if not (len(self.U) == len(self.W) == len(self.labels)):
-            raise ValueError("U, W and labels must have equal length")
+        if len(self.U) != len(self.W):
+            raise ValueError("U and W must have equal length")
         shape = self.U[0].shape
         for m in list(self.U) + list(self.W):
             if m.shape != shape:
@@ -120,11 +116,6 @@ class ProgressEvent:
     # The objective at the end of the epoch, on its last event only.
     objective: ObjectiveTerms = None
 
-    @property
-    def normal_residual(self):
-        """||new @ A - B||_F / ||B||_F (0 if B == 0), computed when read."""
-        return normal_residual(self.new, self.A, self.B)
-
 
 def init_embeddings(V, T, config):
     """Draw both factor sequences i.i.d. uniform in +-1/sqrt(dim)."""
@@ -134,42 +125,7 @@ def init_embeddings(V, T, config):
     bound = 1 / np.sqrt(config.dim)
     U = [rng.uniform(-bound, bound, size=(V, config.dim)) for _ in range(T)]
     W = [rng.uniform(-bound, bound, size=(V, config.dim)) for _ in range(T)]
-    return EmbeddingSequence(U=U, W=W, config=config, labels=list(range(T)))
-
-
-def _sparse_residual_sq(Y, U, W):
-    # ||Y - U W^T||_F^2 without densifying:
-    #   ||Y||^2 - 2 <Y, U W^T> + <U^T U, W^T W>
-    ynorm2 = float(Y.power(2).sum()) if Y.nnz else 0.0
-    cross = float(np.sum(U * (Y @ W)))
-    gram = float(np.sum((U.T @ U) * (W.T @ W)))
-    return ynorm2 - 2.0 * cross + gram
-
-
-def objective(seq, Y):
-    """Full objective value; cost O(nnz * d + V * d^2) per slice."""
-    T = seq.num_slices
-    if len(Y.matrices) != T:
-        raise ValueError("embedding sequence and PPMI sequence length mismatch")
-    cfg = seq.config
-    total = 0.0
-    for t in range(T):
-        Yt = Y.matrices[t].values
-        if Yt.shape[0] != seq.U[t].shape[0]:
-            raise ValueError("vocabulary size mismatch between Y and factors")
-        total += 0.5 * _sparse_residual_sq(Yt, seq.U[t], seq.W[t])
-        total += 0.5 * cfg.coupling * float(
-            np.sum((seq.U[t] - seq.W[t]) ** 2)
-        )
-        total += 0.5 * cfg.ridge * (
-            float(np.sum(seq.U[t] ** 2)) + float(np.sum(seq.W[t] ** 2))
-        )
-        if t > 0:
-            total += 0.5 * cfg.smoothing * (
-                float(np.sum((seq.U[t - 1] - seq.U[t]) ** 2))
-                + float(np.sum((seq.W[t - 1] - seq.W[t]) ** 2))
-            )
-    return total
+    return EmbeddingSequence(U=U, W=W)
 
 
 def _neighbor_weight(t, T):
@@ -181,16 +137,12 @@ def update_factor(factor, t, state, Y, config):
 
     Forms the ridge system  new @ A = B  of the module docstring for all V
     rows, factors the shared d x d matrix A once (Cholesky) and solves for
-    every row in one call. Returns (new, A, B) without mutating state.
-    `factor` is "U" or "W". Raises FloatingPointError if A, B or new is
-    not finite.
+    every row in one call. `factor` is "U" or "W". Returns (new, A, B,
+    gram, cross) without mutating state: `gram` is F^T F and `cross`
+    <new, Y(t) F> for the other factor F at slice t, the parts of the fit
+    term `train` streams. Raises FloatingPointError if A, B or new is not
+    finite.
     """
-    return _solve_factor(factor, t, state, Y, config)[:3]
-
-
-def _solve_factor(factor, t, state, Y, config, cross=False):
-    """update_factor's (new, A, B), then the Gram F^T F of the other factor
-    F at slice t and, if `cross`, <new, Y(t) F> (else None)."""
     if factor not in ("U", "W"):
         raise ValueError("factor must be 'U' or 'W'")
     T = state.num_slices
@@ -227,7 +179,7 @@ def _solve_factor(factor, t, state, Y, config, cross=False):
         new = scipy.linalg.lstsq(A, B.T, check_finite=False)[0].T
     if not np.all(np.isfinite(new)):
         raise FloatingPointError(f"non-finite values in {factor}({t})")
-    return new, A, B, gram, _dot(new, product) if cross else None
+    return new, A, B, gram, _dot(new, product)
 
 
 def _slice_terms(t, state, ynorm2, UtU, cross, config):
@@ -259,16 +211,6 @@ def _sq_dist(a, b):
     return _dot(diff, diff)
 
 
-def normal_residual(new, A, B):
-    """Relative residual ||new @ A - B||_F / ||B||_F (0 if B == 0)."""
-    bnorm = np.linalg.norm(B)
-    if bnorm == 0:
-        return 0.0
-    R = new @ A
-    R -= B
-    return float(np.linalg.norm(R) / bnorm)
-
-
 def train(Y, config, progress_sink=None):
     """Run block coordinate descent over the whole sequence.
 
@@ -284,7 +226,6 @@ def train(Y, config, progress_sink=None):
         raise ValueError("empty PPMI sequence")
     T = len(Y.matrices)
     state = init_embeddings(Y.vocab_size, T, config)
-    state.labels = list(Y.labels)
     streamed = progress_sink is not None
     if streamed:
         ynorm2 = [_dot(m.values.data, m.values.data) for m in Y.matrices]
@@ -292,16 +233,15 @@ def train(Y, config, progress_sink=None):
         terms = []
         for t in range(T):
             for factor in ("U", "W"):
-                slice_done = streamed and factor == "W"
                 try:
-                    new, A, B, gram, cross = _solve_factor(
-                        factor, t, state, Y, config, cross=slice_done)
+                    new, A, B, gram, cross = update_factor(factor, t, state,
+                                                           Y, config)
                 except FloatingPointError as e:
                     raise FloatingPointError(f"epoch {epoch}: {e}") from None
                 (state.U if factor == "U" else state.W)[t] = new
                 if streamed:
                     epoch_objective = None
-                    if slice_done:
+                    if factor == "W":
                         terms.append(_slice_terms(t, state, ynorm2[t], gram,
                                                   cross, config))
                         if t == T - 1:
@@ -406,9 +346,10 @@ def _u64_words(data):
     return np.frombuffer(data.ljust(-(-len(data) // 8) * 8, b"\xff"), np.uint64)
 
 
-@functools.cache
 def _text_tables():
-    """The read-only head, digit-group, exponent and power-of-ten tables."""
+    """The head, digit-group, exponent and power-of-ten tables; about
+    171 KB, built once per `write_embeddings_text` call, so no table
+    outlives the write."""
     def table(strings):
         return _u64_words(b"".join(s.encode().ljust(8, b"\xff") for s in strings))
 
@@ -421,15 +362,14 @@ def _text_tables():
     exps = range(-_EXP_RANGE, _EXP_RANGE + 1)
     exponents = table("" if -4 <= e <= 8 else f"e{e:+03d}" for e in exps)
     powers = np.array([float(f"1e{k}") for k in exps])
-    for a in (heads, groups, exponents, powers):
-        a.flags.writeable = False
     return heads, groups, exponents, powers
 
 
-def _format_values(x):
+def _format_values(x, tables):
     """The u64 words of each value of the float64 array `x`, four per value,
-    in a (values, 4) array: " %.9g" of the value, padded with 0xFF."""
-    heads, groups, exponents, powers = _text_tables()
+    in a (values, 4) array: " %.9g" of the value, padded with 0xFF.
+    `tables` is `_text_tables()`."""
+    heads, groups, exponents, powers = tables
     x = x.ravel()
     scaled = np.abs(x)
     zero = scaled == 0
@@ -468,6 +408,7 @@ def write_embeddings_text(matrices, labels, words, path):
     prefixes = _u64_words(b"".join(w.ljust(width, b"\xff") for w in encoded))
     prefixes = prefixes.reshape(V, width // 8)
     newline = _u64_words(b"\n")
+    tables = _text_tables()
 
     def blocks():
         yield f"{V} {len(matrices)} {d}\n".encode()
@@ -479,7 +420,7 @@ def write_embeddings_text(matrices, labels, words, path):
                 yield np.hstack([
                     prefixes[i:i + r],
                     np.broadcast_to(tail, (r, len(tail))),
-                    _format_values(rows).reshape(r, 4 * d),
+                    _format_values(rows, tables).reshape(r, 4 * d),
                     np.broadcast_to(newline, (r, 1)),
                 ]).tobytes().translate(None, b"\xff")
 

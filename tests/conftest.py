@@ -38,10 +38,9 @@ def write_planted_jsonl(path):
         for doc in ids.documents()))
 
 
-def dense_objective_terms(seq, Y):
+def dense_objective_terms(seq, Y, cfg):
     """Brute-force dense (fit, coupling, ridge, smoothing) terms of the full
-    training objective."""
-    cfg = seq.config
+    training objective of the factors `seq` under the SolverConfig `cfg`."""
     fit = coupling = ridge = smoothing = 0.0
     for t in range(seq.num_slices):
         D = Y.matrices[t].values.toarray()
@@ -56,9 +55,18 @@ def dense_objective_terms(seq, Y):
     return fit, coupling, ridge, smoothing
 
 
-def dense_objective_oracle(seq, Y):
+def dense_objective_oracle(seq, Y, cfg):
     """Brute-force dense evaluation of the full training objective."""
-    return sum(dense_objective_terms(seq, Y))
+    return sum(dense_objective_terms(seq, Y, cfg))
+
+
+def normal_residual(new, A, B):
+    """Relative residual ||new @ A - B||_F / ||B||_F (0 if B == 0) of a
+    solved ridge system, such as a ProgressEvent's new, A and B."""
+    bnorm = np.linalg.norm(B)
+    if bnorm == 0:
+        return 0.0
+    return float(np.linalg.norm(new @ A - B) / bnorm)
 
 
 def residual_gradient(U_t, Y_t):
@@ -87,6 +95,21 @@ def dense_ridge_system(factor, t, seq, Y, config):
     for s in neighbors:
         B = B + config.smoothing * same[s]
     return A, B
+
+
+def validate_stats(stats):
+    """Raise ValueError unless `stats` is consistent: a symmetric count
+    matrix, no negative unigram count, and every co-occurring word counted
+    at least once."""
+    if (stats.cooc != stats.cooc.T).nnz != 0:
+        raise ValueError("cooc matrix is not symmetric")
+    if stats.unigram.min(initial=0) < 0:
+        raise ValueError("negative unigram count")
+    rows, cols = stats.cooc.nonzero()
+    if len(rows) and (
+        np.any(stats.unigram[rows] == 0) or np.any(stats.unigram[cols] == 0)
+    ):
+        raise ValueError("co-occurrence involves a word with zero unigram count")
 
 
 def loop_count_cooccurrences(docs, vocab, window):

@@ -522,17 +522,6 @@ class TestTrain:
         assert peak <= (ppmi_bytes + 2 * model + TEMPORARIES * V * d * 8
                         + SLACK)
 
-    def test_dw2v_never_calls_objective(self, run_dir, capsys, monkeypatch):
-        import tvembed.solver as solver
-
-        def refuse(seq, Y):
-            raise AssertionError("objective() called")
-
-        monkeypatch.setattr(solver, "objective", refuse)
-        assert main(train_args(run_dir)) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert sum(line.startswith("epoch ") for line in out) == 3
-
     # The epoch lines of two fixed runs, recorded when `train` called
     # objective() once per epoch. Users and scripts parse this format.
     RECORDED_EPOCH_LINES = {
@@ -1333,6 +1322,37 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: no labeled item has a nonzero vector"]
+
+    def test_no_cluster_size_fits_exit_4(self, tmp_path, capsys):
+        # Two labeled items: every K in CLUSTER_SIZES exceeds them, so
+        # nothing is scored.
+        words = [f"w{i:02d}" for i in range(40)]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"label": label,
+                        "text": " ".join(words[i:] + words[:i])}) + "\n"
+            for label in (0, 1) for i in range(4)))
+        out = tmp_path / "run"
+        assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert main(["train", "--out", str(out), "--dim", "3",
+                     "--epochs", "1"]) == 0
+        triplets = tmp_path / "triplets.csv"
+        triplets.write_text("word,label,section,strength\n"
+                            "w00,0,A,0.9\nw01,1,B,0.9\n")
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        with pytest.warns(UserWarning) as caught:
+            code = main(["evaluate", "--out", str(out), "--triplets",
+                         str(triplets), "--json-out", str(report)])
+        assert code == 4
+        assert [str(w.message) for w in caught] == [
+            f"skipping K={K}: exceeds number of labeled items 2"
+            for K in evaluation.CLUSTER_SIZES]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: no cluster size in 10, 15, 20 fits 2 labeled items"]
+        assert not report.exists()
 
     @pytest.mark.parametrize("kind,text,reason", [
         ("triplets", "word,label,section,strength\npet0,1990,Pets,0.9\n"

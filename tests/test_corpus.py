@@ -10,7 +10,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_count_cooccurrences, write_planted_jsonl
+from conftest import (loop_count_cooccurrences, validate_stats,
+                      write_planted_jsonl)
 from tvembed import corpus as corpus_module
 from tvembed.corpus import (
     EmptyVocabularyError,
@@ -208,7 +209,7 @@ class TestCountCooccurrences:
         cooc, unigram = brute_force_cooc(docs, vocab, window)
         assert np.array_equal(stats.cooc.toarray(), cooc)
         assert np.array_equal(stats.unigram, unigram)
-        stats.validate()
+        validate_stats(stats)
         want = loop_count_cooccurrences(docs, vocab, window).cooc
         assert_same_csr(stats.cooc, want)
 
@@ -375,7 +376,7 @@ class TestSubsampleCounts:
             out = subsample_counts(stats, 0.05, rng_seed=seed)
             rows = np.asarray(out.cooc.sum(axis=1)).ravel()
             assert np.all(out.unigram[rows > 0] >= 1)
-            out.validate()
+            validate_stats(out)
 
 
 class TestStatsIO:
@@ -397,6 +398,16 @@ class TestStatsIO:
         assert (tmp_path / "s.tvco").read_bytes() == (
             tmp_path / "s2.tvco"
         ).read_bytes()
+
+    @pytest.mark.parametrize("window", [-1, 2**32])
+    def test_window_outside_header_range(self, tmp_path, window):
+        stats = SliceStats(cooc=sp.csr_matrix((2, 2), dtype=np.int64),
+                           unigram=np.zeros(2, dtype=np.int64),
+                           total_tokens=0, window=window)
+        p = tmp_path / "s.tvco"
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            write_stats(stats, p)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk"

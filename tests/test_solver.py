@@ -12,6 +12,7 @@ from conftest import (
     dense_objective_oracle,
     dense_objective_terms,
     dense_ridge_system,
+    normal_residual,
     random_ppmi_sequence,
     residual_gradient,
 )
@@ -22,8 +23,6 @@ from tvembed.solver import (
     SolverConfig,
     final_embedding,
     init_embeddings,
-    normal_residual,
-    objective,
     read_embeddings_binary,
     train,
     update_factor,
@@ -61,8 +60,7 @@ TEXT_VALUES = st.builds(lambda v, neg: -v if neg else v, st.one_of(
 def zero_factors(V, T, cfg):
     """An EmbeddingSequence of T slices whose U and W are all zero."""
     return EmbeddingSequence(U=[np.zeros((V, cfg.dim)) for _ in range(T)],
-                             W=[np.zeros((V, cfg.dim)) for _ in range(T)],
-                             config=cfg, labels=list(range(T)))
+                             W=[np.zeros((V, cfg.dim)) for _ in range(T)])
 
 
 def zero_sequence(V, T):
@@ -94,14 +92,18 @@ class TestInit:
 
 
 class TestObjective:
+    """The dense oracle on closed-form cases, and the objective the solver
+    streams against it."""
+
     def test_zero_factors(self):
         Y = random_ppmi_sequence(6, 3, seed=1)
-        seq = zero_factors(6, 3, SolverConfig(dim=2))
-        seq.labels = list(Y.labels)
+        cfg = SolverConfig(dim=2)
+        seq = zero_factors(6, 3, cfg)
         expected = 0.5 * sum(
             float(m.values.power(2).sum()) for m in Y.matrices
         )
-        assert objective(seq, Y) == pytest.approx(expected, rel=1e-12)
+        assert dense_objective_oracle(seq, Y, cfg) == pytest.approx(
+            expected, rel=1e-12)
 
     def test_exact_factorization_is_zero(self):
         rng = np.random.default_rng(0)
@@ -114,27 +116,19 @@ class TestObjective:
             vocab_size=V,
         )
         cfg = SolverConfig(dim=d, ridge=0.0, smoothing=0.0, coupling=0.0)
-        seq = EmbeddingSequence(U=[U], W=[W], config=cfg, labels=[0])
-        assert objective(seq, Y) == pytest.approx(0.0, abs=1e-10)
+        seq = EmbeddingSequence(U=[U], W=[W])
+        assert dense_objective_oracle(seq, Y, cfg) == pytest.approx(
+            0.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_oracle(self, seed):
-        rng = np.random.default_rng(seed)
         V, T, d = 6, 3, 2
         Y = random_ppmi_sequence(V, T, seed=seed)
-        cfg = SolverConfig(dim=d, ridge=2.5, smoothing=1.5, coupling=0.7, seed=seed)
-        seq = init_embeddings(V, T, cfg)
-        for m in seq.U + seq.W:
-            m += rng.standard_normal(m.shape)
-        got = objective(seq, Y)
-        want = dense_objective_oracle(seq, Y)
-        assert got == pytest.approx(want, rel=1e-10)
-
-    def test_shape_mismatch(self):
-        Y = random_ppmi_sequence(6, 2, seed=0)
-        seq = init_embeddings(5, 2, SolverConfig(dim=2))
-        with pytest.raises(ValueError):
-            objective(seq, Y)
+        cfg = SolverConfig(dim=d, ridge=2.5, smoothing=1.5, coupling=0.7,
+                           epochs=2, seed=seed)
+        _, epochs = streamed_run(Y, cfg)
+        for terms, dense in epochs:
+            assert terms.total == pytest.approx(sum(dense), rel=1e-10)
 
 
 class TestResidualGradient:
@@ -180,7 +174,7 @@ class TestRidgeUpdateBlock:
         Y = zero_sequence(V, T)
         cfg = SolverConfig(dim=d, ridge=5.0, smoothing=0.0, coupling=0.0, seed=2)
         state = init_embeddings(V, T, cfg)
-        new, A, B = update_factor("U", 1, state, Y, cfg)
+        new, A, B, *_ = update_factor("U", 1, state, Y, cfg)
         assert np.max(np.abs(new)) <= 1e-14
         assert normal_residual(new, A, B) == 0.0
 
@@ -191,7 +185,7 @@ class TestRidgeUpdateBlock:
             dim=d, ridge=0.0, smoothing=1e12, coupling=0.0, seed=4
         )
         state = init_embeddings(V, T, cfg)
-        new, _, _ = update_factor("U", 1, state, Y, cfg)
+        new, *_ = update_factor("U", 1, state, Y, cfg)
         target = (state.U[0] + state.U[2]) / 2.0
         assert np.max(np.abs(new - target)) <= 1e-8
 
@@ -202,11 +196,10 @@ class TestRidgeUpdateBlock:
         Y = random_ppmi_sequence(V, T, seed=5)
         cfg = SolverConfig(dim=d, ridge=1.0, smoothing=2.0, coupling=0.5, seed=5)
         state = init_embeddings(V, T, cfg)
-        state.labels = list(Y.labels)
-        before = objective(state, Y)
-        new, _, _ = update_factor(factor, t, state, Y, cfg)
+        before = dense_objective_oracle(state, Y, cfg)
+        new, *_ = update_factor(factor, t, state, Y, cfg)
         (state.U if factor == "U" else state.W)[t] = new
-        after = objective(state, Y)
+        after = dense_objective_oracle(state, Y, cfg)
         assert after <= before * (1 + 1e-12)
 
     def test_normal_equation_residual(self):
@@ -217,10 +210,8 @@ class TestRidgeUpdateBlock:
         for t in range(T):
             for factor in ("U", "W"):
                 A, B = dense_ridge_system(factor, t, state, Y, cfg)
-                new, _, _ = update_factor(factor, t, state, Y, cfg)
-                want = np.linalg.norm(new @ A - B) / np.linalg.norm(B)
-                assert want <= 1e-10
-                assert normal_residual(new, A, B) == pytest.approx(want)
+                new, *_ = update_factor(factor, t, state, Y, cfg)
+                assert normal_residual(new, A, B) <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_solve(self, seed):
@@ -232,11 +223,16 @@ class TestRidgeUpdateBlock:
         for t in range(T):
             for factor in ("U", "W"):
                 A, B = dense_ridge_system(factor, t, state, Y, cfg)
-                new, got_A, got_B = update_factor(factor, t, state, Y, cfg)
+                new, got_A, got_B, gram, cross = update_factor(
+                    factor, t, state, Y, cfg)
                 assert np.allclose(got_A, A, rtol=1e-12, atol=0)
                 assert np.allclose(got_B, B, rtol=1e-12, atol=1e-14)
                 want = np.linalg.solve(A, B.T).T
                 assert np.allclose(new, want, rtol=1e-10, atol=1e-12)
+                F = (state.W if factor == "U" else state.U)[t]
+                assert np.allclose(gram, F.T @ F, rtol=1e-12, atol=0)
+                dense_cross = np.sum(new * (Y.matrices[t].values.toarray() @ F))
+                assert cross == pytest.approx(dense_cross, rel=1e-12)
 
     def test_does_not_mutate_state(self):
         Y = random_ppmi_sequence(6, 2, seed=7)
@@ -252,7 +248,7 @@ class TestRidgeUpdateBlock:
         cfg = SolverConfig(dim=2, ridge=0.0, smoothing=0.0, coupling=0.0)
         state = zero_factors(4, 1, cfg)
         with pytest.warns(UserWarning, match="singular"):
-            new, _, _ = update_factor("U", 0, state, Y, cfg)
+            new, *_ = update_factor("U", 0, state, Y, cfg)
         assert np.array_equal(new, np.zeros((4, 2)))
 
     def test_unknown_factor(self):
@@ -270,17 +266,16 @@ class TestTrain:
             dim=d, ridge=1.0, smoothing=3.0, coupling=2.0, epochs=3, seed=9,
         )
         residuals = []
-        objs = [objective(init_embeddings_with_labels(V, T, cfg, Y), Y)]
+        objs = [dense_objective_oracle(init_embeddings(V, T, cfg), Y, cfg)]
 
         def sink(event):
-            residuals.append(event.normal_residual)
-            objs.append(objective(event.state, Y))
+            residuals.append(normal_residual(event.new, event.A, event.B))
+            objs.append(dense_objective_oracle(event.state, Y, cfg))
 
-        seq = train(Y, cfg, progress_sink=sink)
+        train(Y, cfg, progress_sink=sink)
         assert max(residuals) <= 1e-10
         for before, after in zip(objs, objs[1:]):
             assert after <= before * (1 + 1e-8)
-        assert objs[-1] == pytest.approx(objective(seq, Y), rel=1e-12)
         assert objs[-1] < objs[0]
 
     def test_one_event_per_factor_update(self):
@@ -296,29 +291,6 @@ class TestTrain:
             for t in range(T)
             for factor in ("U", "W")
         ]
-
-    def test_residual_computed_only_when_read(self, monkeypatch):
-        import tvembed.solver as solver
-
-        calls = []
-
-        def counted(new, A, B):
-            calls.append(1)
-            return normal_residual(new, A, B)
-
-        monkeypatch.setattr(solver, "normal_residual", counted)
-        Y = random_ppmi_sequence(10, 3, seed=17)
-        cfg = SolverConfig(dim=2, epochs=2, seed=17)
-        events = []
-        train(Y, cfg, progress_sink=events.append)
-        assert calls == []
-        # The event holds its own update's arrays, so a late read gives the
-        # value an immediate one would have given.
-        read_at_once = []
-        train(Y, cfg, progress_sink=lambda e: read_at_once.append(
-            e.normal_residual))
-        assert [e.normal_residual for e in events] == read_at_once
-        assert len(calls) == 2 * len(events)
 
     def test_t1_smoothing_is_inert(self):
         V, d = 10, 3
@@ -347,7 +319,7 @@ class TestTrain:
         cfg = SolverConfig(dim=d, ridge=1.0, smoothing=5.0, coupling=0.0,
                            epochs=4, seed=12)
         seq = train(Y, cfg)
-        base = objective(seq, Y)
+        base = dense_objective_oracle(seq, Y, cfg)
         theta = 0.7
         R = np.eye(d)
         R[:2, :2] = [[np.cos(theta), -np.sin(theta)],
@@ -355,7 +327,7 @@ class TestTrain:
         rotated = copy.deepcopy(seq)
         rotated.U[1] = rotated.U[1] @ R
         rotated.W[1] = rotated.W[1] @ R
-        assert objective(rotated, Y) > base
+        assert dense_objective_oracle(rotated, Y, cfg) > base
 
     def test_nan_detection(self):
         Y = random_ppmi_sequence(4, 1, seed=13)
@@ -366,16 +338,16 @@ class TestTrain:
 
 
 def streamed_run(Y, cfg):
-    """train with a sink: the factors, then per epoch the ObjectiveTerms,
-    objective(seq, Y) and the dense terms, all read at the epoch's end."""
+    """train with a sink: the factors, then per epoch the ObjectiveTerms
+    and the dense terms, both read at the epoch's end."""
     epochs = []
 
     def sink(event):
         last = (event.t, event.factor) == (len(Y.matrices) - 1, "W")
         assert (event.objective is not None) == last
         if last:
-            epochs.append((event.objective, objective(event.state, Y),
-                           dense_objective_terms(event.state, Y)))
+            epochs.append((event.objective,
+                           dense_objective_terms(event.state, Y, cfg)))
 
     seq = train(Y, cfg, progress_sink=sink)
     assert len(epochs) == cfg.epochs
@@ -416,13 +388,13 @@ class TestStreamedObjective:
     def test_total_matches_objective_every_epoch(self, case):
         Y, cfg = case
         _, epochs = streamed_run(Y, cfg)
-        for terms, want, _ in epochs:
-            assert terms.total == pytest.approx(want, rel=1e-12)
+        for terms, dense in epochs:
+            assert terms.total == pytest.approx(sum(dense), rel=1e-12)
 
     def test_each_term_matches_its_closed_form(self, case):
         Y, cfg = case
         _, epochs = streamed_run(Y, cfg)
-        for terms, _, dense in epochs:
+        for terms, dense in epochs:
             got = (terms.fit, terms.coupling, terms.ridge, terms.smoothing)
             # A term that is zero (no coupling, no smoothing, T=1) is
             # exactly zero.
@@ -455,27 +427,20 @@ class TestStreamedObjective:
         half_ynorm2 = 0.5 * sum(float(m.values.power(2).sum())
                                 for m in Y.matrices)
         fit_err = max(abs(terms.fit - dense[0]) / dense[0]
-                      for terms, _, dense in epochs)
+                      for terms, dense in epochs)
         total_err = max(abs(terms.total - sum(dense)) / sum(dense)
-                        for terms, _, dense in epochs)
+                        for terms, dense in epochs)
         print(f"fit/(||Y||^2/2) {epochs[-1][0].fit / half_ynorm2:.3f} after "
               f"{cfg.epochs} epochs; worst relative error: fit "
               f"{fit_err:.1e}, total {total_err:.1e}")
         assert fit_err <= 1e-12 and total_err <= 1e-12
 
 
-def init_embeddings_with_labels(V, T, cfg, Y):
-    seq = init_embeddings(V, T, cfg)
-    seq.labels = list(Y.labels)
-    return seq
-
-
 class TestFinalEmbedding:
     def make_seq(self):
-        cfg = SolverConfig(dim=2)
         U = [np.full((3, 2), 2.0)]
         W = [np.zeros((3, 2))]
-        return EmbeddingSequence(U=U, W=W, config=cfg, labels=[0])
+        return EmbeddingSequence(U=U, W=W)
 
     def test_average(self):
         out = final_embedding(self.make_seq())
@@ -500,8 +465,7 @@ class TestFinalEmbedding:
              np.asfortranarray(rng.standard_normal((12, 12)))]
         W = [rng.choice(special, size=(12, 12)),
              rng.choice(special, size=(12, 12))]
-        seq = EmbeddingSequence(U=list(U), W=list(W),
-                                config=SolverConfig(dim=12), labels=[0, 1])
+        seq = EmbeddingSequence(U=list(U), W=list(W))
         with np.errstate(over="ignore"):  # big + big is inf on both sides
             want = [(u.copy() + w.copy()) / 2.0 for u, w in zip(U, W)]
             out = final_embedding(seq)
