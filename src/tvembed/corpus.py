@@ -43,19 +43,14 @@ def _tokens(text):
     """The tokens of lowercased `text`, in which every NUL has whitespace
     on both sides.
 
-    `str.isalnum` and the regex's `[^\\W_]` make the same per-character test
-    and no whitespace character passes it, so when every whitespace-separated
-    piece is alphanumeric (or a NUL) those pieces are already the regex's
-    tokens. An ASCII text is tested with one `bytes.translate`, about ten
-    times faster than `isalnum` over the joined pieces.
+    An ASCII text that holds only letters, digits, whitespace and NUL,
+    tested with one `bytes.translate`, is split at whitespace: its pieces
+    are already the regex's tokens. Any other text, non-ASCII text included,
+    goes to the regex.
     """
-    if text.isascii():
-        if not text.encode("ascii").translate(None, _ASCII_TOKEN_BYTES):
-            return text.split()
-    else:
-        tokens = text.split()
-        if "".join(tokens).replace("\x00", "").isalnum():
-            return tokens
+    if (text.isascii()
+            and not text.encode("ascii").translate(None, _ASCII_TOKEN_BYTES)):
+        return text.split()
     return _TOKEN_RE.findall(text)
 
 
@@ -125,33 +120,16 @@ class _TypeTable(dict):
 
 class _Encoder:
     """Maps tokens to ids of a type table that grows as tokens are seen, and
-    collects each slice's ids and document lengths. It is the one place
-    where tokens become ids. A token whose type fails `keep` is dropped as
-    its batch is encoded, so it takes no position and no id space."""
+    collects each slice's ids and document lengths. `_add_tokens` is the one
+    place where tokens become ids, for raw text and token lists alike. A
+    token whose type fails `keep` is dropped as its batch is encoded, so it
+    takes no position and no id space."""
 
     def __init__(self, keep=None):
         self._table = _TypeTable(keep)
-        self._slices = {}
+        self._slices = defaultdict(lambda: (array("i"), array("q")))
         self._queued = defaultdict(list)
         self._queued_chars = 0
-
-    def _arrays(self, label):
-        """The id and length arrays of slice `label`."""
-        try:
-            arrays = self._slices[label]
-        except KeyError:
-            arrays = self._slices[label] = (array("i"), array("q"))
-        return arrays
-
-    def add(self, label, tokens):
-        """Append one document, given as a list of tokens, to slice `label`.
-        The token "\\x00" is reserved for the batch separator. For an
-        encoder without `keep` only."""
-        if "\x00" in tokens:
-            raise ValueError('the token "\\x00" is reserved')
-        ids, lengths = self._arrays(label)
-        ids.extend(map(self._table.__getitem__, tokens))
-        lengths.append(len(tokens))
 
     def add_text(self, label, text):
         """Queue one document, given as raw text, for slice `label`. The
@@ -173,8 +151,7 @@ class _Encoder:
         `tokenize` tokenizes it.
 
         The batch is joined with a separator before, between and after the
-        documents, lowercased and tokenized once; a document's length is the
-        number of kept tokens between its two separators. The separator has
+        documents, lowercased and tokenized once. The separator has
         whitespace on both sides, so no token spans two documents and `lower`
         sees each document's own final-sigma context. A document's own NUL is
         joined as a space: both end a token and neither is cased or
@@ -184,14 +161,21 @@ class _Encoder:
         if joined.count("\x00") != len(texts) + 1:
             joined = _SEPARATOR.join(
                 ["", *(t.replace("\x00", " ") for t in texts), ""])
-        tokens = _tokens(joined.lower())
+        self._add_tokens(label, _tokens(joined.lower()))
+
+    def _add_tokens(self, label, tokens):
+        """Append the documents of `tokens`, a list with a "\\x00" before,
+        between and after them, to slice `label`; a document's length is the
+        number of kept tokens between its two separators. Returns the number
+        of documents appended."""
         ids = np.fromiter(map(self._table.__getitem__, tokens),
                           dtype=np.int32, count=len(tokens))
         kept = ids >= 0
-        slice_ids, lengths = self._arrays(label)
+        slice_ids, lengths = self._slices[label]
         slice_ids.frombytes(ids[kept].tobytes())
-        lengths.frombytes(
-            np.diff(np.cumsum(kept, dtype=np.int64)[ids == -1]).tobytes())
+        added = np.diff(np.cumsum(kept, dtype=np.int64)[ids == -1])
+        lengths.frombytes(added.tobytes())
+        return len(added)
 
     def slices(self, labels):
         """TokenIds of each of `labels` (empty for a label never added).
@@ -210,11 +194,16 @@ class _Encoder:
 
 
 def _encode(slices):
-    """TokenIds of slices given as lists of token lists, over one type table."""
+    """TokenIds of slices given as lists of token lists, over one type table.
+    The token "\\x00" is reserved for the separator."""
     enc = _Encoder()
     for t, docs in enumerate(slices):
+        tokens = ["\x00"]
         for doc in docs:
-            enc.add(t, doc)
+            tokens += doc
+            tokens.append("\x00")
+        if enc._add_tokens(t, tokens) != len(docs):
+            raise ValueError('the token "\\x00" is reserved')
     return enc.slices(range(len(slices)))
 
 

@@ -3,6 +3,7 @@ alignment quality (MRR, MP@K), and per-word norm series."""
 
 import csv
 import io
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -433,6 +434,15 @@ def _csv_value(path, line, row, column, parse, kind):
         ) from None
 
 
+def _number(text):
+    """`float(text)`, but NaN raises ValueError: it would pass the strength
+    filter and order against no other strength."""
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(text)
+    return value
+
+
 def load_testset(path, vocab):
     """Load an alignment testset CSV: query_word,query_label,target_label,answer_word.
 
@@ -467,13 +477,14 @@ def load_labeled_triplets(path, vocab):
     year of largest strength is kept, rows below TRIPLET_MIN_STRENGTH are
     dropped, and each section keeps its TRIPLET_TOP_PER_SECTION strongest
     rows. A file that is not UTF-8, a missing column, a non-integer label or
-    a non-float strength raises ArtifactError.
+    a strength that is not a number (NaN included; an infinity is one)
+    raises ArtifactError.
     """
     rows = []
     dropped = 0
     for line, row in _csv_rows(path, ("word", "label", "section", "strength")):
         label = _csv_value(path, line, row, "label", int, "an integer")
-        strength = _csv_value(path, line, row, "strength", float, "a number")
+        strength = _csv_value(path, line, row, "strength", _number, "a number")
         if row["word"] not in vocab:
             dropped += 1
             continue
@@ -536,12 +547,13 @@ def clustering_report(items, slices, seed=0):
 
 
 def alignment_report(testset, slices, queries=None, norms=None):
-    """MRR and MP@K (K in PRECISIONS) for one testset against one embedding
-    sequence, `slices` (slice label -> matrix); `queries` and `norms` are
-    passed to `run_alignment_test`. Raises EmptyEvaluation when no record
-    can be ranked."""
-    ranks, skipped = run_alignment_test(testset, slices, queries=queries,
-                                        norms=norms)
+    """{"mrr": MRR, "mp": {str(K): MP@K for K in PRECISIONS}} for one
+    testset against one embedding sequence, `slices` (slice label ->
+    matrix); `queries` and `norms` are passed to `run_alignment_test`, and
+    the records it skips count in neither. Raises EmptyEvaluation when no
+    record can be ranked."""
+    ranks, _ = run_alignment_test(testset, slices, queries=queries,
+                                  norms=norms)
     if not ranks:
         raise EmptyEvaluation(
             "no testset record could be ranked: every query vector is zero "
@@ -550,6 +562,4 @@ def alignment_report(testset, slices, queries=None, norms=None):
     return {
         "mrr": mrr(ranks),
         "mp": {str(K): mp_at_k(ranks, K) for K in PRECISIONS},
-        "n": len(ranks),
-        "skipped": skipped,
     }

@@ -4,15 +4,19 @@
 derives its per-layer metrics from the spans of named functions
 (`incl["solver.train"]`, `calls[...]`, the `_HOOKS` keys). A name that no
 longer exists does not fail a run: its metric silently reads 0. The
-benchmark's set-up and oracles import functions from `tvembed` as well.
-This test reads those names from the benchmark's source, without running
-it, and checks that the program still has each one.
+benchmark's set-up and oracles import functions from `tvembed` as well,
+and its workloads pass flags to the commands, where a renamed flag fails
+the run's operations. This test reads those names and flags from the
+benchmark's source, without running it, and checks that the program still
+has each one.
 """
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
+
+from tvembed.cli import make_parser
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -64,6 +68,45 @@ def imported_names():
     return found
 
 
+def _argv_command(node, commands):
+    """The command an argv list literal starts with, or None."""
+    if (isinstance(node, ast.List) and node.elts
+            and isinstance(node.elts[0], ast.Constant)
+            and node.elts[0].value in commands):
+        return node.elts[0].value
+    return None
+
+
+def _flags(nodes):
+    return [n.value for n in nodes if isinstance(n, ast.Constant)
+            and str(n.value).startswith("--")]
+
+
+def workload_flags(commands):
+    """(command, flag) for each "--" string in a list literal of
+    perfbench/workloads.py that starts with a command name, and for each
+    such string appended to a variable bound to one (`argv.append(...)`)."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    found, bound = set(), {}
+    for node in ast.walk(tree):
+        command = _argv_command(node, commands)
+        if command:
+            found.update((command, flag) for flag in _flags(node.elts))
+        elif isinstance(node, ast.Assign):
+            command = _argv_command(node.value, commands)
+            bound.update((t.id, command) for t in node.targets
+                         if command and isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in bound):
+            command = bound[node.func.value.id]
+            found.update((command, flag) for flag in _flags(node.args))
+    return found
+
+
 def test_names_are_read():
     # Guards the parsing above: spans.py and the set-up do name these.
     assert {"solver.train", "corpus.load_corpus",
@@ -100,3 +143,15 @@ def test_gone_names_are_gone():
         importlib.import_module(f"tvembed.{name.split('.')[0]}"),
         name.split(".", 1)[1])]
     assert back == []
+
+
+def test_workload_flags_are_accepted():
+    commands = make_parser().commands
+    flags = workload_flags(commands)
+    # Guards the parsing above: the workloads do pass these.
+    assert {("build", "--window"), ("train", "--method"),
+            ("evaluate", "--triplets"), ("robustness", "--rates"),
+            ("query", "--all-years")} <= flags
+    rejected = [f"{command} {flag}" for command, flag in sorted(flags)
+                if flag not in commands[command]._option_string_actions]
+    assert rejected == []

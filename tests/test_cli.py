@@ -1359,6 +1359,9 @@ class TestEvaluate:
          "pet1,abc,Pets,0.9\n", "3: label 'abc' is not an integer"),
         ("triplets", "word,label,section,strength\npet0,1990,Pets,high\n",
          "2: strength 'high' is not a number"),
+        # NaN would pass the strength filter and order before any number.
+        ("triplets", "word,label,section,strength\npet0,1990,Pets,nan\n",
+         "2: strength 'nan' is not a number"),
         ("triplets", "word,label,section,strength\npet0,1990,Pets\n",
          "2: missing column 'strength'"),
         ("triplets", "word,label,strength\npet0,1990,0.9\n",
@@ -1377,7 +1380,8 @@ class TestEvaluate:
          "1: no 'word' column in the header"),
         ("testset", "\nquery_word,query_label,target_label,answer_word\n"
          "pet0,1990,2000,pet0\n", "1: no 'query_word' column in the header"),
-    ], ids=["triplet-label", "triplet-strength", "triplet-short-row",
+    ], ids=["triplet-label", "triplet-strength", "triplet-nan-strength",
+            "triplet-short-row",
             "triplet-header", "testset-label", "testset-short-row",
             "testset-latin-1", "triplet-blank-header", "testset-blank-header"])
     def test_malformed_csv_exit_2(self, run_dir, capsys, kind, text, reason):

@@ -607,3 +607,45 @@ class TestBatchTokenize:
         # A dropped type takes no id either.
         assert sorted(corpus.slices[0].types) == sorted(
             {t for docs in want.values() for doc in docs for t in doc})
+
+
+class TestOneIdPath:
+    """Token lists (TimeSlicedCorpus) and raw text (load_corpus) become ids
+    in one place, so the same documents give the same TokenIds either way."""
+
+    # TestBatchTokenize's texts, mostly non-ASCII, and ASCII texts with and
+    # without punctuation.
+    TEXTS = st.one_of(TestBatchTokenize.TEXTS, *(
+        st.text(alphabet=st.sampled_from(chars), max_size=12)
+        for chars in ("abZ09 \t\n", "abZ09 \t\n,.'-_")))
+
+    @given(records=st.lists(st.tuples(st.integers(0, 3), TEXTS), min_size=1,
+                            max_size=30),
+           bound=st.integers(0, 48))
+    @example(records=[(0, "plain ascii 42"), (0, "Hello, world."),
+                      (1, "wé0042 wè7"),
+                      (1, "wé0042, und so."), (3, "")], bound=8)
+    @settings(max_examples=200, deadline=None)
+    def test_token_lists_and_jsonl_give_equal_ids(self, records, bound):
+        # Sorted by label, the records are seen in the order the token
+        # lists are, so the types are numbered alike.
+        records.sort(key=lambda r: r[0])
+        with tempfile.TemporaryDirectory() as tmp, \
+                pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_module, "_BATCH_CHARS", bound)
+            path = Path(tmp) / "corpus.jsonl"
+            path.write_text("".join(
+                json.dumps({"label": label, "text": text}) + "\n"
+                for label, text in records))
+            loaded = load_corpus(path)
+        labels = loaded.slice_labels
+        lists = make_corpus(
+            [[[t for t in regex_tokens(text) if not t.isdigit()]
+              for lab, text in records if lab == label] for label in labels],
+            labels)
+        for got, want in zip(loaded.slices, lists.slices):
+            assert got.ids.dtype == want.ids.dtype == np.int32
+            assert got.lengths.dtype == want.lengths.dtype == np.int64
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.lengths, want.lengths)
+            assert got.types == want.types

@@ -682,6 +682,26 @@ class TestLoaders:
         cat = next(i for i in items if i.word == vocab.index["cat"])
         assert cat.slice_label == 2005
 
+    @pytest.mark.parametrize("rows", [
+        ["a,1,S,nan"], ["a,1,S,nan", "a,2,S,0.9"], ["a,2,S,0.9", "a,1,S,nan"]],
+        ids=["alone", "first", "last"])
+    def test_nan_strength_rejected(self, tmp_path, rows):
+        # A NaN strength is not a number: it would pass the threshold, and
+        # which row of a (word, section) it hides would depend on row order.
+        p = tmp_path / "l.csv"
+        p.write_text("\n".join(["word,label,section,strength", *rows]) + "\n")
+        line = 2 + rows.index("a,1,S,nan")
+        with pytest.raises(ArtifactError,
+                           match=rf"l\.csv:{line}: strength 'nan' is not a"):
+            load_labeled_triplets(p, Vocabulary(["a"]))
+
+    def test_triplet_infinite_strength_kept(self, tmp_path):
+        p = tmp_path / "l.csv"
+        p.write_text("word,label,section,strength\n"
+                     "a,1,S,0.9\na,2,S,inf\nb,3,S,-inf\n")
+        items = load_labeled_triplets(p, Vocabulary(["a", "b"]))
+        assert [(i.word, i.slice_label) for i in items] == [(0, 2)]
+
     def test_triplet_top_per_section(self, tmp_path, monkeypatch):
         p = tmp_path / "l.csv"
         rows = ["word,label,section,strength"]
