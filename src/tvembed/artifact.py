@@ -94,20 +94,12 @@ def write_artifact(path, magic, version, parts):
     atomic_write(path, chunks())
 
 
-def triplet_parts(matrix, value_dtype):
-    """nnz u64, then the row u4, col u4 and value arrays in (row, col) order.
-
-    Only triplets out of that order are sorted. The sort is stable, so
-    skipping it on ordered input, duplicates included, gives the same bytes.
-    """
-    coo = matrix.tocoo()
-    row, col, data = coo.row, coo.col, coo.data
-    if not np.all((row[1:] > row[:-1])
-                  | ((row[1:] == row[:-1]) & (col[1:] >= col[:-1]))):
-        order = np.lexsort((col, row))
-        row, col, data = row[order], col[order], data[order]
-    return [("<Q", coo.nnz), row.astype("<u4"), col.astype("<u4"),
-            data.astype(value_dtype)]
+def csr_parts(matrix, value_dtype):
+    """nnz u64, then the V+1 row offsets u64, column indices u4 and values of
+    `matrix` as CSR, in the order the matrix holds them."""
+    m = sp.csr_matrix(matrix)
+    return [("<Q", m.nnz), m.indptr.astype("<u8"), m.indices.astype("<u4"),
+            m.data.astype(value_dtype, copy=False)]
 
 
 class ArtifactReader:
@@ -146,16 +138,25 @@ class ArtifactReader:
         size = count * np.dtype(dtype).itemsize
         return np.frombuffer(self.raw, dtype, count, self._take(size))
 
-    def triplets(self, V, value_dtype, dtype):
-        """The V x V CSR matrix of a triplet block, values cast to dtype."""
+    def csr(self, V, value_dtype, dtype):
+        """The V x V matrix of a CSR block, values cast to dtype, as copies
+        with int32 indices while they fit. The V+1 offsets must fit in the
+        file, so a V too large fails as truncated before anything V-sized is
+        allocated."""
         (nnz,) = self.fields("<Q")
-        rows, cols = self.array("<u4", nnz), self.array("<u4", nnz)
-        values = self.array(value_dtype, nnz).astype(dtype, copy=False)
-        top = max(rows.max(initial=0), cols.max(initial=0))
+        offsets = self.array("<u8", V + 1)
+        cols = self.array("<u4", nnz)
+        values = self.array(value_dtype, nnz)
+        if (offsets[0] != 0 or offsets[-1] != nnz
+                or np.any(offsets[1:] < offsets[:-1])):
+            raise ArtifactError(self.path, f"row offsets must go from 0 to "
+                                f"nnz={nnz} without falling")
+        top = cols.max(initial=0)
         if nnz and top >= V:
-            raise ArtifactError(self.path, f"triplet index {top} >= V={V}")
-        ij = (rows.astype(np.int64), cols.astype(np.int64))
-        return sp.coo_matrix((values, ij), shape=(V, V)).tocsr()
+            raise ArtifactError(self.path, f"column index {top} >= V={V}")
+        index = np.int32 if max(V, nnz) < 2**31 else np.int64
+        return sp.csr_matrix((values.astype(dtype), cols.astype(index),
+                              offsets.astype(index)), shape=(V, V))
 
     def end(self):
         if self.off != len(self.raw):

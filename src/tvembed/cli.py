@@ -19,8 +19,9 @@ when argparse rejects the command line) and exits with the code
   missing; run <build|train> first"), an input that cannot be read (a
   directory, "error: <path>: <reason>") or an output that cannot be
   written, no word reaching min_count, or a malformed input file, such as
-  a slice label outside the signed 64-bit range, or a damaged or stale
-  artifact ("error: <path>[:<line>]: <reason>");
+  a slice label outside the signed 64-bit range, a damaged or stale
+  artifact ("error: <path>[:<line>]: <reason>"), or an allocation that
+  fails, such as that of a `--dim` too large for memory;
 - 3: an unknown word or slice label, a query word whose vector is zero in
   its slice, or a tw2v query word with no local map into a target slice;
 - 4: an evaluation left with nothing to score.
@@ -74,7 +75,7 @@ class LookupFailure(Exception):
 
 
 _EXIT_CODES = {UsageError: 2, OSError: 2, EmptyVocabularyError: 2,
-               ArtifactError: 2, LookupFailure: 3,
+               ArtifactError: 2, MemoryError: 2, LookupFailure: 3,
                evaluation.EmptyEvaluation: 4}
 
 
@@ -266,9 +267,9 @@ class RunDir:
         mats = []
         for lab in self.labels:
             path = self.ppmi_path(lab)
-            mats.append(self._read(
-                read_ppmi, path, "build", check=lambda V, label:
-                self._check_fresh(path, V, "build", [label], [lab])))
+            mats.append(self._read(read_ppmi, path, "build"))
+            self._check_fresh(path, mats[-1].shape[0], "build",
+                              [mats[-1].slice_label], [lab])
         return PpmiSequence(matrices=mats, vocab_size=len(self.vocab))
 
     def embeddings(self, method):
@@ -664,7 +665,7 @@ def main(argv=None):
         handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
         return handler(args, cfg, RunDir(cfg.out))
     except tuple(_EXIT_CODES) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()
                     if isinstance(e, kind))
     finally:

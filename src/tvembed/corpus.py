@@ -15,14 +15,14 @@ import scipy.sparse as sp
 from tvembed.artifact import (
     ArtifactError,
     ArtifactReader,
+    csr_parts,
     read_text,
     reading,
-    triplet_parts,
     write_artifact,
 )
 
 STATS_MAGIC = b"TVCO"
-STATS_VERSION = 1
+STATS_VERSION = 2
 
 
 class EmptyVocabularyError(ValueError):
@@ -430,9 +430,8 @@ def pool_stats(stats_list):
 
 
 # ---------------------------------------------------------------------------
-# Persistence in the artifact container: magic "TVCO", version 1, then V u64,
-# window u32, total_tokens u64, unigram V*u64 and a triplet block with u64
-# counts.
+# Persistence in the artifact container: magic "TVCO", version 2, then V u64,
+# window u32, total_tokens u64, unigram V*u64 and a CSR block with u64 counts.
 
 
 def write_stats(stats, path):
@@ -444,16 +443,22 @@ def write_stats(stats, path):
     write_artifact(path, STATS_MAGIC, STATS_VERSION, [
         ("<QIQ", stats.cooc.shape[0], stats.window, stats.total_tokens),
         stats.unigram.astype("<u8"),
-        *triplet_parts(stats.cooc, "<u8"),
+        *csr_parts(stats.cooc, "<u8"),
     ])
 
 
 def read_stats(path):
+    """Read a .tvco file; a count that does not fit int64 raises
+    ArtifactError."""
     r = ArtifactReader(path, STATS_MAGIC, STATS_VERSION)
     V, window, total = r.fields("<QIQ")
     unigram = r.array("<u8", V).astype(np.int64)
-    cooc = r.triplets(V, "<u8", np.int64)
+    cooc = r.csr(V, "<u8", np.int64)
     r.end()
+    for what, counts in (("unigram", unigram), ("co-occurrence", cooc.data)):
+        if counts.min(initial=0) < 0:  # a u64 count >= 2**63 wraps negative
+            raise ArtifactError(path, f"{what} count "
+                                f"{int(counts.min()) + 2**64} is >= 2**63")
     return SliceStats(cooc=cooc, unigram=unigram, total_tokens=int(total),
                       window=int(window))
 

@@ -5,10 +5,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from tvembed.artifact import ArtifactReader, triplet_parts, write_artifact
+from tvembed.artifact import (ArtifactError, ArtifactReader, csr_parts,
+                              write_artifact)
 
 PPMI_MAGIC = b"TVPM"
-PPMI_VERSION = 1
+PPMI_VERSION = 2
 
 
 @dataclass
@@ -68,25 +69,26 @@ def build_ppmi(stats, slice_label=0):
 
 
 # ---------------------------------------------------------------------------
-# Persistence in the artifact container: magic "TVPM", version 1, then V u64,
-# slice_label i64 and a triplet block with f64 values.
+# Persistence in the artifact container: magic "TVPM", version 2, then V u64,
+# slice_label i64 and a CSR block with f64 values.
 
 
 def write_ppmi(matrix, path):
     write_artifact(path, PPMI_MAGIC, PPMI_VERSION, [
         ("<Qq", matrix.values.shape[0], matrix.slice_label),
-        *triplet_parts(matrix.values, "<f8"),
+        *csr_parts(matrix.values, "<f8"),
     ])
 
 
-def read_ppmi(path, check=None):
-    """Read a .tvpm file. `check(V, slice_label)`, if given, sees the header
-    before the triplet block becomes a V x V matrix and may raise, so a
-    damaged V is caught before it sizes an allocation."""
+def read_ppmi(path):
+    """Read a .tvpm file; a stored value that is not positive and finite
+    raises ArtifactError."""
     r = ArtifactReader(path, PPMI_MAGIC, PPMI_VERSION)
     V, label = r.fields("<Qq")
-    if check is not None:
-        check(V, int(label))
-    mat = r.triplets(V, "<f8", np.float64)
+    mat = r.csr(V, "<f8", np.float64)
     r.end()
+    valid = (mat.data > 0) & (mat.data < np.inf)
+    if not valid.all():
+        bad = float(mat.data[np.argmin(valid)])
+        raise ArtifactError(path, f"PPMI value {bad} is not positive and finite")
     return PpmiMatrix(values=mat, slice_label=int(label))

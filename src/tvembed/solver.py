@@ -66,6 +66,9 @@ class SolverConfig:
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
+        # The diagonal of A at an interior slice.
+        if not np.isfinite(self.coupling + self.ridge + 2 * self.smoothing):
+            raise ValueError("coupling + ridge + 2*smoothing must be finite")
 
 
 @dataclass

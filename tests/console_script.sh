@@ -9,6 +9,9 @@
 # Then a tiny end-to-end pass: build, train and query a 2-slice JSONL corpus
 # (one output line); the same query given a flag it does not take
 # (--epochs) must exit 2 and print query's usage, not the top-level one.
+# A .tvco and a .tvpm of that build, read and written again through
+# `tvembed.corpus`/`tvembed.ppmi` by $PYTHON (default python3), must equal
+# the files `build` wrote byte for byte.
 # `evaluate` scores a one-record testset (an `mrr` line), and the same
 # testset behind a UTF-8 byte-order mark gives the same report; `robustness`
 # runs at rate 1. Then rebuild the same run directory from a copy with a
@@ -37,6 +40,17 @@ for label in 0 1; do
   echo "{\"label\": $label, \"text\": \"cat dog fish bird cat fish\"}"
 done > "$e2e/corpus.jsonl"
 tvembed build --corpus "$e2e/corpus.jsonl" --out "$e2e/run"
+"${PYTHON:-python3}" - "$e2e/run" "$e2e" <<'PY'
+import sys
+from pathlib import Path
+from tvembed.corpus import read_stats, write_stats
+from tvembed.ppmi import read_ppmi, write_ppmi
+run, to = Path(sys.argv[1]), Path(sys.argv[2])
+write_stats(read_stats(run / "stats_0.tvco"), to / "stats_0.tvco")
+write_ppmi(read_ppmi(run / "ppmi_0.tvpm"), to / "ppmi_0.tvpm")
+PY
+cmp "$e2e/run/stats_0.tvco" "$e2e/stats_0.tvco"
+cmp "$e2e/run/ppmi_0.tvpm" "$e2e/ppmi_0.tvpm"
 tvembed train --out "$e2e/run" --dim 4 --epochs 1
 tvembed query cat --out "$e2e/run" --label 0 > "$e2e/out.txt"
 cat "$e2e/out.txt"

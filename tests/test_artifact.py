@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tvembed.artifact import (ArtifactError, atomic_write, atomic_write_bytes,
-                              read_text, triplet_parts)
+                              read_text)
 from tvembed.corpus import STATS_VERSION, SliceStats, read_stats, write_stats
 from tvembed.ppmi import PPMI_VERSION, PpmiMatrix, read_ppmi, write_ppmi
 from tvembed.solver import (EMB_VERSION, read_embeddings_binary,
@@ -44,8 +44,8 @@ def _write_tvem(path, V, rng):
     write_embeddings_binary(mats, list(range(1990, 1990 + T)), path)
 
 
-# name -> (writer, reader, magic, offset of the row array in a triplet
-# block as a function of V, or None)
+# name -> (writer, reader, magic, offset of the row offsets of the CSR
+# block as a function of V, or None); the block's nnz u64 precedes them.
 FORMATS = {
     "tvco": (_write_tvco, read_stats, b"TVCO", lambda V: 36 + 8 * V),
     "tvpm": (_write_tvpm, read_ppmi, b"TVPM", lambda V: 32),
@@ -173,26 +173,56 @@ class TestDamagedArtifacts:
     @pytest.mark.parametrize("name", ["tvco", "tvpm"])
     @given(cases, st.data())
     @settings(max_examples=15, deadline=None)
-    def test_triplet_index_out_of_range_raises(self, name, case, data):
+    def test_column_index_out_of_range_raises(self, name, case, data):
         V, seed = case
         with tempfile.TemporaryDirectory() as d:
             blob = bytearray(_valid(name, V, seed, d))
-            rows_at = FORMATS[name][3](V)
-            (nnz,) = struct.unpack_from("<Q", blob, rows_at - 8)
+            at = FORMATS[name][3](V)
+            (nnz,) = struct.unpack_from("<Q", blob, at - 8)
             assume(nnz > 0)
-            i = data.draw(st.integers(0, 2 * nnz - 1))
-            struct.pack_into("<I", blob, rows_at + 4 * i,
-                             data.draw(st.integers(V, 2**32 - 1)))
-            _raises_naming(name, bytes(blob), d)
+            i, col = data.draw(st.integers(0, nnz - 1)), data.draw(
+                st.integers(V, 2**32 - 1))
+            struct.pack_into("<I", blob, at + 8 * (V + 1) + 4 * i, col)
+            path = Path(d) / f"damaged.{name}"
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ArtifactError) as info:
+                FORMATS[name][1](path)
+            assert str(info.value) == f"{path}: column index {col} >= V={V}"
+
+    @pytest.mark.parametrize("name", ["tvco", "tvpm"])
+    @pytest.mark.parametrize("damage", ["first", "falling", "last"])
+    @given(cases)
+    @settings(max_examples=10, deadline=None)
+    def test_row_offsets_out_of_order_raise(self, name, damage, case):
+        # The offsets must start at 0, never fall and end at nnz.
+        V, seed = case
+        with tempfile.TemporaryDirectory() as d:
+            blob = bytearray(_valid(name, V, seed, d))
+            at = FORMATS[name][3](V)
+            (nnz,) = struct.unpack_from("<Q", blob, at - 8)
+            offsets = list(struct.unpack_from(f"<{V + 1}Q", blob, at))
+            if damage == "first":
+                offsets[0] = 1
+            elif damage == "falling":
+                assume(V >= 2)
+                offsets[1] = nnz + 1  # above offsets[2] <= nnz
+            else:
+                offsets[-1] = nnz + 1
+            struct.pack_into(f"<{V + 1}Q", blob, at, *offsets)
+            path = Path(d) / f"damaged.{name}"
+            path.write_bytes(bytes(blob))
+            with pytest.raises(ArtifactError) as info:
+                FORMATS[name][1](path)
+            assert str(info.value) == (f"{path}: row offsets must go from 0 "
+                                       f"to nnz={nnz} without falling")
 
     @each_format
     @given(cases, st.data())
     @settings(max_examples=30, deadline=None)
     def test_header_bit_flip_raises_or_reads(self, name, case, data):
         # A flipped header bit either makes the file unreadable with an
-        # ArtifactError or yields another well-formed file (a new label, a
-        # larger V with the same triplets), never another exception. Bits
-        # stay low so a larger V allocates little.
+        # ArtifactError or yields another well-formed file (a new label,
+        # window or token total), never another exception.
         V, seed = case
         offset, fmt = data.draw(st.sampled_from(HEADERS[name]))
         bit = data.draw(st.integers(0, 16))
@@ -208,23 +238,24 @@ class TestDamagedArtifacts:
     @given(cases, st.integers(0, 26))
     @settings(max_examples=30, deadline=None)
     def test_ppmi_v_flip_caught_before_the_matrix_is_built(self, case, bit):
+        # The V+1 row offsets are sized by V, so another V never matches the
+        # file's length: a larger one fails as truncated before anything
+        # V-sized is allocated.
         V, seed = case
         with tempfile.TemporaryDirectory() as d:
             blob = _flip(_valid("tvpm", V, seed, d), 8, "<Q", bit)
             path = Path(d) / "flipped.tvpm"
             path.write_bytes(blob)
-
-            def check(found, label):
-                if found != V:
-                    raise ArtifactError(path, f"V={found}, expected {V}")
-
             tracemalloc.start()
             try:
-                with pytest.raises(ArtifactError, match=f"V={V ^ 1 << bit},"):
-                    read_ppmi(path, check=check)
+                with pytest.raises(ArtifactError) as info:
+                    read_ppmi(path)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert str(info.value).startswith(f"{path}: ")
+            if V ^ 1 << bit > V:
+                assert str(info.value).startswith(f"{path}: truncated: ")
             assert peak < 2**20
 
 
@@ -313,57 +344,50 @@ class TestRowNorms:
                     == np.linalg.norm(view, axis=1).tobytes())
 
 
-def _bytes(parts):
-    return b"".join(struct.pack(p[0], *p[1:]) if isinstance(p, tuple)
-                    else np.ascontiguousarray(p).tobytes() for p in parts)
-
-
-def _lexsorted_parts(matrix, value_dtype):
-    """The triplet block of `matrix` with every triplet sorted by one stable
-    lexsort, ordered or not."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return [("<Q", coo.nnz), coo.row[order].astype("<u4"),
-            coo.col[order].astype("<u4"), coo.data[order].astype(value_dtype)]
-
-
-class TestTripletParts:
-    """Writers skip the sort of triplets already in (row, col) order; the
-    bytes must equal those of a full stable lexsort for any input."""
+class TestCsrBlock:
+    """Writers store a matrix's CSR arrays as they are, so a canonical
+    matrix, one with unsorted columns and one holding duplicates each read
+    back as the CSR arrays they were written from, as writable copies with
+    int32 indices."""
 
     @given(seed=st.integers(0, 2**32 - 1), V=st.integers(0, 12),
            nnz=st.integers(0, 60), kind=st.sampled_from(
-               ["canonical", "unsorted_csr", "shuffled_coo", "ordered_coo"]))
+               ["canonical", "unsorted", "duplicates"]))
     @settings(max_examples=200, deadline=None)
-    def test_bytes_match_lexsort(self, seed, V, nnz, kind):
+    def test_reads_back_the_written_arrays(self, seed, V, nnz, kind):
         rng = np.random.default_rng(seed)
         if V == 0:
             nnz = 0
         # Few distinct positions, so duplicates are common.
-        row = rng.integers(0, max(V, 1), size=nnz)
+        row = np.sort(rng.integers(0, max(V, 1), size=nnz))
         col = rng.integers(0, max(V, 1), size=nnz)
-        data = rng.integers(1, 9, size=nnz)
-        matrix = sp.coo_matrix((data, (row, col)), shape=(V, V))
+        indptr = np.searchsorted(row, np.arange(V + 1))
+        matrix = sp.csr_matrix((rng.integers(1, 9, size=nnz), col, indptr),
+                               shape=(V, V))
         if kind == "canonical":
-            matrix = matrix.tocsr()
+            matrix.sum_duplicates()
             assert matrix.has_canonical_format
-        elif kind == "unsorted_csr":
-            matrix = matrix.tocsr()
+        elif kind == "unsorted":
+            matrix.sum_duplicates()
             for r in range(V):
                 lo, hi = matrix.indptr[r], matrix.indptr[r + 1]
                 flip = rng.permutation(hi - lo)
                 matrix.indices[lo:hi] = matrix.indices[lo:hi][flip]
                 matrix.data[lo:hi] = matrix.data[lo:hi][flip]
-            matrix.has_sorted_indices = False
-        elif kind == "ordered_coo":
-            # In order, duplicates included: the skipped sort must keep
-            # each run of equal (row, col) in its order, as lexsort does.
-            order = np.lexsort((col, row))
-            matrix = sp.coo_matrix((data[order], (row[order], col[order])),
-                                   shape=(V, V))
-        for value_dtype in ("<u8", "<f8"):
-            assert (_bytes(triplet_parts(matrix, value_dtype))
-                    == _bytes(_lexsorted_parts(matrix, value_dtype)))
+        with tempfile.TemporaryDirectory() as d:
+            write_stats(SliceStats(matrix, np.ones(V, np.int64), V, 2),
+                        Path(d) / "s.tvco")
+            write_ppmi(PpmiMatrix(matrix * 0.5, slice_label=1),
+                       Path(d) / "m.tvpm")
+            back = [read_stats(Path(d) / "s.tvco").cooc,
+                    read_ppmi(Path(d) / "m.tvpm").values]
+        for got, data in zip(back, [matrix.data, matrix.data * 0.5]):
+            assert got.shape == (V, V)
+            for array, want, dtype in [(got.indptr, matrix.indptr, np.int32),
+                                       (got.indices, matrix.indices, np.int32),
+                                       (got.data, data, data.dtype)]:
+                assert array.dtype == dtype and array.flags.writeable
+                assert np.array_equal(array, want)
 
 
 class TestReadText:

@@ -28,10 +28,10 @@ from tvembed.cli import (
     make_parser,
     parse_config_file,
 )
-from tvembed import baselines, cli, evaluation
+from tvembed import baselines, cli, evaluation, solver
 from tvembed.evaluation import nearest_neighbors
 from tvembed.corpus import SliceStats, read_stats, write_stats
-from tvembed.ppmi import read_ppmi
+from tvembed.ppmi import read_ppmi, write_ppmi
 from tvembed.solver import read_embeddings_binary, write_embeddings_binary
 from tvembed.synthetic import planted_shift_corpus
 
@@ -236,20 +236,22 @@ class TestBuild:
 
     # SHA-256 of the integer and text artifacts of one fixed build, recorded
     # with the per-document counting loop. These files hold no floats, so the
-    # digests do not depend on the CPU or the BLAS library.
+    # digests do not depend on the CPU or the BLAS library. The .tvco
+    # digests were recorded again for format version 2 (a CSR block), whose
+    # decoded arrays and headers equal version 1's.
     GOLDEN_DIGESTS = {
         "vocab.txt":
             "edadf460dce929f1815abe2b3c485255a5cb874cb319dd0ea1915eb5e84508e1",
         "labels.json":
             "02b6deebe10f247a39a1f40c6e045af149df9c96491adce129613e8b30480780",
         "stats_0.tvco":
-            "a7d4b9fc66d46402ae1c1035ad57a40cf42b71fadef832f1b4cab4d66005d808",
+            "847621818b06c018bb503c34533ee24a2435598d7ee972f084437789025f26df",
         "stats_1.tvco":
-            "2898d5f200806781893f48bed15e288b2a8324e7afe3421a104528f70290a0ae",
+            "4f3392834755cb08492e163edac2582123b4e6f9c5b636edf0822f0d00d106e3",
         "stats_2.tvco":
-            "1630b889ef7dfa99ff26feaa416d71fcb2238c39078c836c5b4d4b1b613748a1",
+            "4c660f9a2a03f011f58478fd1873353b248caa210c8d64b4cb65fb8692ea77de",
         "stats_3.tvco":
-            "441acaf9f6c13fa3cbc593e6c773b207c80726ae2a8e6473f29cfb62fa8cf0ad",
+            "2eed2e8cb0a5e693704fe2aade4f387f8c98da1399a02628f12eabd78b158769",
     }
 
     def test_golden_digests(self, tmp_path):
@@ -274,26 +276,27 @@ class TestBuild:
         assert digests == self.GOLDEN_DIGESTS
 
     # SHA-256 of every file one fixed directory-layout build writes, recorded
-    # with the per-token string tokenizer and vocabulary. The corpus has a
-    # stopword file, numeric tokens, underscores, an empty file and documents
-    # that only the regex tokenizer splits correctly.
+    # with the per-token string tokenizer and vocabulary; the .tvco and .tvpm
+    # digests again for format version 2, as in GOLDEN_DIGESTS. The corpus
+    # has a stopword file, numeric tokens, underscores, an empty file and
+    # documents that only the regex tokenizer splits correctly.
     DIRECTORY_GOLDEN_DIGESTS = {
         "vocab.txt":
             "7d439913edadbe7cfe5e07b6775d9a61613ec6725ca7a664a62e82a72fbb57f3",
         "labels.json":
             "e1b8a126e0a2aa1fe76286a7f79cc02886fa3304cade0dc550b66e830e999b93",
         "stats_1990.tvco":
-            "f63c424528f7efdc46b0d154a32b7a231e04843381bbfdb57850fffe8b840971",
+            "97771355866ddb1e96640fd2d41be7cb7967ef7b2763b860e9d572ee36d9b0cf",
         "stats_1995.tvco":
-            "621483b8d783b490186f45324931687c014b2188bca5df4ed728bceba1bad266",
+            "e4d5eb96abecba2b976324aab8b3e614662466d8d4664203d4d33d4c38dd6206",
         "stats_2000.tvco":
-            "0c2c00ad6f7b7cdd60de7da8dd727d25a7c1aa99595b75563c92a82b5f46d554",
+            "99299235627a83d52410147e19475948823f7f6db5581d7eba6809a193816196",
         "ppmi_1990.tvpm":
-            "20b1befe8437837ca50fa67e3d441c0b1276a5c585a62f909c63b95da959ea44",
+            "6aed7752fcc77a1341150dd958ba79d2d96d6dfa46dc76bbd44490b6e9818a81",
         "ppmi_1995.tvpm":
-            "a84936fdee73e2a18f3699a862721d71afcab9fdb1071c01240521668e11bf57",
+            "13e13076b3def514f653353a0b37c6ad13288dadbc657a8f9ddeb3a8b13a7445",
         "ppmi_2000.tvpm":
-            "912d3f3245aee4bcd870e020d48b232ea4e97450f19dc460380cc68a129fa16e",
+            "f98259dcadd5d3d02c127071305460e66e46bac7e85ed761c73465ef16702580",
     }
 
     def test_directory_golden_digests(self, tmp_path):
@@ -655,8 +658,8 @@ class TestTrain:
         ]
 
     def test_flipped_ppmi_v_fails_before_allocating(self, run_dir, capsys):
-        # Bit 24 of V asks for a 16.8M-row matrix; the header is compared
-        # with vocab.txt before the triplet block becomes one.
+        # Bit 24 of V asks for a 16.8M-row matrix, whose V+1 row offsets the
+        # file is too short to hold; nothing V-sized is allocated.
         ppmi = run_dir / "ppmi_1995.tvpm"
         blob = bytearray(ppmi.read_bytes())
         (V,) = struct.unpack_from("<Q", blob, 8)
@@ -670,8 +673,8 @@ class TestTrain:
             tracemalloc.stop()
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {ppmi}: V={V ^ 1 << 24} but vocab.txt has {V} words; "
-            "rerun build"
+            f"error: {ppmi}: truncated: needs {8 * ((V ^ 1 << 24) + 1)} "
+            f"bytes, has {len(blob) - 32}"
         ]
         assert peak < 8 * 2**20
 
@@ -1679,7 +1682,8 @@ class TestRobustness:
 class TestConsoleScript:
     def test_ci_step_passes(self, tmp_path):
         # The CI workflow's console-script step runs tests/console_script.sh;
-        # here it runs through a `tvembed` shim for `python -m tvembed.cli`.
+        # here it runs through a `tvembed` shim for `python -m tvembed.cli`,
+        # and its library rewrite runs on this interpreter.
         here = Path(__file__).parent
         workflow = here.parent / ".github" / "workflows" / "tests.yml"
         assert "bash tests/console_script.sh" in workflow.read_text()
@@ -1690,7 +1694,7 @@ class TestConsoleScript:
         shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m tvembed.cli '
                         '"$@"\n')
         shim.chmod(0o755)
-        env = dict(_SUBPROCESS_ENV,
+        env = dict(_SUBPROCESS_ENV, PYTHON=sys.executable,
                    PATH=f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
         proc = subprocess.run(
             ["bash", str(here / "console_script.sh"), str(work)],
@@ -1811,6 +1815,9 @@ class TestErrorLine:
         (["train", "--ridge", "nan"], "ridge must be finite and >= 0"),
         (["train", "--smoothing", "-1"], "smoothing must be finite and >= 0"),
         (["train", "--coupling", "nan"], "coupling must be finite and >= 0"),
+        # Each is finite; the diagonal they add to A is not.
+        (["train", "--ridge", "1e308", "--coupling", "1e308"],
+         "coupling + ridge + 2*smoothing must be finite"),
         (["robustness", "--ridge", "-1"], "ridge must be finite and >= 0"),
         (["query", "-k", "0"], "-k must be >= 1"),
         (["query", "-k", "-3"], "-k must be >= 1"),
@@ -1818,7 +1825,8 @@ class TestErrorLine:
          "--words: word 2 of 'pet0,,shifty' is empty"),
     ], ids=["window-0", "min-count-0", "window-2**32", "dim-0", "epochs-0",
             "ridge-negative", "ridge-nan", "smoothing-negative", "coupling-nan",
-            "robustness-ridge", "k-0", "k-negative", "words-empty"])
+            "diagonal-overflow", "robustness-ridge", "k-0", "k-negative",
+            "words-empty"])
     def test_out_of_range_setting(self, run_dir, capsys, argv, message):
         assert main(train_args(run_dir)) == 0
         ts = TestEvaluate().make_testset(run_dir)
@@ -1832,6 +1840,24 @@ class TestErrorLine:
                     + ["--out", str(run_dir)] + argv[1:])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 37.3 GiB for an array with shape "
+                     "(5001, 1000000000) and data type float64"),
+         "Unable to allocate 37.3 GiB for an array with shape "
+         "(5001, 1000000000) and data type float64"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_allocation_failure(self, run_dir, capsys, monkeypatch, error,
+                                line):
+        # As `train --dim 1000000000` fails, without asking for the memory.
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(solver, "init_embeddings", fail)
+        capsys.readouterr()
+        assert main(train_args(run_dir)) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
 
     @pytest.mark.parametrize("name", ["vocab.txt", "labels.json", "run.cfg",
                                       "stopwords.txt"])
@@ -2020,6 +2046,53 @@ class TestRunDirErrors:
         err = capsys.readouterr().err.splitlines()
         assert err == ([] if line is None
                        else ["error: " + line.format(run=run_dir)])
+
+    @pytest.mark.parametrize("kind", ["tvpm", "tvco"])
+    def test_version_1_counts_and_ppmi(self, run_dir, capsys, kind):
+        # A file of a build whose sparse block held (row, col, value)
+        # triplets: format version 1.
+        if kind == "tvpm":
+            path, method = run_dir / "ppmi_1995.tvpm", "dw2v"
+            m, value_dtype = read_ppmi(path).values.tocoo(), "<f8"
+        else:
+            path, method = run_dir / "stats_1995.tvco", "sw2v"
+            m, value_dtype = read_stats(path).cooc.tocoo(), "<u8"
+        blob = path.read_bytes()
+        block = len(blob) - 8 * (m.shape[0] + 2) - 12 * m.nnz
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:block]
+                         + struct.pack("<Q", m.nnz)
+                         + m.row.astype("<u4").tobytes()
+                         + m.col.astype("<u4").tobytes()
+                         + m.data.astype(value_dtype).tobytes())
+        capsys.readouterr()
+        assert main(train_args(run_dir, method)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: version 1, expected 2; rerun build\n")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.5])
+    def test_ppmi_value_not_positive_and_finite(self, run_dir, capsys, value):
+        path = run_dir / "ppmi_1995.tvpm"
+        ppmi = read_ppmi(path)
+        ppmi.values.data[3] = value
+        write_ppmi(ppmi, path)
+        assert main(train_args(run_dir)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: PPMI value {value} is not positive and "
+            "finite\n")
+
+    @pytest.mark.parametrize("what", ["co-occurrence", "unigram"])
+    def test_count_beyond_int64(self, run_dir, capsys, what):
+        # Read as int64, a u64 count >= 2**63 would wrap negative.
+        path = run_dir / "stats_1995.tvco"
+        st = read_stats(path)
+        cooc, unigram = st.cooc.astype(np.uint64), st.unigram.astype(np.uint64)
+        (cooc.data if what == "co-occurrence" else unigram)[0] = 2**63
+        write_stats(SliceStats(cooc=cooc, unigram=unigram,
+                               total_tokens=st.total_tokens,
+                               window=st.window), path)
+        assert main(train_args(run_dir, "sw2v")) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {path}: {what} count {2**63} is >= 2**63\n")
 
     @pytest.mark.parametrize("command", ["query", "evaluate", "export-norms"])
     def test_version_1_embeddings(self, run_dir, capsys, command):
