@@ -375,28 +375,19 @@ def subsample_counts(stats, rate, rng_seed):
     """Binomially thin every co-occurrence count at the given rate.
 
     Each nonzero count C becomes a Binomial(n=C, p=rate) draw, drawn once
-    per unordered pair and mirrored to keep the matrix symmetric. Unigram
-    counts are rescaled by each word's surviving co-occurrence mass
-    (rounded, floored at 1 while any co-occurrence survives); total_tokens
-    is the rescaled unigram sum. Deterministic given rng_seed.
+    per unordered pair, in the row-major order of the upper triangle, and
+    mirrored to keep the matrix symmetric. Unigram counts are rescaled by
+    each word's surviving co-occurrence mass (rounded, floored at 1 while
+    any co-occurrence survives); total_tokens is the rescaled unigram sum.
+    Deterministic given rng_seed.
     """
     if not 0 < rate <= 1:
         raise ValueError(f"subsampling rate must be in (0, 1], got {rate}")
     rng = np.random.default_rng(rng_seed)
-    upper = sp.triu(stats.cooc, k=0).tocoo()
-    new_data = rng.binomial(upper.data, rate)
-    keep = new_data > 0
-    r, c, d = upper.row[keep], upper.col[keep], new_data[keep]
-    off = r != c
-    V = stats.cooc.shape[0]
-    cooc = sp.coo_matrix(
-        (
-            np.concatenate([d, d[off]]),
-            (np.concatenate([r, c[off]]), np.concatenate([c, r[off]])),
-        ),
-        shape=(V, V),
-        dtype=np.int64,
-    ).tocsr()
+    upper = sp.triu(stats.cooc, format="csr")
+    upper.data = rng.binomial(upper.data, rate)
+    upper.eliminate_zeros()
+    cooc = upper + sp.triu(upper, k=1, format="csr").T
     old_mass = np.asarray(stats.cooc.sum(axis=1)).ravel()
     new_mass = np.asarray(cooc.sum(axis=1)).ravel()
     unigram = stats.unigram.copy()
@@ -418,14 +409,9 @@ def pool_stats(stats_list):
     """Sum SliceStats over slices (count-level pooling for static training)."""
     if not stats_list:
         raise ValueError("nothing to pool")
-    cooc = stats_list[0].cooc.copy()
-    unigram = stats_list[0].unigram.copy()
-    total = stats_list[0].total_tokens
-    for s in stats_list[1:]:
-        cooc = cooc + s.cooc
-        unigram = unigram + s.unigram
-        total += s.total_tokens
-    return SliceStats(cooc=cooc.tocsr(), unigram=unigram, total_tokens=total,
+    return SliceStats(cooc=sum(s.cooc for s in stats_list).tocsr(),
+                      unigram=sum(s.unigram for s in stats_list),
+                      total_tokens=sum(s.total_tokens for s in stats_list),
                       window=stats_list[0].window)
 
 
@@ -448,8 +434,9 @@ def write_stats(stats, path):
 
 
 def read_stats(path):
-    """Read a .tvco file; a count that does not fit int64 raises
-    ArtifactError."""
+    """Read a .tvco file. ArtifactError if a count does not fit int64, if a
+    word with a nonzero co-occurrence count has a unigram count of 0, or if
+    total_tokens is not the sum of the unigram counts."""
     r = ArtifactReader(path, STATS_MAGIC, STATS_VERSION)
     V, window, total = r.fields("<QIQ")
     unigram = r.array("<u8", V).astype(np.int64)
@@ -459,6 +446,18 @@ def read_stats(path):
         if counts.min(initial=0) < 0:  # a u64 count >= 2**63 wraps negative
             raise ArtifactError(path, f"{what} count "
                                 f"{int(counts.min()) + 2**64} is >= 2**63")
+    zero = unigram == 0
+    orphan = (cooc.data != 0) & (np.repeat(zero, np.diff(cooc.indptr))
+                                 | zero.take(cooc.indices))
+    if orphan.any():
+        i = int(np.argmax(orphan))
+        row = int(np.searchsorted(cooc.indptr, i, side="right")) - 1
+        word = row if zero[row] else int(cooc.indices[i])
+        raise ArtifactError(path, f"word {word} has co-occurrence counts "
+                            "but a unigram count of 0")
+    if total != sum(unigram.tolist()):  # exact: an int64 sum can wrap
+        raise ArtifactError(path, f"total_tokens {total} is not the sum of "
+                            f"the unigram counts, {sum(unigram.tolist())}")
     return SliceStats(cooc=cooc, unigram=unigram, total_tokens=int(total),
                       window=int(window))
 

@@ -45,26 +45,25 @@ class PpmiSequence:
 
 
 def build_ppmi(stats, slice_label=0):
-    """Clamp the PMI of every observed pair at zero and keep the positives.
-
-    Words with zero unigram count contribute no entries; the result is
-    symmetric because the input counts are.
+    """Clamp the PMI of every observed pair at zero and keep the positives
+    in the input's stored order, so the result is symmetric because the
+    input counts are. A pair of a word whose unigram count is 0 gets +inf;
+    read_stats rejects such counts.
     """
-    coo = stats.cooc.tocoo()
-    if coo.nnz == 0 or stats.total_tokens == 0:
-        return PpmiMatrix(
-            values=sp.csr_matrix(stats.cooc.shape, dtype=np.float64),
-            slice_label=slice_label,
-        )
-    uw = stats.unigram[coo.row].astype(np.float64)
-    uc = stats.unigram[coo.col].astype(np.float64)
-    vals = np.log(
-        coo.data.astype(np.float64) * float(stats.total_tokens) / (uw * uc)
-    )
+    cooc = stats.cooc.tocsr()
+    if cooc.nnz == 0 or stats.total_tokens == 0:
+        return PpmiMatrix(values=sp.csr_matrix(cooc.shape, dtype=np.float64),
+                          slice_label=slice_label)
+    V = cooc.shape[0]
+    rows = np.repeat(np.arange(V), np.diff(cooc.indptr))
+    unigram = stats.unigram.astype(np.float64)
+    vals = np.log(cooc.data.astype(np.float64) * float(stats.total_tokens)
+                  / (unigram[rows] * unigram[cooc.indices]))
     keep = vals > 0
-    mat = sp.coo_matrix(
-        (vals[keep], (coo.row[keep], coo.col[keep])), shape=stats.cooc.shape
-    ).tocsr()
+    indptr = np.zeros(V + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[keep], minlength=V), out=indptr[1:])
+    mat = sp.csr_matrix((vals[keep], cooc.indices[keep], indptr),
+                        shape=cooc.shape)
     return PpmiMatrix(values=mat, slice_label=slice_label)
 
 

@@ -151,6 +151,80 @@ def loop_count_cooccurrences(docs, vocab, window):
     )
 
 
+def coo_build_ppmi(stats, slice_label=0):
+    """COO oracle for `ppmi.build_ppmi` (the library's earlier
+    implementation, kept unchanged as the reference)."""
+    coo = stats.cooc.tocoo()
+    if coo.nnz == 0 or stats.total_tokens == 0:
+        return PpmiMatrix(
+            values=sp.csr_matrix(stats.cooc.shape, dtype=np.float64),
+            slice_label=slice_label,
+        )
+    uw = stats.unigram[coo.row].astype(np.float64)
+    uc = stats.unigram[coo.col].astype(np.float64)
+    vals = np.log(
+        coo.data.astype(np.float64) * float(stats.total_tokens) / (uw * uc)
+    )
+    keep = vals > 0
+    mat = sp.coo_matrix(
+        (vals[keep], (coo.row[keep], coo.col[keep])), shape=stats.cooc.shape
+    ).tocsr()
+    return PpmiMatrix(values=mat, slice_label=slice_label)
+
+
+def coo_subsample_counts(stats, rate, rng_seed):
+    """COO oracle for `corpus.subsample_counts` (the library's earlier
+    implementation, kept unchanged as the reference)."""
+    if not 0 < rate <= 1:
+        raise ValueError(f"subsampling rate must be in (0, 1], got {rate}")
+    rng = np.random.default_rng(rng_seed)
+    upper = sp.triu(stats.cooc, k=0).tocoo()
+    new_data = rng.binomial(upper.data, rate)
+    keep = new_data > 0
+    r, c, d = upper.row[keep], upper.col[keep], new_data[keep]
+    off = r != c
+    V = stats.cooc.shape[0]
+    cooc = sp.coo_matrix(
+        (
+            np.concatenate([d, d[off]]),
+            (np.concatenate([r, c[off]]), np.concatenate([c, r[off]])),
+        ),
+        shape=(V, V),
+        dtype=np.int64,
+    ).tocsr()
+    old_mass = np.asarray(stats.cooc.sum(axis=1)).ravel()
+    new_mass = np.asarray(cooc.sum(axis=1)).ravel()
+    unigram = stats.unigram.copy()
+    scaled = old_mass > 0
+    ratio = np.divide(new_mass, old_mass, out=np.zeros_like(new_mass, dtype=float),
+                      where=scaled)
+    unigram[scaled] = np.rint(stats.unigram[scaled] * ratio[scaled]).astype(np.int64)
+    floor = scaled & (stats.unigram > 0) & (new_mass > 0)
+    unigram[floor] = np.maximum(unigram[floor], 1)
+    return SliceStats(
+        cooc=cooc,
+        unigram=unigram,
+        total_tokens=int(unigram.sum()),
+        window=stats.window,
+    )
+
+
+def loop_pool_stats(stats_list):
+    """Copy-and-add loop oracle for `corpus.pool_stats` (the library's
+    earlier implementation, kept unchanged as the reference)."""
+    if not stats_list:
+        raise ValueError("nothing to pool")
+    cooc = stats_list[0].cooc.copy()
+    unigram = stats_list[0].unigram.copy()
+    total = stats_list[0].total_tokens
+    for s in stats_list[1:]:
+        cooc = cooc + s.cooc
+        unigram = unigram + s.unigram
+        total += s.total_tokens
+    return SliceStats(cooc=cooc.tocsr(), unigram=unigram, total_tokens=total,
+                      window=stats_list[0].window)
+
+
 def loop_nearest_neighbors(query, matrix, K, exclude=frozenset()):
     """Full-sort oracle for `evaluation.nearest_neighbors` (the library's
     original implementation, kept unchanged as the reference).

@@ -14,7 +14,8 @@
 # the files `build` wrote byte for byte.
 # `evaluate` scores a one-record testset (an `mrr` line), and the same
 # testset behind a UTF-8 byte-order mark gives the same report; `robustness`
-# runs at rate 1. Then rebuild the same run directory from a copy with a
+# runs at rates 1 and 0.5 and reports a row at 0.5, so the counts were
+# subsampled before their PPMI was built. Then rebuild the same run directory from a copy with a
 # word renamed, after which query must fail the same way, as the rebuild
 # removed the embeddings of the earlier corpus. Then the same corpus is
 # built into two fresh run directories, which must be byte-identical. Last,
@@ -67,7 +68,9 @@ grep -q '^mrr ' "$e2e/eval.txt"
 printf '\xef\xbb\xbf' | cat - "$e2e/t.csv" > "$e2e/bom.csv"
 tvembed evaluate --out "$e2e/run" --testset "$e2e/bom.csv" > "$e2e/eval_bom.txt"
 diff "$e2e/eval.txt" "$e2e/eval_bom.txt"
-tvembed robustness --out "$e2e/run" --testset "$e2e/t.csv" --rates 1 --dim 4 --epochs 1
+tvembed robustness --out "$e2e/run" --testset "$e2e/t.csv" --rates 1,0.5 --dim 4 --epochs 1 > "$e2e/robust.txt"
+cat "$e2e/robust.txt"
+grep -q '"rate": 0.5' "$e2e/robust.txt"
 sed 's/cat/ant/g' "$e2e/corpus.jsonl" > "$e2e/renamed.jsonl"
 tvembed build --corpus "$e2e/renamed.jsonl" --out "$e2e/run"
 code=0

@@ -4,11 +4,11 @@
 derives its per-layer metrics from the spans of named functions
 (`incl["solver.train"]`, `calls[...]`, the `_HOOKS` keys). A name that no
 longer exists does not fail a run: its metric silently reads 0. The
-benchmark's set-up and oracles import functions from `tvembed` as well,
-and its workloads pass flags to the commands, where a renamed flag fails
-the run's operations. This test reads those names and flags from the
-benchmark's source, without running it, and checks that the program still
-has each one.
+benchmark's set-up and oracles import functions from `tvembed` as well and
+call them with keyword arguments, and its workloads pass flags to the
+commands, where a renamed flag fails the run's operations. This test reads
+those names, keywords and flags from the benchmark's source, without
+running it, and checks that the program still has each one.
 """
 
 import ast
@@ -51,20 +51,51 @@ def span_names():
     return names
 
 
+def _imports(tree):
+    """{local name: (module, name)} for each `from tvembed.X import Y` of
+    the file, wherever it stands."""
+    return {a.asname or a.name: (node.module, a.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.startswith("tvembed.")
+            for a in node.names}
+
+
+def _attribute(node):
+    """(module, name) if `node` reads `tvembed.X.Y`, else None."""
+    if (isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "tvembed"):
+        return f"tvembed.{node.value.attr}", node.attr
+    return None
+
+
 def imported_names():
     """(module, name) for each `from tvembed.X import Y` in perfbench/*.py
     and each `tvembed.X.Y` it reads after `import tvembed.X`."""
     found = set()
     for tree in _trees():
+        found.update(_imports(tree).values())
+        found.update(filter(None, map(_attribute, ast.walk(tree))))
+    return found
+
+
+def keyword_arguments():
+    """(module, name, keyword) for each keyword argument that a call in
+    perfbench/*.py passes to a name imported from `tvembed`."""
+    found = set()
+    for tree in _trees():
+        imports = _imports(tree)
         for node in ast.walk(tree):
-            if (isinstance(node, ast.ImportFrom) and node.module
-                    and node.module.startswith("tvembed.")):
-                found.update((node.module, a.name) for a in node.names)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.value, ast.Attribute)
-                  and isinstance(node.value.value, ast.Name)
-                  and node.value.value.id == "tvembed"):
-                found.add((f"tvembed.{node.value.attr}", node.attr))
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                callee = imports.get(node.func.id)
+            else:
+                callee = _attribute(node.func)
+            if callee:
+                found.update((*callee, k.arg) for k in node.keywords if k.arg)
     return found
 
 
@@ -134,6 +165,22 @@ def test_imported_names_are_public():
                if name.startswith("_")
                or not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_keyword_arguments_are_parameters():
+    # A dataclass's parameters are its fields.
+    keywords = keyword_arguments()
+    # Guards the parsing above: the set-up does pass these.
+    assert {("tvembed.corpus", "SliceStats", "total_tokens"),
+            ("tvembed.ppmi", "build_ppmi", "slice_label")} <= keywords
+    unknown = []
+    for module, name, keyword in sorted(keywords):
+        params = inspect.signature(
+            getattr(importlib.import_module(module), name)).parameters
+        if keyword not in params and not any(
+                p.kind is p.VAR_KEYWORD for p in params.values()):
+            unknown.append(f"{module}.{name}({keyword}=...)")
+    assert unknown == []
 
 
 def test_gone_names_are_gone():

@@ -2094,6 +2094,37 @@ class TestRunDirErrors:
         assert capsys.readouterr() == (
             "", f"error: {path}: {what} count {2**63} is >= 2**63\n")
 
+    @pytest.mark.parametrize("command", ["train-sw2v", "robustness"])
+    @pytest.mark.parametrize("fault", ["unigram", "total"])
+    def test_counts_that_contradict(self, run_dir, capsys, command, fault):
+        # `build` never writes either file. A zero unigram count for a word
+        # with co-occurrence counts gives its pairs +inf PPMI; a total_tokens
+        # off the unigram sum shifts every PPMI value.
+        assert main(train_args(run_dir)) == 0
+        path = run_dir / "stats_1995.tvco"
+        st = read_stats(path)
+        word = int(st.cooc.indices[0])
+        if fault == "unigram":
+            st.unigram[word] = 0
+            st.total_tokens = int(st.unigram.sum())
+            line = (f"word {word} has co-occurrence counts but a unigram "
+                    "count of 0")
+        else:
+            line = (f"total_tokens {st.total_tokens + 1} is not the sum of "
+                    f"the unigram counts, {st.total_tokens}")
+            st.total_tokens += 1
+        write_stats(st, path)
+        argv = {
+            "train-sw2v": train_args(run_dir, "sw2v"),
+            "robustness": [
+                "robustness", "--out", str(run_dir), "--testset",
+                str(TestEvaluate().make_testset(run_dir)), "--rates", "0.5",
+                "--dim", "3", "--epochs", "1"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {line}\n")
+
     @pytest.mark.parametrize("command", ["query", "evaluate", "export-norms"])
     def test_version_1_embeddings(self, run_dir, capsys, command):
         # A .tvem of a run trained before the file stored its row norms:

@@ -10,9 +10,11 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (loop_count_cooccurrences, validate_stats,
-                      write_planted_jsonl)
+from conftest import (coo_build_ppmi, coo_subsample_counts,
+                      loop_count_cooccurrences, loop_pool_stats,
+                      validate_stats, write_planted_jsonl)
 from tvembed import corpus as corpus_module
+from tvembed.artifact import ArtifactError
 from tvembed.corpus import (
     EmptyVocabularyError,
     SliceStats,
@@ -30,6 +32,7 @@ from tvembed.corpus import (
     tokenize,
     write_stats,
 )
+from tvembed.ppmi import build_ppmi
 
 
 def regex_tokens(text):
@@ -61,6 +64,14 @@ def assert_same_csr(got, want):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+def assert_same_stats(got, want):
+    assert_same_csr(got.cooc, want.cooc)
+    assert got.unigram.dtype == want.unigram.dtype
+    assert np.array_equal(got.unigram, want.unigram)
+    assert got.total_tokens == want.total_tokens
+    assert got.window == want.window
 
 
 def make_corpus(slices, labels=None):
@@ -306,11 +317,7 @@ class TestCountCooccurrences:
         got = count_cooccurrences(docs, vocab, window)
         want = loop_count_cooccurrences(docs, vocab, window)
         assert got.cooc.shape == want.cooc.shape
-        assert_same_csr(got.cooc, want.cooc)
-        assert got.unigram.dtype == want.unigram.dtype
-        assert np.array_equal(got.unigram, want.unigram)
-        assert got.total_tokens == want.total_tokens
-        assert got.window == want.window
+        assert_same_stats(got, want)
 
 
 class TestSubsampleCounts:
@@ -409,6 +416,43 @@ class TestStatsIO:
             write_stats(stats, p)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dense,unigram,word", [
+        ([[0, 2], [0, 0]], [0, 1], 0),  # a row's word
+        ([[0, 2], [0, 0]], [1, 0], 1),  # a column's word
+        ([[0, 0], [0, 3]], [4, 0], 1),  # a diagonal count
+        ([[0, 0, 0], [0, 0, 0], [5, 0, 0]], [1, 1, 0], 2),  # after empty rows
+    ])
+    def test_count_of_an_uncounted_word(self, tmp_path, dense, unigram, word):
+        # Damaged files can hold counts that are not symmetric.
+        unigram = np.array(unigram, dtype=np.int64)
+        p = tmp_path / "s.tvco"
+        write_stats(SliceStats(cooc=sp.csr_matrix(np.array(dense)),
+                               unigram=unigram,
+                               total_tokens=int(unigram.sum()), window=1), p)
+        with pytest.raises(ArtifactError, match=(
+                f"word {word} has co-occurrence counts but a unigram count "
+                "of 0")):
+            read_stats(p)
+
+    def test_stored_zero_count_needs_no_unigram(self, tmp_path):
+        cooc = sp.csr_matrix((np.array([0, 5]), np.array([1, 1]),
+                              np.array([0, 1, 2])), shape=(2, 2))
+        p = tmp_path / "s.tvco"
+        write_stats(SliceStats(cooc=cooc, unigram=np.array([0, 3]),
+                               total_tokens=3, window=1), p)
+        assert read_stats(p).cooc.nnz == 2
+
+    def test_total_is_the_exact_unigram_sum(self, tmp_path):
+        # Four counts of 2**62 sum to 2**64, which is 0 in int64 and u64.
+        p = tmp_path / "s.tvco"
+        write_stats(SliceStats(cooc=sp.csr_matrix((4, 4), dtype=np.int64),
+                               unigram=np.full(4, 2**62, dtype=np.int64),
+                               total_tokens=0, window=1), p)
+        with pytest.raises(ArtifactError, match=(
+                f"total_tokens 0 is not the sum of the unigram counts, "
+                f"{2**64}")):
+            read_stats(p)
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk"
         p.write_bytes(b"NOPE" + b"\0" * 64)
@@ -425,6 +469,57 @@ class TestPoolStats:
         assert pooled.total_tokens == s1.total_tokens + s2.total_tokens
         assert np.array_equal(pooled.unigram, s1.unigram + s2.unigram)
         assert (pooled.cooc != (s1.cooc + s2.cooc)).nnz == 0
+
+
+@st.composite
+def symmetric_stats(draw, V):
+    """SliceStats with random symmetric int64 counts over V words: diagonal
+    entries and empty rows included, unigram counts that may be 0 and a
+    total that is the unigram sum or 0."""
+    dense = np.zeros((V, V), dtype=np.int64)
+    for i, j, c in draw(st.lists(st.tuples(
+            st.integers(0, V - 1), st.integers(0, V - 1),
+            st.integers(1, 2**40)), max_size=3 * V)):
+        dense[min(i, j), max(i, j)] = c
+    unigram = np.array(draw(st.lists(st.integers(0, 2**40), min_size=V,
+                                     max_size=V)), dtype=np.int64)
+    return SliceStats(cooc=sp.csr_matrix(dense + np.triu(dense, k=1).T),
+                      unigram=unigram,
+                      total_tokens=draw(st.sampled_from(
+                          [int(unigram.sum()), 0])),
+                      window=draw(st.integers(1, 10)))
+
+
+class TestCountLayerMatchesCooReference:
+    """build_ppmi, subsample_counts and pool_stats give the CSR arrays, with
+    their dtypes, of the earlier COO and copy-loop code kept in conftest:
+    the same draws in the same order, not only the same distribution."""
+
+    @given(data=st.data(), V=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_build_ppmi(self, data, V):
+        stats = data.draw(symmetric_stats(V))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = build_ppmi(stats, slice_label=3).values
+            want = coo_build_ppmi(stats, slice_label=3).values
+        assert_same_csr(got, want)
+
+    @given(data=st.data(), V=st.integers(1, 8),
+           rate=st.one_of(st.just(1e-12), st.just(1.0),
+                          st.floats(1e-3, 1.0)),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_subsample_counts(self, data, V, rate, seed):
+        # A rate of 1e-12 draws every count to 0.
+        stats = data.draw(symmetric_stats(V))
+        assert_same_stats(subsample_counts(stats, rate, seed),
+                          coo_subsample_counts(stats, rate, seed))
+
+    @given(data=st.data(), V=st.integers(1, 8), n=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_pool_stats(self, data, V, n):
+        stats = [data.draw(symmetric_stats(V)) for _ in range(n)]
+        assert_same_stats(pool_stats(stats), loop_pool_stats(stats))
 
 
 class TestLoadCorpus:
