@@ -5,47 +5,13 @@ factorizes them with a temporal smoothing penalty, solved by block
 coordinate descent. Includes alignment baselines (static pooling,
 orthogonal Procrustes chaining, local linear maps) and evaluation
 metrics (NMI, pairwise F-beta, MRR, MP@K).
+
+The package holds the names of README's library quick start; every other
+name is imported from its module (`tvembed.corpus`, `tvembed.evaluation`, ...).
 """
 
-from tvembed.artifact import ArtifactError
-from tvembed.corpus import (
-    SliceStats,
-    TimeSlicedCorpus,
-    Vocabulary,
-    build_vocabulary,
-    count_cooccurrences,
-    load_corpus,
-    load_stopwords,
-    subsample_counts,
-    tokenize,
-)
-from tvembed.ppmi import PpmiMatrix, PpmiSequence, build_ppmi
-from tvembed.solver import (
-    EmbeddingSequence,
-    SolverConfig,
-    final_embedding,
-    init_embeddings,
-    train,
-    update_factor,
-)
-from tvembed.baselines import (
-    align_sequence,
-    factorize_single,
-    local_linear_maps,
-    procrustes_align,
-    train_per_slice,
-    train_static,
-)
-from tvembed.evaluation import (
-    AlignmentTestset,
-    f_beta,
-    mp_at_k,
-    mrr,
-    nearest_neighbors,
-    nmi,
-    norm_series,
-    run_alignment_test,
-    spherical_kmeans,
-)
+from tvembed.corpus import build_vocabulary, count_cooccurrences, load_corpus
+from tvembed.ppmi import PpmiSequence, build_ppmi
+from tvembed.solver import SolverConfig, final_embedding, train
 
 __version__ = "0.1.0"

@@ -96,8 +96,12 @@ def write_artifact(path, magic, version, parts):
 
 def csr_parts(matrix, value_dtype):
     """nnz u64, then the V+1 row offsets u64, column indices u4 and values of
-    `matrix` as CSR, in the order the matrix holds them."""
+    `matrix` as CSR. ValueError unless the columns strictly increase within
+    each row, as the reader requires."""
     m = sp.csr_matrix(matrix)
+    if not m.has_canonical_format:
+        raise ValueError("CSR column indices must strictly increase within "
+                         "each row")
     return [("<Q", m.nnz), m.indptr.astype("<u8"), m.indices.astype("<u4"),
             m.data.astype(value_dtype, copy=False)]
 
@@ -142,7 +146,8 @@ class ArtifactReader:
         """The V x V matrix of a CSR block, values cast to dtype, as copies
         with int32 indices while they fit. The V+1 offsets must fit in the
         file, so a V too large fails as truncated before anything V-sized is
-        allocated."""
+        allocated. Columns must strictly increase within each row, so no
+        (row, column) is stored twice."""
         (nnz,) = self.fields("<Q")
         offsets = self.array("<u8", V + 1)
         cols = self.array("<u4", nnz)
@@ -155,8 +160,12 @@ class ArtifactReader:
         if nnz and top >= V:
             raise ArtifactError(self.path, f"column index {top} >= V={V}")
         index = np.int32 if max(V, nnz) < 2**31 else np.int64
-        return sp.csr_matrix((values.astype(dtype), cols.astype(index),
-                              offsets.astype(index)), shape=(V, V))
+        m = sp.csr_matrix((values.astype(dtype), cols.astype(index),
+                           offsets.astype(index)), shape=(V, V))
+        if not m.has_canonical_format:
+            raise ArtifactError(self.path, "column indices must strictly "
+                                "increase within each row")
+        return m
 
     def end(self):
         if self.off != len(self.raw):

@@ -124,7 +124,9 @@ def local_linear_maps(records, slices, k=30, norms=None):
 def _pair_maps(source_t, target_t, query_words, k, source_norms,
                target_norms):
     """`local_linear_maps` for the queries of one slice pair, in order."""
-    rows = CosineRows(source_t, keep=target_norms > 0, norms=source_norms)
+    # A word that is zero in the target slice is no neighbour.
+    rows = CosineRows(source_t,
+                      norms=np.where(target_norms > 0, source_norms, 0.0))
     d = source_t.shape[1]
     ridge = 1e-8 * np.eye(d)
     mapped = [None] * len(query_words)

@@ -435,8 +435,9 @@ def write_stats(stats, path):
 
 def read_stats(path):
     """Read a .tvco file. ArtifactError if a count does not fit int64, if a
-    word with a nonzero co-occurrence count has a unigram count of 0, or if
-    total_tokens is not the sum of the unigram counts."""
+    word with a nonzero co-occurrence count has a unigram count of 0, if
+    total_tokens is not the sum of the unigram counts, or if the counts are
+    not symmetric."""
     r = ArtifactReader(path, STATS_MAGIC, STATS_VERSION)
     V, window, total = r.fields("<QIQ")
     unigram = r.array("<u8", V).astype(np.int64)
@@ -458,6 +459,8 @@ def read_stats(path):
     if total != sum(unigram.tolist()):  # exact: an int64 sum can wrap
         raise ArtifactError(path, f"total_tokens {total} is not the sum of "
                             f"the unigram counts, {sum(unigram.tolist())}")
+    if (cooc != cooc.T).nnz:
+        raise ArtifactError(path, "co-occurrence counts are not symmetric")
     return SliceStats(cooc=cooc, unigram=unigram, total_tokens=int(total),
                       window=int(window))
 

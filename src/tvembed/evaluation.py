@@ -61,10 +61,10 @@ class AlignmentTestset:
 class CosineRows:
     """The candidate rows of one matrix for cosine ranking, prepared once.
 
-    The candidates are the nonzero rows of `matrix` (only those marked in the
-    boolean mask `keep`, if given), with their norms and their word indices.
-    `norms` are the row norms of the full matrix, `np.linalg.norm(matrix,
-    axis=1)`, such as a .tvem file stores; they are computed when not given.
+    The candidates are the rows whose norm is not 0, with their norms and
+    their word indices. `norms` are the row norms of the full matrix,
+    `np.linalg.norm(matrix, axis=1)`, such as a .tvem file stores; they are
+    computed when not given. A caller leaves a row out by giving it norm 0.
     Each query is scored against all candidates but one optional `drop`
     word, and candidates are ordered by (-similarity, word index).
 
@@ -77,10 +77,10 @@ class CosineRows:
     to `top` only a query whose order that product may round differently.
     """
 
-    def __init__(self, matrix, keep=None, norms=None):
+    def __init__(self, matrix, norms=None):
         if norms is None:
             norms = np.linalg.norm(matrix, axis=1)
-        valid = norms > 0 if keep is None else (norms > 0) & keep
+        valid = norms > 0
         if valid.all():
             words = self.position = np.arange(len(matrix))
             self._full = (matrix, norms, words)

@@ -288,12 +288,12 @@ def final_embedding(seq):
 # "e-XXX" or nothing).
 # A byte the value does not print is 0xFF, which UTF-8 never contains, and
 # `bytes.translate` deletes it. The 9 digits are n = rint(|x| 10^(8-e)) with
-# e = floor(log10 |x|); n = 10^9 carries into e + 1. A value goes through
-# "%.9g" itself where float64 cannot settle its digits or the tables do not
-# print it:
+# e = floor(log10 |x|). A value goes through "%.9g" itself where float64
+# cannot settle its digits or the tables do not print it:
 #   - the fraction of |x| 10^(8-e) lies within 1e-5 of 0.5 (its worst error
 #     is about 2.2e-7);
-#   - |x| 10^(8-e) is below 10^8, or n above 10^9 (a log10 off by one);
+#   - |x| 10^(8-e) is below 10^8, or n is 10^9 or above (a log10 off by
+#     one, or 9 digits that round up to the next power of ten);
 #   - |x| is outside (1e-290, 1e290), zero excepted (subnormals, inf, nan);
 #   - fixed notation puts the point inside the digits (1 <= e <= 8).
 
@@ -382,11 +382,8 @@ def _format_values(x, tables):
     scaled *= powers[8 - e + _EXP_RANGE]
     n = np.rint(scaled)
     slow = (~tabled | (np.abs(scaled - np.floor(scaled) - 0.5) < 1e-5)
-            | (scaled < 1e8) | (n > 1e9))
+            | (scaled < 1e8) | (n >= 1e9))
     del scaled
-    carry = n == 1e9
-    n[carry] = 1e8
-    e += carry
     slow = (slow | ((e >= 1) & (e <= 8))) & ~zero
     n[slow | zero] = 0
     first, rest = np.divmod(n.astype(np.int64), 10**8)

@@ -26,6 +26,26 @@ def random_ppmi_sequence(V, T, density=0.3, seed=0):
     return PpmiSequence(matrices=mats, vocab_size=V)
 
 
+def damaged_csr(matrix, kind, rng):
+    """The CSR arrays (indptr, indices, data) of canonical `matrix` with one
+    row's columns reversed ("unsorted") or one stored entry stored twice
+    ("duplicate"), the row drawn by `rng`; None if no row can be damaged
+    that way."""
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
+    rows = np.flatnonzero(np.diff(indptr) >= (2 if kind == "unsorted" else 1))
+    if not len(rows):
+        return None
+    r = int(rng.choice(rows))
+    lo, hi = indptr[r], indptr[r + 1]
+    if kind == "unsorted":
+        flip = np.r_[np.arange(lo), np.arange(hi - 1, lo - 1, -1),
+                     np.arange(hi, len(indices))]
+        return indptr, indices[flip], data[flip]
+    at = int(rng.integers(lo, hi))
+    return (indptr + (np.arange(len(indptr)) > r),
+            np.insert(indices, at, indices[at]), np.insert(data, at, data[at]))
+
+
 def write_planted_jsonl(path):
     """Write a planted-shift corpus of 8 slices x 2000 documents x 20 tokens
     (V=2001) to `path` as JSON lines."""

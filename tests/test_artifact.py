@@ -14,10 +14,13 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import damaged_csr
 from tvembed.artifact import (ArtifactError, atomic_write, atomic_write_bytes,
-                              read_text)
-from tvembed.corpus import STATS_VERSION, SliceStats, read_stats, write_stats
-from tvembed.ppmi import PPMI_VERSION, PpmiMatrix, read_ppmi, write_ppmi
+                              read_text, write_artifact)
+from tvembed.corpus import (STATS_MAGIC, STATS_VERSION, SliceStats,
+                            read_stats, write_stats)
+from tvembed.ppmi import (PPMI_MAGIC, PPMI_VERSION, PpmiMatrix, read_ppmi,
+                          write_ppmi)
 from tvembed.solver import (EMB_VERSION, read_embeddings_binary,
                             write_embeddings_binary, write_embeddings_text)
 
@@ -345,49 +348,75 @@ class TestRowNorms:
 
 
 class TestCsrBlock:
-    """Writers store a matrix's CSR arrays as they are, so a canonical
-    matrix, one with unsorted columns and one holding duplicates each read
-    back as the CSR arrays they were written from, as writable copies with
-    int32 indices."""
+    """A CSR block's columns strictly increase within each row. A canonical
+    matrix, symmetric for .tvco, reads back as the CSR arrays it was written
+    from, as writable copies with int32 indices. A matrix with unsorted
+    columns or holding duplicates is refused by both writers, and a file
+    that holds one anyway by both readers."""
 
     @given(seed=st.integers(0, 2**32 - 1), V=st.integers(0, 12),
-           nnz=st.integers(0, 60), kind=st.sampled_from(
-               ["canonical", "unsorted", "duplicates"]))
+           nnz=st.integers(0, 60))
     @settings(max_examples=200, deadline=None)
-    def test_reads_back_the_written_arrays(self, seed, V, nnz, kind):
+    def test_canonical_blocks_round_trip(self, seed, V, nnz):
         rng = np.random.default_rng(seed)
         if V == 0:
             nnz = 0
-        # Few distinct positions, so duplicates are common.
-        row = np.sort(rng.integers(0, max(V, 1), size=nnz))
+        # Few distinct positions, so duplicates are common before summing.
+        row = rng.integers(0, max(V, 1), size=nnz)
         col = rng.integers(0, max(V, 1), size=nnz)
-        indptr = np.searchsorted(row, np.arange(V + 1))
-        matrix = sp.csr_matrix((rng.integers(1, 9, size=nnz), col, indptr),
-                               shape=(V, V))
-        if kind == "canonical":
-            matrix.sum_duplicates()
-            assert matrix.has_canonical_format
-        elif kind == "unsorted":
-            matrix.sum_duplicates()
-            for r in range(V):
-                lo, hi = matrix.indptr[r], matrix.indptr[r + 1]
-                flip = rng.permutation(hi - lo)
-                matrix.indices[lo:hi] = matrix.indices[lo:hi][flip]
-                matrix.data[lo:hi] = matrix.data[lo:hi][flip]
+        half = sp.csr_matrix((rng.integers(1, 9, size=nnz), (row, col)),
+                             shape=(V, V))
+        matrix = sp.csr_matrix(half + half.T)
+        assert sp.csr_matrix(matrix).has_canonical_format
         with tempfile.TemporaryDirectory() as d:
             write_stats(SliceStats(matrix, np.ones(V, np.int64), V, 2),
                         Path(d) / "s.tvco")
-            write_ppmi(PpmiMatrix(matrix * 0.5, slice_label=1),
+            write_ppmi(PpmiMatrix(half * 0.5, slice_label=1),
                        Path(d) / "m.tvpm")
             back = [read_stats(Path(d) / "s.tvco").cooc,
                     read_ppmi(Path(d) / "m.tvpm").values]
-        for got, data in zip(back, [matrix.data, matrix.data * 0.5]):
+        for got, want in zip(back, [matrix, half * 0.5]):
             assert got.shape == (V, V)
-            for array, want, dtype in [(got.indptr, matrix.indptr, np.int32),
-                                       (got.indices, matrix.indices, np.int32),
-                                       (got.data, data, data.dtype)]:
+            for array, expected, dtype in [
+                    (got.indptr, want.indptr, np.int32),
+                    (got.indices, want.indices, np.int32),
+                    (got.data, want.data, want.data.dtype)]:
                 assert array.dtype == dtype and array.flags.writeable
-                assert np.array_equal(array, want)
+                assert np.array_equal(array, expected)
+
+    @given(seed=st.integers(0, 2**32 - 1), V=st.integers(1, 12),
+           nnz=st.integers(1, 60),
+           kind=st.sampled_from(["unsorted", "duplicate"]))
+    @settings(max_examples=100, deadline=None)
+    def test_other_blocks_are_rejected(self, seed, V, nnz, kind):
+        rng = np.random.default_rng(seed)
+        half = sp.csr_matrix((rng.integers(1, 9, size=nnz),
+                              (rng.integers(0, V, size=nnz),
+                               rng.integers(0, V, size=nnz))), shape=(V, V))
+        arrays = damaged_csr(sp.csr_matrix(half + half.T), kind, rng)
+        assume(arrays is not None)
+        indptr, indices, data = arrays
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(V, V))
+        unigram = np.ones(V, np.int64)
+        block = [("<Q", len(data)), indptr.astype("<u8"),
+                 indices.astype("<u4")]
+        with tempfile.TemporaryDirectory() as d:
+            tvco, tvpm = Path(d) / "s.tvco", Path(d) / "m.tvpm"
+            with pytest.raises(ValueError, match="strictly increase"):
+                write_stats(SliceStats(matrix, unigram, V, 2), tvco)
+            with pytest.raises(ValueError, match="strictly increase"):
+                write_ppmi(PpmiMatrix(matrix * 0.5, slice_label=1), tvpm)
+            assert list(Path(d).iterdir()) == []
+            write_artifact(tvco, STATS_MAGIC, STATS_VERSION, [
+                ("<QIQ", V, 2, V), unigram.astype("<u8"), *block,
+                data.astype("<u8")])
+            write_artifact(tvpm, PPMI_MAGIC, PPMI_VERSION, [
+                ("<Qq", V, 1), *block, (data * 0.5).astype("<f8")])
+            for path, read in [(tvco, read_stats), (tvpm, read_ppmi)]:
+                with pytest.raises(ArtifactError, match=(
+                        f"{path}: column indices must strictly increase "
+                        "within each row")):
+                    read(path)
 
 
 class TestReadText:

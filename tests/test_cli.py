@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    damaged_csr,
     loop_local_linear_map,
     loop_nearest_neighbors,
     write_planted_jsonl,
@@ -2115,6 +2116,49 @@ class TestRunDirErrors:
             st.total_tokens += 1
         write_stats(st, path)
         argv = {
+            "train-sw2v": train_args(run_dir, "sw2v"),
+            "robustness": [
+                "robustness", "--out", str(run_dir), "--testset",
+                str(TestEvaluate().make_testset(run_dir)), "--rates", "0.5",
+                "--dim", "3", "--epochs", "1"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {line}\n")
+
+    @pytest.mark.parametrize("command,fault", [
+        (command, fault)
+        for command in ["train-sw2v", "robustness", "train-dw2v"]
+        for fault in ["duplicate", "unsorted", "asymmetric"]
+        if not (command == "train-dw2v" and fault == "asymmetric")])
+    def test_damaged_csr_block(self, run_dir, capsys, command, fault):
+        # `build` never writes such a file. Duplicate parts of one count
+        # each get their own log in PPMI; counts that are not symmetric
+        # make a Y that is not.
+        assert main(train_args(run_dir)) == 0
+        if command == "train-dw2v":
+            path, value_dtype = run_dir / "ppmi_1995.tvpm", "<f8"
+            m = read_ppmi(path).values
+        else:
+            path, value_dtype = run_dir / "stats_1995.tvco", "<u8"
+            m = read_stats(path).cooc
+        if fault == "asymmetric":
+            indptr, indices, data = m.indptr, m.indices, m.data
+            data[np.argmax(indices != np.repeat(np.arange(m.shape[0]),
+                                                np.diff(indptr)))] += 1
+            line = "co-occurrence counts are not symmetric"
+        else:
+            indptr, indices, data = damaged_csr(m, fault,
+                                                np.random.default_rng(0))
+            line = "column indices must strictly increase within each row"
+        blob = path.read_bytes()
+        block = len(blob) - 8 * (m.shape[0] + 2) - 12 * m.nnz
+        path.write_bytes(blob[:block] + struct.pack("<Q", len(data))
+                         + indptr.astype("<u8").tobytes()
+                         + indices.astype("<u4").tobytes()
+                         + data.astype(value_dtype).tobytes())
+        argv = {
+            "train-dw2v": train_args(run_dir),
             "train-sw2v": train_args(run_dir, "sw2v"),
             "robustness": [
                 "robustness", "--out", str(run_dir), "--testset",

@@ -442,6 +442,19 @@ class TestStatsIO:
                                total_tokens=3, window=1), p)
         assert read_stats(p).cooc.nnz == 2
 
+    @pytest.mark.parametrize("dense", [
+        [[0, 2], [3, 0]],  # two values of one pair
+        [[0, 2], [0, 0]],  # a value without its mirror
+    ])
+    def test_counts_must_be_symmetric(self, tmp_path, dense):
+        p = tmp_path / "s.tvco"
+        write_stats(SliceStats(cooc=sp.csr_matrix(np.array(dense)),
+                               unigram=np.array([1, 1]), total_tokens=2,
+                               window=1), p)
+        with pytest.raises(ArtifactError, match=(
+                f"{p}: co-occurrence counts are not symmetric")):
+            read_stats(p)
+
     def test_total_is_the_exact_unigram_sum(self, tmp_path):
         # Four counts of 2**62 sum to 2**64, which is 0 in int64 and u64.
         p = tmp_path / "s.tvco"

@@ -194,17 +194,19 @@ class TestCosineRows:
         if branch == "zero-row":
             mats[-1][rng.integers(V)] = 0.0
         exclude = {int(rng.integers(V))} if branch == "excluded" else set()
-        keep = None
-        if exclude:
-            keep = np.ones(V, dtype=bool)
-            keep[list(exclude)] = False
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "e.tvem"
             write_embeddings_binary(mats, list(range(len(mats))), path)
             read, _, norms = read_embeddings_binary(path, with_norms=True)
-            m, stored = read[-1], norms[-1]
-            rows = CosineRows(m, keep, norms=stored)
-            fresh = CosineRows(m, keep)
+            m, stored, computed = read[-1], norms[-1], None
+            if exclude:
+                # An excluded word is masked out by a norm of 0.
+                keep = np.ones(V, dtype=bool)
+                keep[list(exclude)] = False
+                stored = np.where(keep, stored, 0.0)
+                computed = np.where(keep, np.linalg.norm(m, axis=1), 0.0)
+            rows = CosineRows(m, norms=stored)
+            fresh = CosineRows(m, norms=computed)
             assert np.array_equal(rows.position, fresh.position)
             for q in (m[int(rng.integers(V))], rng.standard_normal(d)):
                 if not q.any():

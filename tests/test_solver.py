@@ -527,6 +527,10 @@ class TestEmbeddingIO:
            V=st.integers(1, 1100), d=st.integers(1, 4))
     @example(values=[0.1, -2.5e-7], words=["ü"], labels=[-12, 2000],
              V=1029, d=1)
+    # 9 digits that round up to the next power of ten
+    @example(values=[0.00099999999996, -9.9999999996e-06, 0.099999999996,
+                     9.9999999996, 999999999.6], words=["w"], labels=[0],
+             V=1, d=5)
     def test_text_bytes_match_the_reference_on_every_branch(
             self, values, words, labels, V, d):
         mats = list(np.resize(np.array(values), (len(labels), V, d)))
