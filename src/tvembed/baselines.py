@@ -57,7 +57,9 @@ def procrustes_align(source, target):
     """
     if source.shape != target.shape:
         raise ValueError("source and target must have equal shapes")
-    M = source.T @ target
+    # einsum sums on this thread in a fixed order, so the map, and the
+    # aligned artifacts, do not depend on the BLAS thread count.
+    M = np.einsum("ij,ik->jk", source, target, optimize=False)
     P, s, Qt = scipy.linalg.svd(M)
     d = source.shape[1]
     if np.count_nonzero(s > s.max() * d * np.finfo(s.dtype).eps) < d:

@@ -377,7 +377,7 @@ def cmd_query(args, cfg, run):
                     f"{args.label} into slice {t}: too few words are nonzero "
                     f"in both")
     for target, q in zip(targets, queries):
-        drop = w if target == args.label and not args.keep_self else None
+        drop = w if target == args.label else None
         top = evaluation.nearest_neighbors(q, slices[target], args.k, drop,
                                            norms[target])
         row = ", ".join(f"{vocab.words[i]}:{s:.4f}" for i, s in top)
@@ -572,8 +572,6 @@ def _query_flags(p):
     targets = p.add_mutually_exclusive_group()
     targets.add_argument("--target-label", type=int)
     targets.add_argument("--all-years", action="store_true")
-    p.add_argument("--keep-self", action="store_true",
-                   help="do not exclude the query word in its own slice")
 
 
 def _evaluate_flags(p):

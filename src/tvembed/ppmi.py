@@ -80,8 +80,8 @@ def write_ppmi(matrix, path):
 
 
 def read_ppmi(path):
-    """Read a .tvpm file; a stored value that is not positive and finite
-    raises ArtifactError."""
+    """Read a .tvpm file; a stored value that is not positive and finite,
+    or values that are not symmetric, raise ArtifactError."""
     r = ArtifactReader(path, PPMI_MAGIC, PPMI_VERSION)
     V, label = r.fields("<Qq")
     mat = r.csr(V, "<f8", np.float64)
@@ -90,4 +90,7 @@ def read_ppmi(path):
     if not valid.all():
         bad = float(mat.data[np.argmin(valid)])
         raise ArtifactError(path, f"PPMI value {bad} is not positive and finite")
+    # The W update and the streamed objective take Y(t) = Y(t)^T.
+    if (mat != mat.T).nnz:
+        raise ArtifactError(path, "PPMI values are not symmetric")
     return PpmiMatrix(values=mat, slice_label=int(label))

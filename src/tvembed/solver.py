@@ -112,10 +112,8 @@ class ProgressEvent:
     epoch: int
     t: int
     factor: str  # "U" or "W"
-    new: np.ndarray  # the updated factor, solving new @ A = B
-    A: np.ndarray
-    B: np.ndarray
-    state: "EmbeddingSequence" = None  # live view, already includes this update
+    # Live view, already holding this update in state.U[t] or state.W[t].
+    state: EmbeddingSequence
     # The objective at the end of the epoch, on its last event only.
     objective: ObjectiveTerms = None
 
@@ -140,8 +138,8 @@ def update_factor(factor, t, state, Y, config):
 
     Forms the ridge system  new @ A = B  of the module docstring for all V
     rows, factors the shared d x d matrix A once (Cholesky) and solves for
-    every row in one call. `factor` is "U" or "W". Returns (new, A, B,
-    gram, cross) without mutating state: `gram` is F^T F and `cross`
+    every row in one call. `factor` is "U" or "W". Returns (new, gram,
+    cross) without mutating state: `gram` is F^T F and `cross`
     <new, Y(t) F> for the other factor F at slice t, the parts of the fit
     term `train` streams. Raises FloatingPointError if A, B or new is not
     finite.
@@ -182,7 +180,7 @@ def update_factor(factor, t, state, Y, config):
         new = scipy.linalg.lstsq(A, B.T, check_finite=False)[0].T
     if not np.all(np.isfinite(new)):
         raise FloatingPointError(f"non-finite values in {factor}({t})")
-    return new, A, B, gram, _dot(new, product)
+    return new, gram, _dot(new, product)
 
 
 def _slice_terms(t, state, ynorm2, UtU, cross, config):
@@ -237,8 +235,8 @@ def train(Y, config, progress_sink=None):
         for t in range(T):
             for factor in ("U", "W"):
                 try:
-                    new, A, B, gram, cross = update_factor(factor, t, state,
-                                                           Y, config)
+                    new, gram, cross = update_factor(factor, t, state, Y,
+                                                     config)
                 except FloatingPointError as e:
                     raise FloatingPointError(f"epoch {epoch}: {e}") from None
                 (state.U if factor == "U" else state.W)[t] = new
@@ -250,10 +248,8 @@ def train(Y, config, progress_sink=None):
                         if t == T - 1:
                             epoch_objective = ObjectiveTerms(
                                 *map(math.fsum, zip(*terms)))
-                    progress_sink(ProgressEvent(epoch, t, factor, new, A, B,
-                                                state, epoch_objective))
-                # B is V x d; it is not held while the next update is solved.
-                del B
+                    progress_sink(ProgressEvent(epoch, t, factor, state,
+                                                epoch_objective))
     return state
 
 

@@ -81,8 +81,9 @@ def dense_objective_oracle(seq, Y, cfg):
 
 
 def normal_residual(new, A, B):
-    """Relative residual ||new @ A - B||_F / ||B||_F (0 if B == 0) of a
-    solved ridge system, such as a ProgressEvent's new, A and B."""
+    """Relative residual ||new @ A - B||_F / ||B||_F (0 if B == 0) of the
+    ridge system  new @ A = B, such as an update against the
+    `dense_ridge_system` built from the state it was solved from."""
     bnorm = np.linalg.norm(B)
     if bnorm == 0:
         return 0.0

@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from conftest import (
     dense_objective_oracle,
     dense_objective_terms,
+    dense_ridge_system,
     normal_residual,
     random_ppmi_sequence,
     residual_gradient,
@@ -67,7 +68,8 @@ def report(capsys, number, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def descent_run():
     """Shared run for criteria 1 and 2: objective and normal-equation
-    residual recorded after every block update."""
+    residual recorded after every block update, the residual against the
+    dense ridge system built from the state the update was solved from."""
     V, T, d = 200, 5, 10
     Y = random_ppmi_sequence(V, T, density=0.05, seed=42)
     cfg = SolverConfig(dim=d, ridge=10.0, smoothing=50.0, coupling=50.0,
@@ -76,8 +78,13 @@ def descent_run():
     residuals = []
 
     def sink(event):
-        residuals.append(normal_residual(event.new, event.A, event.B))
-        objs.append(dense_objective_oracle(event.state, Y, cfg))
+        # The state holds the update and what it was solved from: the other
+        # factor at slice t and this factor's neighbours.
+        state = event.state
+        new = (state.U if event.factor == "U" else state.W)[event.t]
+        A, B = dense_ridge_system(event.factor, event.t, state, Y, cfg)
+        residuals.append(normal_residual(new, A, B))
+        objs.append(dense_objective_oracle(state, Y, cfg))
 
     initial = dense_objective_oracle(init_embeddings(V, T, cfg), Y, cfg)
     t0 = time.time()

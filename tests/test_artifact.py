@@ -349,10 +349,10 @@ class TestRowNorms:
 
 class TestCsrBlock:
     """A CSR block's columns strictly increase within each row. A canonical
-    matrix, symmetric for .tvco, reads back as the CSR arrays it was written
-    from, as writable copies with int32 indices. A matrix with unsorted
-    columns or holding duplicates is refused by both writers, and a file
-    that holds one anyway by both readers."""
+    symmetric matrix reads back as the CSR arrays it was written from, as
+    writable copies with int32 indices. A matrix with unsorted columns or
+    holding duplicates is refused by both writers, and a file that holds
+    one anyway by both readers."""
 
     @given(seed=st.integers(0, 2**32 - 1), V=st.integers(0, 12),
            nnz=st.integers(0, 60))
@@ -371,11 +371,11 @@ class TestCsrBlock:
         with tempfile.TemporaryDirectory() as d:
             write_stats(SliceStats(matrix, np.ones(V, np.int64), V, 2),
                         Path(d) / "s.tvco")
-            write_ppmi(PpmiMatrix(half * 0.5, slice_label=1),
+            write_ppmi(PpmiMatrix(matrix * 0.5, slice_label=1),
                        Path(d) / "m.tvpm")
             back = [read_stats(Path(d) / "s.tvco").cooc,
                     read_ppmi(Path(d) / "m.tvpm").values]
-        for got, want in zip(back, [matrix, half * 0.5]):
+        for got, want in zip(back, [matrix, matrix * 0.5]):
             assert got.shape == (V, V)
             for array, expected, dtype in [
                     (got.indptr, want.indptr, np.int32),

@@ -415,18 +415,16 @@ class TestRunContract:
            k=flag("-k", ["1", "3", "41", "100", "99999999999999999999"]),
            target=st.sampled_from([[], ["--all-years"]]) | st.builds(
                lambda label: ["--target-label", label], LABELS),
-           keep_self=st.sampled_from([[], ["--keep-self"]]), method=METHOD,
+           method=METHOD,
            bad=fault(*BAD_METHOD, ["-k", "0"], ["-k", "-2"], ["-k", "x"],
                      ["--target-label", "1991", "--all-years"], ["--label"],
                      ["--", "w00"]))
     @example(word="w00", label="1990", k=["-k", "3"], target=["--all-years"],
-             keep_self=[], method=["--method", "tw2v"], bad=[])
+             method=["--method", "tw2v"], bad=[])
     @FUZZ_RUN
-    def test_query(self, tiny_run, word, label, k, target, keep_self, method,
-                   bad):
+    def test_query(self, tiny_run, word, label, k, target, method, bad):
         assert_run_contract(tiny_run, "query", word, "--out", tiny_run,
-                            "--label", label, *k, *target, *keep_self,
-                            *method, *bad)
+                            "--label", label, *k, *target, *method, *bad)
 
     @given(testset=mostly(TESTSETS, st.none()),
            triplets=mostly(st.none(), TRIPLETS, 3), method=METHOD, seed=SEED,
