@@ -50,7 +50,7 @@ for name, mats in [
     ("aligned", aligned),
     ("unaligned", per_slice),
 ]:
-    ranks, _ = run_alignment_test(testset, dict(zip(labels, mats)))
+    ranks = run_alignment_test(testset, dict(zip(labels, mats)))
     print(f"{name:10s} {mp_at_k(ranks, 1):6.3f} "
           f"{mp_at_k(ranks, 5):6.3f} {mrr(ranks):6.3f}")
 

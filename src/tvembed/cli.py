@@ -20,13 +20,15 @@ when argparse rejects the command line) and exits with the code
   directory, "error: <path>: <reason>") or an output that cannot be
   written, no word reaching min_count, or a malformed input file, such as
   a slice label outside the signed 64-bit range, a damaged or stale
-  artifact ("error: <path>[:<line>]: <reason>"), or an allocation that
-  fails, such as that of a `--dim` too large for memory;
+  artifact ("error: <path>[:<line>]: <reason>"), a training whose ridge
+  system overflows on such an artifact, or an allocation that fails, such
+  as that of a `--dim` too large for memory;
 - 3: an unknown word or slice label, a query word whose vector is zero in
   its slice, or a tw2v query word with no local map into a target slice;
 - 4: an evaluation left with nothing to score.
 
-A warning prints one line "warning: <message>" to stderr.
+A warning prints one line "warning: <message>" to stderr, each distinct one
+once per command.
 """
 
 import argparse
@@ -75,8 +77,8 @@ class LookupFailure(Exception):
 
 
 _EXIT_CODES = {UsageError: 2, OSError: 2, EmptyVocabularyError: 2,
-               ArtifactError: 2, MemoryError: 2, LookupFailure: 3,
-               evaluation.EmptyEvaluation: 4}
+               ArtifactError: 2, MemoryError: 2, FloatingPointError: 2,
+               LookupFailure: 3, evaluation.EmptyEvaluation: 4}
 
 
 def derive_seed(master, component):
@@ -658,10 +660,13 @@ def main(argv=None):
     formatwarning, warnings.formatwarning = (warnings.formatwarning,
                                              _warning_line)
     try:
-        cfg = build_run_config(args)
-        # Looked up when called, so a wrapper set on the module runs.
-        handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
-        return handler(args, cfg, RunDir(cfg.out))
+        # Entering forgets which warnings were shown, so each command shows
+        # its own; leaving restores the caller's filters.
+        with warnings.catch_warnings():
+            cfg = build_run_config(args)
+            # Looked up when called, so a wrapper set on the module runs.
+            handler = globals()[f"cmd_{args.command.replace('-', '_')}"]
+            return handler(args, cfg, RunDir(cfg.out))
     except tuple(_EXIT_CODES) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items()

@@ -82,9 +82,6 @@ class TokenIds:
     lengths: np.ndarray
     types: list
 
-    def __len__(self):
-        return len(self.lengths)
-
     def documents(self):
         """The documents as lists of tokens."""
         tokens = [self.types[i] for i in self.ids.tolist()]

@@ -199,14 +199,17 @@ def _kmeans_once(X, K, rng):
     for _ in range(KMEANS_MAX_ITERS):
         sims = X @ centroids.T
         new_assign = np.argmax(sims, axis=1)
-        for k in range(K):
-            if not np.any(new_assign == k):
-                # Repair empty cluster with the point farthest from its
-                # centroid.
-                cur = sims[np.arange(n), new_assign]
-                steal = int(np.argmin(cur))
-                new_assign[steal] = k
-                sims[steal, :] = -np.inf  # cannot be stolen twice
+        sizes = np.bincount(new_assign, minlength=K)
+        cur = sims[np.arange(n), new_assign]
+        for k in np.flatnonzero(sizes == 0):
+            # Repair an empty cluster with the point farthest from its
+            # centroid among clusters of more than one member; with K <= n
+            # there is one. Moved, the point is a singleton.
+            steal = int(np.argmin(np.where(sizes[new_assign] > 1, cur,
+                                           np.inf)))
+            sizes[new_assign[steal]] -= 1
+            sizes[k] = 1
+            new_assign[steal] = k
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -331,7 +334,7 @@ def run_alignment_test(testset, slices, K_max=TOP_RANK_CUTOFF, queries=None,
     Records are ranked one target slice at a time against its CosineRows,
     given that slice's row norms when `norms` maps its label to them, a
     block of records per matrix product (see `CosineRows.tops`).
-    Returns (ranks, skipped_count).
+    Returns the ranks of the records not skipped, in record order.
     """
     if K_max < 1:
         raise ValueError("K must be >= 1")
@@ -370,7 +373,7 @@ def run_alignment_test(testset, slices, K_max=TOP_RANK_CUTOFF, queries=None,
             causes.append(f"{unmapped} with no local map (fewer than k "
                           "neighbours nonzero in both slices)")
         warnings.warn(f"skipped {skipped} records: {', '.join(causes)}")
-    return [ranks[i] for i in sorted(ranks)], skipped
+    return [ranks[i] for i in sorted(ranks)]
 
 
 def mrr(ranks):
@@ -552,8 +555,7 @@ def alignment_report(testset, slices, queries=None, norms=None):
     matrix); `queries` and `norms` are passed to `run_alignment_test`, and
     the records it skips count in neither. Raises EmptyEvaluation when no
     record can be ranked."""
-    ranks, _ = run_alignment_test(testset, slices, queries=queries,
-                                  norms=norms)
+    ranks = run_alignment_test(testset, slices, queries=queries, norms=norms)
     if not ranks:
         raise EmptyEvaluation(
             "no testset record could be ranked: every query vector is zero "

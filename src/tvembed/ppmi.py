@@ -35,13 +35,9 @@ class PpmiSequence:
         for m in self.matrices:
             if m.shape != (self.vocab_size, self.vocab_size):
                 raise ValueError("all PPMI matrices must be V x V")
-        labels = self.labels
+        labels = [m.slice_label for m in self.matrices]
         if any(b <= a for a, b in zip(labels, labels[1:])):
             raise ValueError("slice labels must be strictly increasing")
-
-    @property
-    def labels(self):
-        return [m.slice_label for m in self.matrices]
 
 
 def build_ppmi(stats, slice_label=0):

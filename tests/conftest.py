@@ -1,5 +1,7 @@
 import json
+import math
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import scipy.sparse as sp
 from tvembed.corpus import SliceStats
 from tvembed.evaluation import TOP_RANK_CUTOFF
 from tvembed.ppmi import PpmiMatrix, PpmiSequence
+from tvembed.solver import init_embeddings, train
 from tvembed.synthetic import planted_shift_corpus
 
 
@@ -46,16 +49,88 @@ def damaged_csr(matrix, kind, rng):
             np.insert(indices, at, indices[at]), np.insert(data, at, data[at]))
 
 
-def write_planted_jsonl(path):
-    """Write a planted-shift corpus of 8 slices x 2000 documents x 20 tokens
-    (V=2001) to `path` as JSON lines."""
-    corpus = planted_shift_corpus(n_slices=8, community_size=1000,
-                                  docs_per_slice=2000, doc_len=20, halo=5,
-                                  seed=3)
+def write_jsonl(path, records):
+    """Write the (label, text) `records` to `path` as a JSON-lines corpus."""
     Path(path).write_text("".join(
-        json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
-        for label, ids in zip(corpus.slice_labels, corpus.slices)
-        for doc in ids.documents()))
+        json.dumps({"label": label, "text": text}) + "\n"
+        for label, text in records))
+
+
+def write_planted_jsonl(path, corpus=None):
+    """Write `corpus`, by default a planted-shift corpus of 8 slices x 2000
+    documents x 20 tokens (V=2001), to `path` as JSON lines."""
+    if corpus is None:
+        corpus = planted_shift_corpus(n_slices=8, community_size=1000,
+                                      docs_per_slice=2000, doc_len=20,
+                                      halo=5, seed=3)
+    write_jsonl(path, ((label, " ".join(doc)) for label, ids in
+                       zip(corpus.slice_labels, corpus.slices)
+                       for doc in ids.documents()))
+
+
+def write_slice_dirs(root, corpus):
+    """Write `corpus` under `root` in the directory layout: a directory per
+    slice label holding a file doc000.txt, doc001.txt, ... per document."""
+    for label, ids in zip(corpus.slice_labels, corpus.slices):
+        directory = Path(root) / str(label)
+        directory.mkdir(parents=True)
+        for i, doc in enumerate(ids.documents()):
+            (directory / f"doc{i:03d}.txt").write_text(" ".join(doc))
+
+
+def tied_matrix(rng, V, d, integer_valued, n_dup, n_zero):
+    """A V x d matrix with exact ties: integer entries in [-2, 2] or normal
+    ones, `n_dup` rows copied from others and `n_zero` zero rows (drawn with
+    replacement)."""
+    if integer_valued:
+        m = rng.integers(-2, 3, size=(V, d)).astype(np.float64)
+    else:
+        m = rng.standard_normal((V, d))
+    dup = rng.integers(V, size=n_dup)
+    m[rng.permutation(V)[:n_dup]] = m[dup]
+    m[rng.integers(V, size=n_zero)] = 0.0
+    return m
+
+
+def nmi_oracle(labels, assign):
+    """NMI from the contingency table, independent of `evaluation.nmi`."""
+    n = len(labels)
+    lab_set = sorted(set(labels))
+    clu_set = sorted(set(assign))
+    table = np.zeros((len(lab_set), len(clu_set)))
+    for lab, clu in zip(labels, assign):
+        table[lab_set.index(lab), clu_set.index(clu)] += 1
+    pl = table.sum(axis=1) / n
+    pc = table.sum(axis=0) / n
+    h_l = -sum(p * math.log(p) for p in pl if p > 0)
+    h_c = -sum(p * math.log(p) for p in pc if p > 0)
+    if h_l + h_c == 0:
+        return 1.0
+    mi = 0.0
+    for i in range(len(lab_set)):
+        for j in range(len(clu_set)):
+            p = table[i, j] / n
+            if p > 0:
+                mi += p * math.log(p / (pl[i] * pc[j]))
+    return mi / ((h_l + h_c) / 2)
+
+
+def f_beta_oracle(labels, assign, beta):
+    """Pairwise F-beta by enumerating every pair of items, independent of
+    `evaluation.f_beta`."""
+    tp = fp = fn = 0
+    for i, j in combinations(range(len(labels)), 2):
+        same_c = assign[i] == assign[j]
+        same_l = labels[i] == labels[j]
+        tp += same_c and same_l
+        fp += same_c and not same_l
+        fn += same_l and not same_c
+    if tp + fp == 0 or tp + fn == 0:
+        return 0.0
+    P, R = tp / (tp + fp), tp / (tp + fn)
+    if P == R == 0:
+        return 0.0
+    return (beta**2 + 1) * P * R / (beta**2 * P + R)
 
 
 def dense_objective_terms(seq, Y, cfg):
@@ -88,6 +163,27 @@ def normal_residual(new, A, B):
     if bnorm == 0:
         return 0.0
     return float(np.linalg.norm(new @ A - B) / bnorm)
+
+
+def descent_trace(Y, cfg):
+    """Train on Y under cfg and return (initial objective, objectives,
+    residuals): after every block update the dense objective and the
+    update's residual against the dense ridge system built from the state it
+    was solved from (the other factor at slice t and this factor's
+    neighbours)."""
+    objs, residuals = [], []
+
+    def sink(event):
+        state = event.state
+        new = (state.U if event.factor == "U" else state.W)[event.t]
+        A, B = dense_ridge_system(event.factor, event.t, state, Y, cfg)
+        residuals.append(normal_residual(new, A, B))
+        objs.append(dense_objective_oracle(state, Y, cfg))
+
+    initial = dense_objective_oracle(
+        init_embeddings(Y.vocab_size, len(Y.matrices), cfg), Y, cfg)
+    train(Y, cfg, progress_sink=sink)
+    return initial, objs, residuals
 
 
 def residual_gradient(U_t, Y_t):
@@ -273,7 +369,7 @@ def loop_nearest_neighbors(query, matrix, K, exclude=frozenset()):
 def loop_run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
     """Per-record `loop_nearest_neighbors` loop oracle for
     `evaluation.run_alignment_test` (the library's original implementation,
-    kept unchanged as the reference)."""
+    kept as the reference; its skip warning has the library's text)."""
     by_label = {lab: m for lab, m in zip(labels, matrices)}
     ranks = []
     skipped = 0
@@ -293,8 +389,9 @@ def loop_run_alignment_test(testset, matrices, labels, K_max=TOP_RANK_CUTOFF):
                 break
         ranks.append(rank)
     if skipped:
-        warnings.warn(f"skipped {skipped} records with zero query vectors")
-    return ranks, skipped
+        warnings.warn(f"skipped {skipped} records: {skipped} with a zero "
+                      "query vector")
+    return ranks
 
 
 def loop_local_linear_map(query_word, source_t, target_t, k=30):

@@ -6,9 +6,6 @@ pytest capture) so the gate's verdict is visible in any run log.
 
 import statistics
 import time
-from collections import Counter
-from itertools import combinations
-
 import warnings
 
 import numpy as np
@@ -16,12 +13,13 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (
-    dense_objective_oracle,
     dense_objective_terms,
-    dense_ridge_system,
-    normal_residual,
+    descent_trace,
+    f_beta_oracle,
+    nmi_oracle,
     random_ppmi_sequence,
     residual_gradient,
+    write_slice_dirs,
 )
 from tvembed.baselines import procrustes_align, train_per_slice, align_sequence
 from tvembed.corpus import (
@@ -49,7 +47,6 @@ from tvembed.ppmi import (
 from tvembed.solver import (
     SolverConfig,
     final_embedding,
-    init_embeddings,
     read_embeddings_binary,
     train,
     write_embeddings_binary,
@@ -68,29 +65,13 @@ def report(capsys, number, name, ok, detail=""):
 @pytest.fixture(scope="module")
 def descent_run():
     """Shared run for criteria 1 and 2: objective and normal-equation
-    residual recorded after every block update, the residual against the
-    dense ridge system built from the state the update was solved from."""
-    V, T, d = 200, 5, 10
-    Y = random_ppmi_sequence(V, T, density=0.05, seed=42)
-    cfg = SolverConfig(dim=d, ridge=10.0, smoothing=50.0, coupling=50.0,
+    residual recorded after every block update (see `descent_trace`)."""
+    Y = random_ppmi_sequence(200, 5, density=0.05, seed=42)
+    cfg = SolverConfig(dim=10, ridge=10.0, smoothing=50.0, coupling=50.0,
                        epochs=5, seed=42)
-    objs = []
-    residuals = []
-
-    def sink(event):
-        # The state holds the update and what it was solved from: the other
-        # factor at slice t and this factor's neighbours.
-        state = event.state
-        new = (state.U if event.factor == "U" else state.W)[event.t]
-        A, B = dense_ridge_system(event.factor, event.t, state, Y, cfg)
-        residuals.append(normal_residual(new, A, B))
-        objs.append(dense_objective_oracle(state, Y, cfg))
-
-    initial = dense_objective_oracle(init_embeddings(V, T, cfg), Y, cfg)
     t0 = time.time()
-    train(Y, cfg, progress_sink=sink)
-    elapsed = time.time() - t0
-    return initial, objs, residuals, elapsed
+    initial, objs, residuals = descent_trace(Y, cfg)
+    return initial, objs, residuals, time.time() - t0
 
 
 def test_01_monotone_descent(descent_run, capsys):
@@ -201,39 +182,6 @@ def test_06_procrustes_recovers_planted_map(capsys):
            f"max Frobenius err {worst:.2e} over 50 trials")
 
 
-def _nmi_oracle(labels, clustering):
-    n = len(labels)
-    joint = Counter(zip(labels, clustering))
-    pl = Counter(labels)
-    pc = Counter(clustering)
-    I = sum(
-        c / n * np.log((c / n) / ((pl[a] / n) * (pc[b] / n)))
-        for (a, b), c in joint.items()
-    )
-    hl = -sum(c / n * np.log(c / n) for c in pl.values())
-    hc = -sum(c / n * np.log(c / n) for c in pc.values())
-    if hl + hc == 0:
-        return 1.0
-    return I / ((hl + hc) / 2)
-
-
-def _f_beta_oracle(labels, clustering, beta):
-    tp = fp = fn = 0
-    for i, j in combinations(range(len(labels)), 2):
-        same_l = labels[i] == labels[j]
-        same_c = clustering[i] == clustering[j]
-        tp += same_l and same_c
-        fp += (not same_l) and same_c
-        fn += same_l and not same_c
-    if tp + fp == 0 or tp + fn == 0:
-        return 0.0
-    p = tp / (tp + fp)
-    r = tp / (tp + fn)
-    if p == 0 and r == 0:
-        return 0.0
-    return (1 + beta**2) * p * r / (beta**2 * p + r)
-
-
 def test_07_metric_oracles_and_rank_invariants(capsys):
     worst = 0.0
     rng = np.random.default_rng(7)
@@ -245,9 +193,9 @@ def test_07_metric_oracles_and_rank_invariants(capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # degenerate labelings warn
             worst = max(worst, abs(nmi(labels, clustering)
-                                   - _nmi_oracle(labels, clustering)))
+                                   - nmi_oracle(labels, clustering)))
             worst = max(worst, abs(f_beta(labels, clustering, beta=5.0)
-                                   - _f_beta_oracle(labels, clustering, 5.0)))
+                                   - f_beta_oracle(labels, clustering, 5.0)))
     invariants = True
     for _ in range(1000):
         n = int(rng.integers(1, 30))
@@ -304,8 +252,7 @@ def planted_results():
             }
             scores = {}
             for name, mats in variants.items():
-                ranks, _ = run_alignment_test(testset,
-                                              dict(zip(labels, mats)))
+                ranks = run_alignment_test(testset, dict(zip(labels, mats)))
                 scores[name] = {"mp1": mp_at_k(ranks, 1), "mrr": mrr(ranks)}
             by_rate[rate] = scores
         results.append(by_rate)
@@ -374,11 +321,7 @@ def test_10_bit_exact_io_and_reruns(tmp_path, capsys):
     ok &= p.read_bytes() == blob
 
     corpus_dir = tmp_path / "corpus"
-    for t, docs in enumerate(s.documents() for s in corpus.slices):
-        d = corpus_dir / str(t)
-        d.mkdir(parents=True)
-        for i, doc in enumerate(docs):
-            (d / f"{i}.txt").write_text(" ".join(doc))
+    write_slice_dirs(corpus_dir, corpus)
     out = tmp_path / "run"
     build_args = ["build", "--corpus", str(corpus_dir), "--out", str(out),
                   "--window", "3", "--min-count", "1"]

@@ -9,7 +9,8 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_local_linear_map, random_ppmi_sequence
+from conftest import (loop_local_linear_map, random_ppmi_sequence,
+                      tied_matrix)
 from tvembed.baselines import (
     align_sequence,
     factorize_single,
@@ -201,16 +202,9 @@ def local_map_cases(draw):
     V = draw(st.integers(1, 40))
     d = draw(st.integers(1, 12))
     integer_valued = draw(st.booleans())
-    mats = []
-    for _ in range(draw(st.integers(1, 3))):
-        if integer_valued:
-            m = rng.integers(-2, 3, size=(V, d)).astype(np.float64)
-        else:
-            m = rng.standard_normal((V, d))
-        dup = rng.integers(V, size=draw(st.integers(0, V)))
-        m[rng.permutation(V)[: len(dup)]] = m[dup]
-        m[rng.integers(V, size=draw(st.integers(0, 3)))] = 0.0
-        mats.append(m)
+    mats = [tied_matrix(rng, V, d, integer_valued, draw(st.integers(0, V)),
+                        draw(st.integers(0, 3)))
+            for _ in range(draw(st.integers(1, 3)))]
     slices = st.integers(0, len(mats) - 1)
     records = draw(st.lists(
         st.tuples(st.integers(0, V - 1), slices, slices), max_size=20,

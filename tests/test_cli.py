@@ -20,7 +20,9 @@ from conftest import (
     damaged_csr,
     loop_local_linear_map,
     loop_nearest_neighbors,
+    write_jsonl,
     write_planted_jsonl,
+    write_slice_dirs,
 )
 from tvembed.cli import (
     COMMANDS,
@@ -32,7 +34,8 @@ from tvembed.cli import (
 )
 from tvembed import baselines, cli, evaluation, solver
 from tvembed.evaluation import nearest_neighbors
-from tvembed.corpus import SliceStats, read_stats, write_stats
+from tvembed.corpus import (SliceStats, TimeSlicedCorpus, read_stats,
+                            write_stats)
 from tvembed.ppmi import read_ppmi, write_ppmi
 from tvembed.solver import read_embeddings_binary, write_embeddings_binary
 from tvembed.synthetic import planted_shift_corpus
@@ -83,6 +86,36 @@ def run_dir(tmp_path, toy_corpus):
         ]
     )
     assert code == 0
+    return out
+
+
+# (query label, target label) pairs of `_write_ring_testset`: first slice to
+# last, back, within one slice, and first to a middle one.
+_RING_PAIRS = ((0, 3), (3, 0), (1, 1), (0, 2))
+
+
+def _write_ring_testset(path, community_size, pairs):
+    """Write a testset for a planted-shift run to `path`: for every third
+    ring word i, from each label to its partner in `pairs`, alpha i answered
+    by itself and beta i by beta i+1, then probeword answered by alpha i."""
+    rows = ["query_word,query_label,target_label,answer_word"]
+    for i in range(0, community_size, 3):
+        for a, b in pairs:
+            rows.append(f"alpha{i:03d},{a},{b},alpha{i:03d}")
+            rows.append(f"beta{i:03d},{a},{b},"
+                        f"beta{(i + 1) % community_size:03d}")
+        rows.append(f"probeword,0,3,alpha{i:03d}")
+    Path(path).write_text("\n".join(rows) + "\n")
+
+
+def _build_planted(tmp_path, **params):
+    """The run directory tmp_path / "run" built with window 3 from the
+    planted-shift corpus of `params`."""
+    path = tmp_path / "corpus.jsonl"
+    write_planted_jsonl(path, planted_shift_corpus(**params))
+    out = tmp_path / "run"
+    assert main(["build", "--corpus", str(path), "--out", str(out),
+                 "--window", "3"]) == 0
     return out
 
 
@@ -260,16 +293,15 @@ class TestBuild:
         corpus = planted_shift_corpus(n_slices=4, community_size=30,
                                       docs_per_slice=60, doc_len=12, halo=3,
                                       seed=7)
-        lines = []
+        records = []
         for label, ids in zip(corpus.slice_labels, corpus.slices):
             docs = ids.documents()
             # A hapax below --min-count (out-of-vocabulary positions) and an
             # empty document ride along in every slice.
             extra = [docs[0][:5] + [f"hapax{label}"] + docs[1][:5], []]
-            for doc in docs + extra:
-                lines.append(json.dumps({"label": label, "text": " ".join(doc)}))
+            records += [(label, " ".join(doc)) for doc in docs + extra]
         path = tmp_path / "corpus.jsonl"
-        path.write_text("\n".join(lines) + "\n")
+        write_jsonl(path, records)
         out = tmp_path / "run"
         assert main(["build", "--corpus", str(path), "--out", str(out),
                      "--window", "3", "--min-count", "2"]) == 0
@@ -462,9 +494,7 @@ class TestBuild:
         # labels must not answer for the new vocabulary.
         def build(text, out):
             corpus = tmp_path / "corpus.jsonl"
-            corpus.write_text("".join(
-                json.dumps({"label": label, "text": text}) + "\n"
-                for label in (0, 1)))
+            write_jsonl(corpus, [(0, text), (1, text)])
             assert main(["build", "--corpus", str(corpus), "--out",
                          str(out)]) == 0
 
@@ -544,14 +574,10 @@ class TestTrain:
     }
 
     def test_epoch_lines_match_recorded(self, run_dir, tmp_path, capsys):
-        corpus = planted_shift_corpus(n_slices=5, community_size=20,
-                                      docs_per_slice=80, doc_len=12, halo=3,
-                                      seed=11)
         path = tmp_path / "planted.jsonl"
-        path.write_text("".join(
-            json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
-            for label, docs in zip(corpus.slice_labels, corpus.slices)
-            for doc in docs.documents()))
+        write_planted_jsonl(path, planted_shift_corpus(
+            n_slices=5, community_size=20, docs_per_slice=80, doc_len=12,
+            halo=3, seed=11))
         planted = tmp_path / "planted"
         assert main(["build", "--corpus", str(path), "--out", str(planted),
                      "--window", "3"]) == 0
@@ -571,32 +597,41 @@ class TestTrain:
         assert not (run_dir / "embeddings_aw2v_perslice.tvem").exists()
         assert not (run_dir / "embeddings_aw2v_perslice.txt").exists()
 
-    def test_aw2v_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
         # A BLAS product of two V x d slices sums in an order set by the
         # thread count: at V >= 500 and d = 50, such a product in the
-        # Procrustes map gives other bits under 1 and 2 OpenBLAS threads.
-        corpus = planted_shift_corpus(n_slices=4, community_size=300,
-                                      docs_per_slice=400, doc_len=15, halo=3,
-                                      seed=7)
+        # Procrustes map gave aw2v other bits under 1 and 2 OpenBLAS
+        # threads. Each thread count trains every method and evaluates it
+        # in one process.
         path = tmp_path / "corpus.jsonl"
-        path.write_text("".join(
-            json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
-            for label, docs in zip(corpus.slice_labels, corpus.slices)
-            for doc in docs.documents()))
+        write_planted_jsonl(path, planted_shift_corpus(
+            n_slices=4, community_size=300, docs_per_slice=400, doc_len=15,
+            halo=3, seed=7))
         out = tmp_path / "run"
         assert main(["build", "--corpus", str(path), "--out", str(out)]) == 0
         assert len(cli.read_vocab(out / "vocab.txt")) == 601
-        tvem = []
+        testset = tmp_path / "t.csv"
+        _write_ring_testset(testset, 300, _RING_PAIRS)
+        commands = [argv for m in ("dw2v", "sw2v", "aw2v", "tw2v")
+                    for argv in (["train", "--out", str(out), "--method", m,
+                                  "--dim", "50", "--epochs", "2"],
+                                 ["evaluate", "--out", str(out), "--method", m,
+                                  "--testset", str(testset), "--json-out",
+                                  str(out / f"report_{m}.json")])]
+        script = ("import json, sys\nfrom tvembed.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    assert main(argv) == 0, argv\n")
+        runs = []
         for threads in ("1", "2"):
             proc = subprocess.run(
-                [sys.executable, "-m", "tvembed.cli", "train", "--out",
-                 str(out), "--method", "aw2v", "--dim", "50", "--epochs",
-                 "2"],
+                [sys.executable, "-c", script, json.dumps(commands)],
                 capture_output=True, text=True,
                 env=dict(_SUBPROCESS_ENV, OPENBLAS_NUM_THREADS=threads))
             assert proc.returncode == 0, proc.stderr
-            tvem.append((out / "embeddings_aw2v.tvem").read_bytes())
-        assert tvem[0] == tvem[1]
+            runs.append({f.name: f.read_bytes() for f in out.iterdir()
+                         if f.name.startswith(("embeddings_", "report_"))})
+        assert len(runs[0]) == 12
+        assert runs[0] == runs[1]
 
     def test_sw2v_static_replicated(self, run_dir):
         assert main(train_args(run_dir, method="sw2v")) == 0
@@ -618,17 +653,9 @@ class TestTrain:
     }
 
     def test_sw2v_golden_digests_without_ppmi(self, tmp_path):
-        corpus = planted_shift_corpus(n_slices=4, community_size=40,
-                                      docs_per_slice=150, doc_len=12, halo=3,
-                                      seed=31)
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("".join(
-            json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
-            for label, docs in zip(corpus.slice_labels, corpus.slices)
-            for doc in docs.documents()))
-        out = tmp_path / "run"
-        assert main(["build", "--corpus", str(path), "--out", str(out),
-                     "--window", "3"]) == 0
+        out = _build_planted(
+            tmp_path, n_slices=4, community_size=40, docs_per_slice=150,
+            doc_len=12, halo=3, seed=31)
         for ppmi in out.glob("ppmi_*.tvpm"):
             ppmi.unlink()
         assert main(["train", "--out", str(out), "--method", "sw2v",
@@ -743,10 +770,8 @@ class TestQuery:
     def test_target_label_zero_is_honoured(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.jsonl"
         docs = ["cat dog bird cat", "dog bird fish dog", "fish cat bird"]
-        corpus.write_text("".join(
-            json.dumps({"label": label, "text": text}) + "\n"
-            for label in (0, 1) for text in docs
-        ))
+        write_jsonl(corpus, [(label, text) for label in (0, 1)
+                             for text in docs])
         out = tmp_path / "run"
         assert main(["build", "--corpus", str(corpus), "--out", str(out),
                      "--window", "2"]) == 0
@@ -847,17 +872,9 @@ class TestQuery:
         assert second != first
 
     def test_tw2v_cross_slice_query_is_mapped(self, tmp_path, capsys):
-        corpus = planted_shift_corpus(n_slices=3, community_size=20,
-                                      docs_per_slice=80, doc_len=12, halo=3,
-                                      seed=13)
-        path = tmp_path / "planted.jsonl"
-        path.write_text("".join(
-            json.dumps({"label": label, "text": " ".join(doc)}) + "\n"
-            for label, docs in zip(corpus.slice_labels, corpus.slices)
-            for doc in docs.documents()))
-        out = tmp_path / "run"
-        assert main(["build", "--corpus", str(path), "--out", str(out),
-                     "--window", "3"]) == 0
+        out = _build_planted(
+            tmp_path, n_slices=3, community_size=20, docs_per_slice=80,
+            doc_len=12, halo=3, seed=13)
         assert main(["train", "--out", str(out), "--method", "tw2v",
                      "--dim", "5", "--epochs", "2"]) == 0
         capsys.readouterr()
@@ -1273,19 +1290,23 @@ class TestEvaluate:
             f"error: {tp}: unknown slice label 2050"
         ]
 
-    def zeroed_triplet_run(self, tmp_path, n_zero):
-        """A 2-slice, 14-word dw2v run whose first n_zero of 12 labeled
-        (word, slice 0) vectors are zeroed, and its triplet file."""
-        words = [f"w{i:02d}" for i in range(14)]
+    def rotated_run(self, tmp_path, n_words):
+        """A 2-slice dw2v run on the words w00, w01, ...: four documents a
+        slice, the word list rotated by 0 to 3. Returns (run, words)."""
+        words = [f"w{i:02d}" for i in range(n_words)]
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"label": label,
-                        "text": " ".join(words[i:] + words[:i])}) + "\n"
-            for label in (0, 1) for i in range(4)))
+        write_jsonl(corpus, [(label, " ".join(words[i:] + words[:i]))
+                             for label in (0, 1) for i in range(4)])
         out = tmp_path / "run"
         assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
         assert main(["train", "--out", str(out), "--dim", "3",
                      "--epochs", "1"]) == 0
+        return out, words
+
+    def zeroed_triplet_run(self, tmp_path, n_zero):
+        """A 2-slice, 14-word dw2v run whose first n_zero of 12 labeled
+        (word, slice 0) vectors are zeroed, and its triplet file."""
+        out, words = self.rotated_run(tmp_path, 14)
         path = out / "embeddings_dw2v.tvem"
         mats, labels = read_embeddings_binary(path)
         mats = [np.array(m) for m in mats]
@@ -1325,16 +1346,7 @@ class TestEvaluate:
     def test_no_cluster_size_fits_exit_4(self, tmp_path, capsys):
         # Two labeled items: every K in CLUSTER_SIZES exceeds them, so
         # nothing is scored.
-        words = [f"w{i:02d}" for i in range(40)]
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"label": label,
-                        "text": " ".join(words[i:] + words[:i])}) + "\n"
-            for label in (0, 1) for i in range(4)))
-        out = tmp_path / "run"
-        assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
-        assert main(["train", "--out", str(out), "--dim", "3",
-                     "--epochs", "1"]) == 0
+        out, _ = self.rotated_run(tmp_path, 40)
         triplets = tmp_path / "triplets.csv"
         triplets.write_text("word,label,section,strength\n"
                             "w00,0,A,0.9\nw01,1,B,0.9\n")
@@ -1424,6 +1436,23 @@ class TestEvaluate:
             f"warning: {ts}: dropped 1 out-of-vocabulary records"]
         assert proc.stdout == capsys.readouterr().out
 
+    def test_each_command_in_a_process_prints_its_warnings(self, run_dir):
+        # Python shows a warning once per place it is issued from until the
+        # filters change; `main` starts that record afresh, so each of two
+        # commands in one process prints its warning.
+        ts = self.make_testset(run_dir)
+        with ts.open("a") as fh:
+            fh.write("unicorn,1990,2000,pet0\n")
+        assert main(train_args(run_dir)) == 0
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom tvembed.cli import main\n"
+             "for _ in range(2):\n    assert main(sys.argv[1:]) == 0\n",
+             "evaluate", "--out", str(run_dir), "--testset", str(ts)],
+            capture_output=True, text=True, env=_SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"warning: {ts}: dropped 1 out-of-vocabulary records"] * 2
+
     def test_tw2v_same_slice_scores_what_query_ranks(self, tmp_path,
                                                      capsys):
         # At d=40 > k=30 a local map from a slice into itself is a rank-30
@@ -1433,9 +1462,7 @@ class TestEvaluate:
         # for the n-th.
         words = [f"w{i:03d}" for i in range(100)]
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("".join(
-            json.dumps({"label": label, "text": " ".join(words)}) + "\n"
-            for label in (0, 1)))
+        write_jsonl(corpus, [(0, " ".join(words)), (1, " ".join(words))])
         out = tmp_path / "run"
         assert main(["build", "--corpus", str(corpus), "--out", str(out)]) == 0
         rng = np.random.default_rng(5)
@@ -1473,26 +1500,11 @@ class TestEvaluate:
     }
 
     def test_tw2v_golden_digests(self, tmp_path, capsys):
-        corpus = planted_shift_corpus(n_slices=4, community_size=40,
-                                      docs_per_slice=150, doc_len=12, halo=3,
-                                      seed=29)
-        lines = [json.dumps({"label": label, "text": " ".join(doc)})
-                 for label, docs in zip(corpus.slice_labels, corpus.slices)
-                 for doc in docs.documents()]
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "run"
-        assert main(["build", "--corpus", str(path), "--out", str(out),
-                     "--window", "3"]) == 0
-        # Identity, shifted-answer, same-slice and probe-word records.
-        rows = ["query_word,query_label,target_label,answer_word"]
-        for i in range(0, 40, 3):
-            for a, b in ((0, 3), (3, 0), (1, 1), (0, 2), (2, 1)):
-                rows.append(f"alpha{i:03d},{a},{b},alpha{i:03d}")
-                rows.append(f"beta{i:03d},{a},{b},beta{(i + 1) % 40:03d}")
-            rows.append(f"probeword,0,3,alpha{i:03d}")
+        out = _build_planted(
+            tmp_path, n_slices=4, community_size=40, docs_per_slice=150,
+            doc_len=12, halo=3, seed=29)
         testset = tmp_path / "t.csv"
-        testset.write_text("\n".join(rows) + "\n")
+        _write_ring_testset(testset, 40, _RING_PAIRS + ((2, 1),))
         digests = {}
         for dim in self.TW2V_GOLDEN:
             assert main(["train", "--out", str(out), "--method", "tw2v",
@@ -1521,25 +1533,11 @@ class TestEvaluate:
     }
 
     def test_method_golden_digests(self, tmp_path, capsys):
-        corpus = planted_shift_corpus(n_slices=4, community_size=40,
-                                      docs_per_slice=150, doc_len=12, halo=3,
-                                      seed=31)
-        lines = [json.dumps({"label": label, "text": " ".join(doc)})
-                 for label, docs in zip(corpus.slice_labels, corpus.slices)
-                 for doc in docs.documents()]
-        path = tmp_path / "corpus.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "run"
-        assert main(["build", "--corpus", str(path), "--out", str(out),
-                     "--window", "3"]) == 0
-        rows = ["query_word,query_label,target_label,answer_word"]
-        for i in range(0, 40, 3):
-            for a, b in ((0, 3), (3, 0), (1, 1), (0, 2)):
-                rows.append(f"alpha{i:03d},{a},{b},alpha{i:03d}")
-                rows.append(f"beta{i:03d},{a},{b},beta{(i + 1) % 40:03d}")
-            rows.append(f"probeword,0,3,alpha{i:03d}")
+        out = _build_planted(
+            tmp_path, n_slices=4, community_size=40, docs_per_slice=150,
+            doc_len=12, halo=3, seed=31)
         testset = tmp_path / "t.csv"
-        testset.write_text("\n".join(rows) + "\n")
+        _write_ring_testset(testset, 40, _RING_PAIRS)
         # Eight sections, one per ten-word arc of each ring.
         rows = ["word,label,section,strength"]
         for i in range(40):
@@ -1715,12 +1713,10 @@ class TestReadmeCommandLine:
                                       docs_per_slice=300, doc_len=12, halo=3,
                                       seed=2)
         rename = {"alpha000": "apple", "beta000": "amazon"}
-        for label, docs in zip(corpus.slice_labels, corpus.slices):
-            directory = tmp_path / "corpus" / str(1993 + label)
-            directory.mkdir(parents=True)
-            for i, doc in enumerate(docs.documents()):
-                (directory / f"doc{i:03d}.txt").write_text(
-                    " ".join(rename.get(w, w) for w in doc))
+        write_slice_dirs(tmp_path / "corpus", TimeSlicedCorpus(
+            slices=[[[rename.get(w, w) for w in doc] for doc in s.documents()]
+                    for s in corpus.slices],
+            slice_labels=[1993 + label for label in corpus.slice_labels]))
         (tmp_path / "equivalences.csv").write_text(
             "query_word,query_label,target_label,answer_word\n"
             "apple,1993,1995,apple\namazon,1998,1995,amazon\n"
@@ -1997,6 +1993,21 @@ def _damage(run, fault):
 _READERS = ("train-dw2v", "train-sw2v", "query", "evaluate", "robustness",
             "export-norms")
 
+
+def _reader_argv(run, command):
+    """The command line of `command`, one of _READERS, on the toy run
+    directory `run`."""
+    testset = str(TestEvaluate().make_testset(run))
+    return {
+        "train-dw2v": train_args(run, "dw2v"),
+        "train-sw2v": train_args(run, "sw2v"),
+        "query": ["query", "shifty", "--label", "1990"],
+        "evaluate": ["evaluate", "--testset", testset],
+        "robustness": ["robustness", "--testset", testset, "--rates", "0.5",
+                       "--dim", "3", "--epochs", "1"],
+        "export-norms": ["export-norms", "--words", "pet0"],
+    }[command] + ["--out", str(run)]
+
 _LABELS_ERROR = (2, "{run}/labels.json: expected a JSON list of strictly "
                     "increasing integer labels")
 _TVPM_SHORT = (2, "{run}/ppmi_1990.tvpm: V=17 but vocab.txt has 16 words; "
@@ -2059,16 +2070,7 @@ class TestRunDirErrors:
     ])
     def test_first_error(self, run_dir, capsys, faults, command, expected):
         assert main(train_args(run_dir)) == 0
-        ts = TestEvaluate().make_testset(run_dir)
-        argv = {
-            "train-dw2v": train_args(run_dir, "dw2v"),
-            "train-sw2v": train_args(run_dir, "sw2v"),
-            "query": ["query", "shifty", "--label", "1990"],
-            "evaluate": ["evaluate", "--testset", str(ts)],
-            "robustness": ["robustness", "--testset", str(ts), "--rates",
-                           "0.5", "--dim", "3", "--epochs", "1"],
-            "export-norms": ["export-norms", "--words", "pet0"],
-        }[command] + ["--out", str(run_dir)]
+        argv = _reader_argv(run_dir, command)
         for fault in faults.split("+"):
             _damage(run_dir, fault)
         capsys.readouterr()
@@ -2111,6 +2113,19 @@ class TestRunDirErrors:
             "", f"error: {path}: PPMI value {value} is not positive and "
             "finite\n")
 
+    @pytest.mark.parametrize("method", ["dw2v", "aw2v"])
+    def test_ppmi_too_large_to_train_on(self, run_dir, capsys, method):
+        # Positive, finite and symmetric, the values pass every read check;
+        # the ridge system overflows in the first update that squares them.
+        for path in run_dir.glob("ppmi_*.tvpm"):
+            ppmi = read_ppmi(path)
+            ppmi.values.data[:] = 1e300
+            write_ppmi(ppmi, path)
+        assert main(train_args(run_dir, method)) == 2
+        assert capsys.readouterr() == (
+            "", "error: epoch 0: non-finite ridge system for W(0); input data "
+            "or factors contain NaN/inf\n")
+
     @pytest.mark.parametrize("what", ["co-occurrence", "unigram"])
     def test_count_beyond_int64(self, run_dir, capsys, what):
         # Read as int64, a u64 count >= 2**63 would wrap negative.
@@ -2145,15 +2160,8 @@ class TestRunDirErrors:
                     f"the unigram counts, {st.total_tokens}")
             st.total_tokens += 1
         write_stats(st, path)
-        argv = {
-            "train-sw2v": train_args(run_dir, "sw2v"),
-            "robustness": [
-                "robustness", "--out", str(run_dir), "--testset",
-                str(TestEvaluate().make_testset(run_dir)), "--rates", "0.5",
-                "--dim", "3", "--epochs", "1"],
-        }[command]
         capsys.readouterr()
-        assert main(argv) == 2
+        assert main(_reader_argv(run_dir, command)) == 2
         assert capsys.readouterr() == ("", f"error: {path}: {line}\n")
 
     @pytest.mark.parametrize("command,fault", [
@@ -2188,16 +2196,8 @@ class TestRunDirErrors:
                          + indptr.astype("<u8").tobytes()
                          + indices.astype("<u4").tobytes()
                          + data.astype(value_dtype).tobytes())
-        argv = {
-            "train-dw2v": train_args(run_dir),
-            "train-sw2v": train_args(run_dir, "sw2v"),
-            "robustness": [
-                "robustness", "--out", str(run_dir), "--testset",
-                str(TestEvaluate().make_testset(run_dir)), "--rates", "0.5",
-                "--dim", "3", "--epochs", "1"],
-        }[command]
         capsys.readouterr()
-        assert main(argv) == 2
+        assert main(_reader_argv(run_dir, command)) == 2
         assert capsys.readouterr() == ("", f"error: {path}: {line}\n")
 
     @pytest.mark.parametrize("command", ["query", "evaluate", "export-norms"])
@@ -2210,13 +2210,7 @@ class TestRunDirErrors:
         V, T, _ = struct.unpack_from("<QQQ", blob, 8)
         path.write_bytes(blob[:4] + struct.pack("<I", 1)
                          + blob[8:-8 * T * V])
-        argv = {
-            "query": ["query", "shifty", "--label", "1990"],
-            "evaluate": ["evaluate", "--testset",
-                         str(TestEvaluate().make_testset(run_dir))],
-            "export-norms": ["export-norms", "--words", "pet0"],
-        }[command] + ["--out", str(run_dir)]
         capsys.readouterr()
-        assert main(argv) == 2
+        assert main(_reader_argv(run_dir, command)) == 2
         assert capsys.readouterr() == (
             "", f"error: {path}: version 1, expected 2; rerun train\n")

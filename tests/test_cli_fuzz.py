@@ -30,6 +30,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_corpus
+from conftest import write_jsonl
 from tvembed.cli import main
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
@@ -172,11 +173,6 @@ def assert_contract(corpus, out, *flags):
         assert len(stderr) == 1 and stderr[0].startswith("error: ")
         assert not out.exists()
     return code
-
-
-def write_jsonl(path, docs):
-    path.write_text("".join(json.dumps({"label": label, "text": text}) + "\n"
-                            for label, text in docs))
 
 
 def stopword_set(data):

@@ -1,4 +1,4 @@
-import json
+import contextlib
 import re
 import tempfile
 import tracemalloc
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (coo_build_ppmi, coo_subsample_counts,
                       loop_count_cooccurrences, loop_pool_stats,
-                      validate_stats, write_planted_jsonl)
+                      validate_stats, write_jsonl, write_planted_jsonl)
 from tvembed import corpus as corpus_module
 from tvembed.artifact import ArtifactError
 from tvembed.corpus import (
@@ -72,6 +72,18 @@ def assert_same_stats(got, want):
     assert np.array_equal(got.unigram, want.unigram)
     assert got.total_tokens == want.total_tokens
     assert got.window == want.window
+
+
+@contextlib.contextmanager
+def bounded_jsonl(records, bound):
+    """The path of a temporary JSON-lines file of the (label, text)
+    `records`, read in batches of about `bound` characters."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_module, "_BATCH_CHARS", bound)
+        path = Path(tmp) / "corpus.jsonl"
+        write_jsonl(path, records)
+        yield path
 
 
 def make_corpus(slices, labels=None):
@@ -139,7 +151,7 @@ class TestTimeSlicedCorpus:
         slices = [[["b", "a"], [], ["a"]], [], [["c"]]]
         corpus = make_corpus(slices)
         assert [s.documents() for s in corpus.slices] == slices
-        assert [len(s) for s in corpus.slices] == [3, 0, 1]
+        assert [len(s.lengths) for s in corpus.slices] == [3, 0, 1]
         assert all(s.ids.dtype == np.int32 for s in corpus.slices)
         assert all(s.types is corpus.slices[0].types for s in corpus.slices)
 
@@ -600,14 +612,14 @@ class TestLoadCorpus:
         rng = np.random.default_rng(9)
         words = np.array([f"w{i}" for i in range(500)] + [
             str(year) for year in range(1990, 2020)])
+        records = []
+        for i in range(4000):
+            # 20 words and 180 years a record.
+            ids = np.concatenate([rng.integers(500, size=20),
+                                  rng.integers(500, 530, size=180)])
+            records.append((i % 4, " ".join(words[rng.permutation(ids)])))
         path = tmp_path / "corpus.jsonl"
-        with open(path, "w") as fh:
-            for i in range(4000):
-                # 20 words and 180 years a record.
-                ids = np.concatenate([rng.integers(500, size=20),
-                                      rng.integers(500, 530, size=180)])
-                text = " ".join(words[rng.permutation(ids)])
-                fh.write(json.dumps({"label": i % 4, "text": text}) + "\n")
+        write_jsonl(path, records)
         self.assert_one_copy_of_the_ids(path)
 
     def test_stopword_line_endings(self, tmp_path):
@@ -638,10 +650,8 @@ class TestBatchTokenize:
         # hold a NUL of its own; either way each label's batch is tokenized
         # in one call, not one document at a time.
         path = tmp_path / "corpus.jsonl"
-        path.write_text("".join(
-            json.dumps({"label": i % 2, "text": text}) + "\n"
-            for i, text in enumerate(
-                ["Hello, world.", "It's", "", "a-b_c", "x\x00y\u03a3"])))
+        write_jsonl(path, [(i % 2, text) for i, text in enumerate(
+            ["Hello, world.", "It's", "", "a-b_c", "x\x00y\u03a3"])])
         tokens, calls = corpus_module._tokens, []
         monkeypatch.setattr(corpus_module, "_tokens",
                             lambda text: calls.append(text) or tokens(text))
@@ -665,13 +675,7 @@ class TestBatchTokenize:
     def test_matches_documents_one_at_a_time(self, records, bound, by_label):
         if by_label:
             records.sort(key=lambda r: r[0])
-        with tempfile.TemporaryDirectory() as tmp, \
-                pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_module, "_BATCH_CHARS", bound)
-            path = Path(tmp) / "corpus.jsonl"
-            path.write_text("".join(
-                json.dumps({"label": label, "text": text}) + "\n"
-                for label, text in records))
+        with bounded_jsonl(records, bound) as path:
             enc = _Encoder()
             labels = _read_jsonl(path, enc)
             slices = enc.slices(labels)
@@ -698,13 +702,7 @@ class TestBatchTokenize:
     def test_load_corpus_drops_stopwords_and_numbers(self, records, stopwords,
                                                      bound):
         # Labels interleave, so each batch holds several labels' documents.
-        with tempfile.TemporaryDirectory() as tmp, \
-                pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_module, "_BATCH_CHARS", bound)
-            path = Path(tmp) / "corpus.jsonl"
-            path.write_text("".join(
-                json.dumps({"label": label, "text": text}) + "\n"
-                for label, text in records))
+        with bounded_jsonl(records, bound) as path:
             corpus = load_corpus(path, stopwords)
         want = {label: [[t for t in regex_tokens(text)
                          if t not in stopwords and not t.isdigit()]
@@ -738,13 +736,7 @@ class TestOneIdPath:
         # Sorted by label, the records are seen in the order the token
         # lists are, so the types are numbered alike.
         records.sort(key=lambda r: r[0])
-        with tempfile.TemporaryDirectory() as tmp, \
-                pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_module, "_BATCH_CHARS", bound)
-            path = Path(tmp) / "corpus.jsonl"
-            path.write_text("".join(
-                json.dumps({"label": label, "text": text}) + "\n"
-                for label, text in records))
+        with bounded_jsonl(records, bound) as path:
             loaded = load_corpus(path)
         labels = loaded.slice_labels
         lists = make_corpus(

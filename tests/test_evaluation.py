@@ -1,4 +1,3 @@
-import math
 import tempfile
 import warnings
 from itertools import combinations
@@ -10,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    f_beta_oracle,
     loop_local_linear_map,
     loop_nearest_neighbors,
     loop_run_alignment_test,
+    nmi_oracle,
+    tied_matrix,
 )
 from tvembed import evaluation
 from tvembed.baselines import local_linear_maps
@@ -35,64 +37,13 @@ from tvembed.corpus import Vocabulary
 from tvembed.solver import read_embeddings_binary, write_embeddings_binary
 
 
-# ---------------------------------------------------------------------------
-# Brute-force oracles, computed directly from the contingency table / pair
-# enumeration, independent of the library implementations.
-
-
-def nmi_oracle(labels, assign):
-    n = len(labels)
-    lab_set = sorted(set(labels))
-    clu_set = sorted(set(assign))
-    table = np.zeros((len(lab_set), len(clu_set)))
-    for lab, clu in zip(labels, assign):
-        table[lab_set.index(lab), clu_set.index(clu)] += 1
-    pl = table.sum(axis=1) / n
-    pc = table.sum(axis=0) / n
-    h_l = -sum(p * math.log(p) for p in pl if p > 0)
-    h_c = -sum(p * math.log(p) for p in pc if p > 0)
-    if h_l + h_c == 0:
-        return 1.0
-    mi = 0.0
-    for i in range(len(lab_set)):
-        for j in range(len(clu_set)):
-            p = table[i, j] / n
-            if p > 0:
-                mi += p * math.log(p / (pl[i] * pc[j]))
-    return mi / ((h_l + h_c) / 2)
-
-
-def f_beta_oracle(labels, assign, beta):
-    tp = fp = fn = 0
-    for i, j in combinations(range(len(labels)), 2):
-        same_c = assign[i] == assign[j]
-        same_l = labels[i] == labels[j]
-        tp += same_c and same_l
-        fp += same_c and not same_l
-        fn += same_l and not same_c
-    if tp + fp == 0 or tp + fn == 0:
-        return 0.0
-    P, R = tp / (tp + fp), tp / (tp + fn)
-    if P == R == 0:
-        return 0.0
-    return (beta**2 + 1) * P * R / (beta**2 * P + R)
-
-
-def clustering_of(assign):
-    return np.asarray(assign)
-
-
-def _tied_matrix(draw, rng, V, d):
-    """A V x d matrix with exact ties (duplicated rows, or small integer
-    entries) and zero rows."""
-    if draw(st.booleans()):
-        m = rng.integers(-2, 3, size=(V, d)).astype(np.float64)
-    else:
-        m = rng.standard_normal((V, d))
-    dup = rng.integers(V, size=draw(st.integers(0, V)))
-    m[rng.permutation(V)[: len(dup)]] = m[dup]
-    m[rng.integers(V, size=draw(st.integers(0, 3)))] = 0.0
-    return m
+def with_warnings(run, *args, **kwargs):
+    """run(*args, **kwargs) and the texts of the UserWarnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*args, **kwargs)
+    return result, [str(w.message) for w in caught
+                    if w.category is UserWarning]
 
 
 @st.composite
@@ -102,7 +53,8 @@ def neighbor_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     V = draw(st.integers(1, 40))
     d = draw(st.integers(1, 60))
-    m = _tied_matrix(draw, rng, V, d)
+    m = tied_matrix(rng, V, d, draw(st.booleans()), draw(st.integers(0, V)),
+                    draw(st.integers(0, 3)))
     q = m[draw(st.integers(0, V - 1))] if draw(st.booleans()) else (
         rng.integers(-2, 3, size=d).astype(np.float64))
     drop = draw(st.none() | st.integers(0, V - 1))
@@ -254,6 +206,15 @@ class TestSphericalKMeans:
         b = spherical_kmeans(X, K=4, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_duplicated_rows_leave_no_cluster_empty(self, seed):
+        # Four copies each of three directions: the Lloyd step leaves all
+        # but three clusters empty, and the repair fills every one.
+        X = np.repeat(np.eye(3), 4, axis=0)
+        for K in range(1, len(X) + 1):
+            sizes = np.bincount(spherical_kmeans(X, K, seed=seed), minlength=K)
+            assert sizes.min() > 0, (K, sizes.tolist())
+
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             spherical_kmeans(np.ones((3, 2)), K=4)
@@ -268,24 +229,24 @@ class TestSphericalKMeans:
 class TestNmi:
     def test_perfect(self):
         labels = ["A", "A", "B", "B"]
-        assert nmi(labels, clustering_of([0, 0, 1, 1])) == pytest.approx(1.0)
+        assert nmi(labels, np.array([0, 0, 1, 1])) == pytest.approx(1.0)
 
     def test_independent(self):
         labels = ["A", "B", "A", "B"]
-        assert nmi(labels, clustering_of([0, 0, 1, 1])) == pytest.approx(
+        assert nmi(labels, np.array([0, 0, 1, 1])) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_example_matches_oracle(self):
         labels = ["A", "A", "B", "B"]
         assign = [0, 0, 0, 1]
-        assert nmi(labels, clustering_of(assign)) == pytest.approx(
+        assert nmi(labels, np.array(assign)) == pytest.approx(
             nmi_oracle(labels, assign), abs=1e-12
         )
 
     def test_degenerate_returns_one(self):
         with pytest.warns(UserWarning):
-            assert nmi(["A", "A"], clustering_of([0, 0])) == 1.0
+            assert nmi(["A", "A"], np.array([0, 0])) == 1.0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_matches_oracle(self, seed):
@@ -293,33 +254,33 @@ class TestNmi:
         n = int(rng.integers(2, 9))
         labels = [chr(65 + int(i)) for i in rng.integers(3, size=n)]
         assign = rng.integers(3, size=n).tolist()
-        assert nmi(labels, clustering_of(assign)) == pytest.approx(
+        assert nmi(labels, np.array(assign)) == pytest.approx(
             nmi_oracle(labels, assign), abs=1e-12
         )
 
     def test_relabeling_invariance(self):
         labels = ["A", "B", "A", "C", "B"]
-        a = nmi(labels, clustering_of([0, 1, 0, 2, 1]))
-        b = nmi(labels, clustering_of([2, 0, 2, 1, 0]))
+        a = nmi(labels, np.array([0, 1, 0, 2, 1]))
+        b = nmi(labels, np.array([2, 0, 2, 1, 0]))
         assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestFBeta:
     def test_perfect(self):
-        assert f_beta(["A", "A", "B"], clustering_of([0, 0, 1])) == 1.0
+        assert f_beta(["A", "A", "B"], np.array([0, 0, 1])) == 1.0
 
     def test_no_true_positives(self):
-        assert f_beta(["A", "A", "B", "B"], clustering_of([0, 1, 0, 1])) == 0.0
+        assert f_beta(["A", "A", "B", "B"], np.array([0, 1, 0, 1])) == 0.0
 
     def test_undefined_precision_warns(self):
         # Every item its own cluster and label: no positive pairs at all.
         with pytest.warns(UserWarning):
-            assert f_beta(["A", "B"], clustering_of([0, 1])) == 0.0
+            assert f_beta(["A", "B"], np.array([0, 1])) == 0.0
 
     def test_example_matches_oracle(self):
         labels = ["A", "A", "B", "B"]
         assign = [0, 0, 0, 1]
-        assert f_beta(labels, clustering_of(assign), beta=5.0) == pytest.approx(
+        assert f_beta(labels, np.array(assign), beta=5.0) == pytest.approx(
             f_beta_oracle(labels, assign, 5.0), abs=1e-12
         )
 
@@ -329,7 +290,7 @@ class TestFBeta:
         n = int(rng.integers(2, 9))
         labels = [chr(65 + int(i)) for i in rng.integers(3, size=n)]
         assign = rng.integers(3, size=n).tolist()
-        assert f_beta(labels, clustering_of(assign)) == pytest.approx(
+        assert f_beta(labels, np.array(assign)) == pytest.approx(
             f_beta_oracle(labels, assign, 5.0), abs=1e-12
         )
 
@@ -345,9 +306,8 @@ class TestFBeta:
     def test_matches_pair_oracle_exactly(self, items, beta):
         labels = [lab for lab, _ in items]
         assign = [clu for _, clu in items]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = f_beta(labels, clustering_of(assign), beta=beta)
+        got, caught = with_warnings(f_beta, labels, np.array(assign),
+                                    beta=beta)
         assert got == f_beta_oracle(labels, assign, beta)
         # It warns exactly when no pair shares a cluster or none a label.
         pairs = list(combinations(items, 2))
@@ -366,9 +326,9 @@ class TestFBeta:
         labels = ["A", "B", "A", "C", "B", "C"]
         assign = [0, 1, 0, 2, 2, 1]
         perm = rng.permutation(6)
-        a = f_beta(labels, clustering_of(assign))
+        a = f_beta(labels, np.array(assign))
         b = f_beta(
-            [labels[i] for i in perm], clustering_of([assign[i] for i in perm])
+            [labels[i] for i in perm], np.array([assign[i] for i in perm])
         )
         assert a == pytest.approx(b, abs=1e-12)
 
@@ -420,16 +380,8 @@ def alignment_cases(draw):
     d = draw(st.integers(1, 60))
     T = draw(st.integers(1, 3))
     integer_valued = draw(st.booleans())
-    mats = []
-    for _ in range(T):
-        if integer_valued:
-            m = rng.integers(-2, 3, size=(V, d)).astype(np.float64)
-        else:
-            m = rng.standard_normal((V, d))
-        dup = rng.integers(V, size=draw(st.integers(0, V)))
-        m[rng.permutation(V)[: len(dup)]] = m[dup]
-        m[rng.integers(V, size=draw(st.integers(0, 3)))] = 0.0
-        mats.append(m)
+    mats = [tied_matrix(rng, V, d, integer_valued, draw(st.integers(0, V)),
+                        draw(st.integers(0, 3))) for _ in range(T)]
     labels = sorted(rng.choice(3000, size=T, replace=False).tolist())
     words = st.integers(0, V - 1)
     records = draw(st.lists(
@@ -452,24 +404,20 @@ class TestRunAlignmentTest:
     def test_identical_vector_ranks_first(self):
         slices = self.embeddings()
         ts = AlignmentTestset(records=[(2, 2000, 2001, 2)])
-        ranks, skipped = run_alignment_test(ts, slices)
-        assert ranks == [1]
-        assert skipped == 0
+        assert with_warnings(run_alignment_test, ts, slices) == ([1], [])
 
     def test_self_query_excluded(self):
         slices = self.embeddings()
         ts = AlignmentTestset(records=[(2, 2000, 2000, 2)])
-        ranks, _ = run_alignment_test(ts, slices)
+        ranks = run_alignment_test(ts, slices)
         assert ranks[0] != 1 or ranks[0] is None
 
     def test_zero_query_skipped(self):
         slices = self.embeddings()
         slices[2000][1] = 0.0
         ts = AlignmentTestset(records=[(1, 2000, 2001, 1)])
-        with pytest.warns(UserWarning):
-            ranks, skipped = run_alignment_test(ts, slices)
-        assert ranks == []
-        assert skipped == 1
+        assert with_warnings(run_alignment_test, ts, slices) == (
+            [], ["skipped 1 records: 1 with a zero query vector"])
 
     def test_skip_warning_names_each_cause(self):
         # A zero own vector is a zero query even when a map is given; a
@@ -483,9 +431,8 @@ class TestRunAlignmentTest:
                 r"^skipped 2 records: 1 with a zero query vector, 1 with no "
                 r"local map \(fewer than k neighbours nonzero in both "
                 r"slices\)$")):
-            ranks, skipped = run_alignment_test(ts, slices, queries=queries)
+            ranks = run_alignment_test(ts, slices, queries=queries)
         assert ranks == [1]
-        assert skipped == 2
 
     def test_not_found_beyond_cutoff(self):
         rng = np.random.default_rng(9)
@@ -493,8 +440,7 @@ class TestRunAlignmentTest:
         q = -m[0]  # antipodal: worst similarity to answer 0
         mats = [np.vstack([q, m[1:]]), m]
         ts = AlignmentTestset(records=[(0, 0, 1, 0)])
-        ranks, _ = run_alignment_test(ts, dict(enumerate(mats)))
-        assert ranks == [None]
+        assert run_alignment_test(ts, dict(enumerate(mats))) == [None]
 
     @pytest.mark.parametrize("n", [evaluation._BLOCK - 1, evaluation._BLOCK,
                                    evaluation._BLOCK + 1,
@@ -521,11 +467,9 @@ class TestRunAlignmentTest:
                 source = target if j % 2 else labels[(t + 1) % 3]
                 records.append((word, source, target, answer))
         ts = AlignmentTestset(records=records)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            got = run_alignment_test(ts, dict(zip(labels, mats)), K_max=V)
-            want = loop_run_alignment_test(ts, mats, labels, K_max=V)
-        assert got == want
+        assert with_warnings(run_alignment_test, ts, dict(zip(labels, mats)),
+                             K_max=V) == with_warnings(
+            loop_run_alignment_test, ts, mats, labels, K_max=V)
         assert any(a == b and w == answer for w, a, b, answer in records)
 
     def test_block_path_taken_unless_answer_near_tie(self, monkeypatch):
@@ -550,7 +494,7 @@ class TestRunAlignmentTest:
                             again.append(drop) or top(self, q, k, drop))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ranks, _ = run_alignment_test(AlignmentTestset(records), slices)
+            ranks = run_alignment_test(AlignmentTestset(records), slices)
             assert again == []
             assert ranks[-10:] == list(range(1, 11))
             # Rows 7 and 8 of the target, both along source row 3, are
@@ -561,11 +505,11 @@ class TestRunAlignmentTest:
             far = [r for r in records if r[2] == 0
                    or slices[r[1]][r[0]] @ source[3] < 0]
             far += [(3, 0, 1, 7), (3, 0, 1, 8)]
-            ranks, _ = run_alignment_test(AlignmentTestset(far), slices)
+            ranks = run_alignment_test(AlignmentTestset(far), slices)
         assert again == [None, None]
         assert ranks[-2:] == [1, 2]
         assert ranks == loop_run_alignment_test(
-            AlignmentTestset(far), [source, target], [0, 1])[0]
+            AlignmentTestset(far), [source, target], [0, 1])
 
     @pytest.mark.parametrize("K_max", [1, 3, 10])
     @pytest.mark.parametrize("later", [False, True])
@@ -589,21 +533,19 @@ class TestRunAlignmentTest:
         assert pair == [low, max(at, order[-1])]
         record = (0, 0, 1, pair[1] if later else pair[0])
         ts = AlignmentTestset([record])
-        ranks, _ = run_alignment_test(ts, {0: source, 1: target}, K_max)
+        ranks = run_alignment_test(ts, {0: source, 1: target}, K_max)
         assert again == [K_max]
         assert ranks == loop_run_alignment_test(ts, [source, target], [0, 1],
-                                                K_max)[0]
+                                                K_max)
         assert ranks == [None if later else K_max]
 
     @given(alignment_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_loop_oracle(self, case):
         ts, mats, labels, K_max = case
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            got = run_alignment_test(ts, dict(zip(labels, mats)), K_max=K_max)
-            want = loop_run_alignment_test(ts, mats, labels, K_max=K_max)
-        assert got == want
+        assert with_warnings(run_alignment_test, ts, dict(zip(labels, mats)),
+                             K_max=K_max) == with_warnings(
+            loop_run_alignment_test, ts, mats, labels, K_max=K_max)
 
 
     @given(alignment_cases(), st.integers(1, 12))
@@ -632,9 +574,11 @@ class TestRunAlignmentTest:
                                  None))
             queries = local_linear_maps(
                 [(w, a, b) for w, a, b, _ in ts.records], by_label, k=k)
-            got = run_alignment_test(ts, by_label, K_max=K_max,
-                                     queries=queries)
-        assert got == (want, skipped)
+        got, caught = with_warnings(run_alignment_test, ts, by_label,
+                                    K_max=K_max, queries=queries)
+        assert got == want
+        assert [m.split(":")[0] for m in caught] == (
+            [f"skipped {skipped} records"] if skipped else [])
 
 
 class TestNormSeries:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import tvembed
+from conftest import write_slice_dirs
 from tvembed.synthetic import planted_shift_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,12 +63,7 @@ def test_package_imports_name_a_module_or_a_public_name():
 
 
 def test_quick_start_runs(tmp_path, monkeypatch):
-    corpus = planted_shift_corpus(seed=1)
-    for label, ids in zip(corpus.slice_labels, corpus.slices):
-        directory = tmp_path / "corpus" / str(label)
-        directory.mkdir(parents=True)
-        for i, doc in enumerate(ids.documents()):
-            (directory / f"doc{i:03d}.txt").write_text(" ".join(doc))
+    write_slice_dirs(tmp_path / "corpus", planted_shift_corpus(seed=1))
     monkeypatch.chdir(tmp_path)
     scope = {}
     exec(compile(quick_start(), str(README), "exec"), scope)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     dense_objective_oracle,
+    descent_trace,
     dense_objective_terms,
     dense_ridge_system,
     normal_residual,
@@ -258,22 +259,12 @@ class TestRidgeUpdateBlock:
 
 class TestTrain:
     def test_monotone_descent_every_block(self):
-        V, T, d = 20, 4, 3
-        Y = random_ppmi_sequence(V, T, density=0.4, seed=9)
+        Y = random_ppmi_sequence(20, 4, density=0.4, seed=9)
         cfg = SolverConfig(
-            dim=d, ridge=1.0, smoothing=3.0, coupling=2.0, epochs=3, seed=9,
+            dim=3, ridge=1.0, smoothing=3.0, coupling=2.0, epochs=3, seed=9,
         )
-        residuals = []
-        objs = [dense_objective_oracle(init_embeddings(V, T, cfg), Y, cfg)]
-
-        def sink(event):
-            state = event.state
-            new = (state.U if event.factor == "U" else state.W)[event.t]
-            A, B = dense_ridge_system(event.factor, event.t, state, Y, cfg)
-            residuals.append(normal_residual(new, A, B))
-            objs.append(dense_objective_oracle(state, Y, cfg))
-
-        train(Y, cfg, progress_sink=sink)
+        initial, objs, residuals = descent_trace(Y, cfg)
+        objs = [initial] + objs
         assert max(residuals) <= 1e-10
         for before, after in zip(objs, objs[1:]):
             assert after <= before * (1 + 1e-8)

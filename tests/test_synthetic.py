@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from tvembed.corpus import build_vocabulary, count_cooccurrences
@@ -20,7 +19,7 @@ class TestPlantedShiftCorpus:
     def test_shape_and_labels(self, corpus):
         assert len(corpus.slices) == 4
         assert corpus.slice_labels == [0, 1, 2, 3]
-        assert all(len(s) == 120 for s in corpus.slices)
+        assert all(len(s.lengths) == 120 for s in corpus.slices)
         assert all(len(d) == 10 for s in corpus.slices for d in s.documents())
 
     def test_deterministic(self, corpus):
